@@ -1,6 +1,6 @@
 // Parallel planning engine: serial-vs-parallel speedup, fitness-memo hit
-// rate, a legacy-pool vs work-stealing-job-system scheduler grid, and a
-// bitwise determinism check across thread counts and schedulers.
+// rate, a thread-count grid on the work-stealing job system, and a bitwise
+// determinism check across thread counts.
 //
 // Headline configurations of the Table 1 virolab experiment:
 //
@@ -8,8 +8,8 @@
 //   serial           threads=1, memoize=true
 //   parallel         threads=4 on the job system (the production path)
 //
-// Then a grid: threads in {2, 4, 8} on both schedulers (threads=1 is the
-// shared serial row — both schedulers bypass their pool at one thread),
+// Then a grid: threads in {2, 4, 8} on the job system (threads=1 is the
+// serial row — the planner bypasses the job system at one thread),
 // reporting per-point speedup over serial and the job system's steal rate.
 //
 // Pass criteria: every parallel point is bitwise-identical to serial for
@@ -32,19 +32,18 @@ struct Measurement {
   double mean_fitness = 0.0;
   std::size_t evaluations = 0;
   std::size_t memo_hits = 0;
-  sched::JobStats sched_stats;  ///< summed across runs; zero on legacy/serial
+  sched::JobStats sched_stats;  ///< summed across runs; zero when serial
   std::vector<planner::GpResult> results;
 };
 
 Measurement measure(const planner::PlanningProblem& problem, std::size_t threads, bool memoize,
-                    int runs, planner::GpScheduler scheduler = planner::GpScheduler::JobSystem) {
+                    int runs) {
   Measurement m;
   util::Stopwatch watch;
   for (int run = 0; run < runs; ++run) {
     planner::GpConfig config;  // Table 1 defaults: pop 200, 20 generations
     config.seed = 100 + static_cast<std::uint64_t>(run);
     config.threads = threads;
-    config.scheduler = scheduler;
     config.evaluation.memoize = memoize;
     m.results.push_back(planner::run_gp(problem, config));
   }
@@ -72,10 +71,6 @@ bool identical(const planner::GpResult& a, const planner::GpResult& b) {
       return false;
   }
   return true;
-}
-
-const char* scheduler_name(planner::GpScheduler scheduler) {
-  return scheduler == planner::GpScheduler::JobSystem ? "jobsys" : "legacy";
 }
 
 }  // namespace
@@ -120,42 +115,34 @@ int main() {
   std::printf("threads=%zu bitwise-identical to threads=1: %s\n", parallel_threads,
               deterministic ? "yes" : "NO");
 
-  // -- scheduler grid: legacy fixed pool vs work-stealing job system --
-  std::printf("\n%-10s %-8s %-9s %-9s %-11s %s\n", "scheduler", "threads", "time(s)",
-              "speedup", "steal-rate", "identical");
-  std::printf("%-10s %-8d %-9.2f %-9s %-11s %s\n", "(serial)", 1, serial.seconds, "1.00x",
-              "-", "yes");
-  for (const planner::GpScheduler scheduler :
-       {planner::GpScheduler::LegacyPool, planner::GpScheduler::JobSystem}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      const Measurement point = measure(problem, threads, true, kRuns, scheduler);
-      bool point_identical = true;
-      for (int run = 0; run < kRuns; ++run)
-        if (!identical(serial.results[run], point.results[run])) point_identical = false;
-      deterministic = deterministic && point_identical;
-      const double speedup = point.seconds > 0.0 ? serial.seconds / point.seconds : 0.0;
-      char speedup_text[32];
-      std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", speedup);
-      char steal_text[32];
-      if (scheduler == planner::GpScheduler::JobSystem)
-        std::snprintf(steal_text, sizeof steal_text, "%.1f%%",
-                      100.0 * point.sched_stats.steal_rate());
-      else
-        std::snprintf(steal_text, sizeof steal_text, "-");
-      std::printf("%-10s %-8zu %-9.2f %-9s %-11s %s\n", scheduler_name(scheduler), threads,
-                  point.seconds, speedup_text, steal_text, point_identical ? "yes" : "NO");
+  // -- thread-count grid on the job system --
+  std::printf("\n%-8s %-9s %-9s %-11s %s\n", "threads", "time(s)", "speedup", "steal-rate",
+              "identical");
+  std::printf("%-8d %-9.2f %-9s %-11s %s\n", 1, serial.seconds, "1.00x", "-", "yes");
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const Measurement point = measure(problem, threads, true, kRuns);
+    bool point_identical = true;
+    for (int run = 0; run < kRuns; ++run)
+      if (!identical(serial.results[run], point.results[run])) point_identical = false;
+    deterministic = deterministic && point_identical;
+    const double speedup = point.seconds > 0.0 ? serial.seconds / point.seconds : 0.0;
+    char speedup_text[32];
+    std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", speedup);
+    char steal_text[32];
+    std::snprintf(steal_text, sizeof steal_text, "%.1f%%",
+                  100.0 * point.sched_stats.steal_rate());
+    std::printf("%-8zu %-9.2f %-9s %-11s %s\n", threads, point.seconds, speedup_text,
+                steal_text, point_identical ? "yes" : "NO");
 
-      bench::JsonRecord grid("bench_planner_parallel_grid");
-      grid.add("scheduler", std::string(scheduler_name(scheduler)))
-          .add("threads", threads)
-          .add("seconds", point.seconds)
-          .add("speedup_vs_serial", speedup)
-          .add("jobs_executed", static_cast<std::size_t>(point.sched_stats.executed))
-          .add("jobs_stolen", static_cast<std::size_t>(point.sched_stats.stolen))
-          .add("steal_rate", point.sched_stats.steal_rate())
-          .add("deterministic", std::string(point_identical ? "true" : "false"));
-      grid.append_to();
-    }
+    bench::JsonRecord grid("bench_planner_parallel_grid");
+    grid.add("threads", threads)
+        .add("seconds", point.seconds)
+        .add("speedup_vs_serial", speedup)
+        .add("jobs_executed", static_cast<std::size_t>(point.sched_stats.executed))
+        .add("jobs_stolen", static_cast<std::size_t>(point.sched_stats.stolen))
+        .add("steal_rate", point.sched_stats.steal_rate())
+        .add("deterministic", std::string(point_identical ? "true" : "false"));
+    grid.append_to();
   }
 
   bench::JsonRecord record("bench_planner_parallel");

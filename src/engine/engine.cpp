@@ -169,6 +169,14 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
   // percentiles stay exact (see obs/metrics.hpp).
   latency_hist_ = &registry_.histogram("engine_case_latency_seconds",
                                        obs::default_latency_buckets(), {}, 65536);
+  submitted_ = &registry_.counter("engine_cases_submitted_total");
+  rejected_ = &registry_.counter("engine_cases_rejected_total");
+  completed_ = &registry_.counter("engine_cases_completed_total");
+  failed_ = &registry_.counter("engine_cases_failed_total");
+  cancelled_ = &registry_.counter("engine_cases_cancelled_total");
+  retried_ = &registry_.counter("engine_case_retries_total");
+  recovered_ = &registry_.counter("engine_cases_recovered_total");
+  io_errors_ = &registry_.counter("store_io_errors_total");
 
   // Durable mode: open the journal and rebuild the case table before any
   // shard exists, so recovered cases are queued by the time pumps start.
@@ -252,13 +260,13 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || queued_ >= config_.queue_capacity) {
-      ++rejected_total_;
+      rejected_->inc();
       return kInvalidCase;
     }
     if (journal_ && degraded_) {
       // Graceful degradation: an engine whose journal failed cannot promise
       // durability, so it stops accepting durable work instead of lying.
-      ++rejected_total_;
+      rejected_->inc();
       IG_LOG_WARN("engine") << "rejecting submission: journal degraded ("
                             << degraded_reason_ << ")";
       return kInvalidCase;
@@ -270,7 +278,6 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
     record.process_xml = std::move(process_xml);
     record.case_xml = std::move(case_xml);
     record.submitted_at = std::chrono::steady_clock::now();
-    ++submitted_total_;
     durable = journal_ != nullptr;
     if (durable) {
       std::string payload;
@@ -286,6 +293,7 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
       // crash — the invariant the crash-point matrix test holds us to.
       journal_failed = !journal_append_locked(payload);
     } else {
+      submitted_->inc();
       admit_locked(record);
       to_pump = claim_idle_pumps_locked();
     }
@@ -300,15 +308,17 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
       // Never acked, so it must leave no trace: the caller sees a rejection
       // with a reason (degraded_), not a case that silently evaporates.
       if (it != records_.end()) records_.erase(it);
-      --submitted_total_;
-      ++rejected_total_;
+      rejected_->inc();
       if (next_case_id_ == id + 1) next_case_id_ = id;
       id = kInvalidCase;
-    } else if (it != records_.end() && it->second.state == CaseState::Queued &&
-               !it->second.cancel_requested) {
-      // (A cancel that raced the commit already finalized the record.)
-      admit_locked(it->second);
-      to_pump = claim_idle_pumps_locked();
+    } else {
+      submitted_->inc();
+      if (it != records_.end() && it->second.state == CaseState::Queued &&
+          !it->second.cancel_requested) {
+        // (A cancel that raced the commit already finalized the record.)
+        admit_locked(it->second);
+        to_pump = claim_idle_pumps_locked();
+      }
     }
   }
   // Posting outside the engine mutex: a pump job can start (and take the
@@ -427,7 +437,7 @@ bool EnactmentEngine::cancel(CaseId id) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - record.submitted_at)
               .count();
       latency_hist_->observe(record.outcome.latency_seconds);
-      ++cancelled_total_;
+      cancelled_->inc();
       if (journal_) {
         std::string payload;
         store::Writer w(payload);
@@ -467,14 +477,14 @@ void EnactmentEngine::drain() {
 EngineMetrics EnactmentEngine::metrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
   EngineMetrics snapshot;
-  snapshot.submitted = submitted_total_;
-  snapshot.rejected = rejected_total_;
-  snapshot.completed = completed_total_;
-  snapshot.failed = failed_total_;
-  snapshot.cancelled = cancelled_total_;
-  snapshot.retried = retried_total_;
-  snapshot.recovered = recovered_total_;
-  snapshot.store_io_errors = store_io_errors_;
+  snapshot.submitted = submitted_->value();
+  snapshot.rejected = rejected_->value();
+  snapshot.completed = completed_->value();
+  snapshot.failed = failed_->value();
+  snapshot.cancelled = cancelled_->value();
+  snapshot.retried = retried_->value();
+  snapshot.recovered = recovered_->value();
+  snapshot.store_io_errors = io_errors_->value();
   snapshot.degraded = degraded_;
   snapshot.queue_depth = queued_;
   snapshot.running = running_;
@@ -494,7 +504,7 @@ EngineMetrics EnactmentEngine::metrics() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started_at_).count();
   if (snapshot.uptime_seconds > 0.0)
     snapshot.completed_per_second =
-        static_cast<double>(completed_total_) / snapshot.uptime_seconds;
+        static_cast<double>(snapshot.completed) / snapshot.uptime_seconds;
   snapshot.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardMetrics sm;
@@ -532,18 +542,10 @@ EngineMetrics EnactmentEngine::metrics() const {
                                 {{"shard", std::to_string(shard->index)}});
     snapshot.shards.push_back(sm);
   }
-  registry_.counter("engine_cases_submitted_total").set_to(snapshot.submitted);
-  registry_.counter("engine_cases_rejected_total").set_to(snapshot.rejected);
-  registry_.counter("engine_cases_completed_total").set_to(snapshot.completed);
-  registry_.counter("engine_cases_failed_total").set_to(snapshot.failed);
-  registry_.counter("engine_cases_cancelled_total").set_to(snapshot.cancelled);
-  registry_.counter("engine_case_retries_total").set_to(snapshot.retried);
-  registry_.counter("engine_cases_recovered_total").set_to(snapshot.recovered);
   registry_.gauge("engine_queue_depth").set(static_cast<double>(snapshot.queue_depth));
   registry_.gauge("engine_cases_running").set(static_cast<double>(snapshot.running));
   registry_.gauge("engine_uptime_seconds").set(snapshot.uptime_seconds);
   registry_.gauge("engine_completed_per_second").set(snapshot.completed_per_second);
-  registry_.counter("store_io_errors_total").set_to(snapshot.store_io_errors);
   registry_.gauge("engine_degraded").set(snapshot.degraded ? 1.0 : 0.0);
   jobs_->publish_metrics(registry_);
   if (journal_) journal_->publish_metrics(registry_, {{"component", "engine-journal"}});
@@ -754,7 +756,7 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
           case AttemptResult::Kind::Failure:
             if (record.retries_used < config_.max_case_retries && !record.cancel_requested) {
               ++record.retries_used;
-              ++retried_total_;
+              retried_->inc();
               if (!attempt.checkpoint_xml.empty())
                 record.checkpoint_xml = std::move(attempt.checkpoint_xml);
               if (shards_.size() > 1) {
@@ -826,14 +828,14 @@ void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseStat
   latency_hist_->observe(outcome.latency_seconds);
   switch (state) {
     case CaseState::Completed:
-      ++completed_total_;
+      completed_->inc();
       ++shard.cases_completed;
       break;
     case CaseState::Cancelled:
-      ++cancelled_total_;
+      cancelled_->inc();
       break;
     default:
-      ++failed_total_;
+      failed_->inc();
       ++shard.cases_failed;
       break;
   }
@@ -851,7 +853,7 @@ void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseStat
 }
 
 void EnactmentEngine::degrade_locked(const std::string& reason) {
-  ++store_io_errors_;
+  io_errors_->inc();
   if (degraded_) return;
   degraded_ = true;
   degraded_reason_ = reason;
@@ -904,29 +906,29 @@ void EnactmentEngine::recover_from_journal() {
   // a running attempt left no durable partial state, and because its
   // random streams derive only from (case id, retries) it re-executes
   // identically on whatever shard picks it up after the restart.
-  submitted_total_ = records_.size();
+  submitted_->inc(records_.size());
   for (auto& [id, record] : records_) {
     next_case_id_ = std::max(next_case_id_, id + 1);
-    retried_total_ += static_cast<std::size_t>(record.retries_used);
+    retried_->inc(static_cast<std::uint64_t>(record.retries_used));
     completion_sequence_ = std::max(completion_sequence_, record.outcome.completion_index);
     switch (record.state) {
-      case CaseState::Completed: ++completed_total_; break;
-      case CaseState::Cancelled: ++cancelled_total_; break;
-      case CaseState::Failed: ++failed_total_; break;
+      case CaseState::Completed: completed_->inc(); break;
+      case CaseState::Cancelled: cancelled_->inc(); break;
+      case CaseState::Failed: failed_->inc(); break;
       default: {
         // A restart may run fewer shards than the run that journaled the
         // exclusions; never let a stale set cover the whole fleet.
         if (record.excluded_shards.size() >= config_.shards) record.excluded_shards.clear();
         record.submitted_at = std::chrono::steady_clock::now();
         admit_locked(record);
-        ++recovered_total_;
+        recovered_->inc();
         break;
       }
     }
   }
-  if (recovered_total_ > 0) {
+  if (recovered_->value() > 0) {
     IG_LOG_DEBUG("engine") << "cold start recovered " << records_.size() << " cases, "
-                           << recovered_total_ << " resumed";
+                           << recovered_->value() << " resumed";
   }
   journal_->set_state_provider("engine", [this] { return encode_engine_state(); });
 }

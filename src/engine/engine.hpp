@@ -230,12 +230,14 @@ class EnactmentEngine {
 
   EngineMetrics metrics() const;
 
-  /// The engine's metrics registry. Case latencies land in the
-  /// `engine_case_latency_seconds` histogram as cases finish; every call to
-  /// metrics() also refreshes the engine- and per-shard counters (labelled
-  /// {shard=i}), so `registry().snapshot()` after metrics() is the complete
-  /// exporter feed. EngineMetrics' latency percentiles are derived from the
-  /// same histogram, so both views agree on the same run.
+  /// The engine's metrics registry, and the only store of the engine's case
+  /// tallies: the `engine_case*_total` and `store_io_errors_total` counters
+  /// and the `engine_case_latency_seconds` histogram are updated as cases
+  /// move, so a scrape sees them current at any time. The per-shard
+  /// (labelled {shard=i}), scheduler and journal counters and the engine
+  /// gauges are refreshed by metrics(), so `registry().snapshot()` after
+  /// metrics() is the complete exporter feed. EngineMetrics reads the same
+  /// instruments, so both views agree on the same run.
   obs::MetricsRegistry& registry() noexcept { return registry_; }
   const obs::MetricsRegistry& registry() const noexcept { return registry_; }
 
@@ -321,21 +323,24 @@ class EnactmentEngine {
 
   std::size_t queued_ = 0;
   std::size_t running_ = 0;
-  std::size_t submitted_total_ = 0;
-  std::size_t rejected_total_ = 0;
-  std::size_t completed_total_ = 0;
-  std::size_t failed_total_ = 0;
-  std::size_t cancelled_total_ = 0;
-  std::size_t retried_total_ = 0;
-  std::size_t recovered_total_ = 0;
-  std::size_t store_io_errors_ = 0;
   bool degraded_ = false;
   std::string degraded_reason_;
   std::size_t completion_sequence_ = 0;
   /// Mutable: metrics() is a const snapshot but refreshes the published
   /// counters; the registry itself is internally synchronized.
   mutable obs::MetricsRegistry registry_;
-  obs::Histogram* latency_hist_ = nullptr;  ///< owned by registry_
+  // Instruments owned by registry_, resolved once in the constructor. The
+  // case counters are bumped under mutex_, so metrics() reads them as one
+  // consistent set.
+  obs::Histogram* latency_hist_ = nullptr;
+  obs::Counter* submitted_ = nullptr;   ///< durable: counted once the admit commits
+  obs::Counter* rejected_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* retried_ = nullptr;
+  obs::Counter* recovered_ = nullptr;
+  obs::Counter* io_errors_ = nullptr;
   std::chrono::steady_clock::time_point started_at_;
 
   /// Durable-mode journal; null in in-memory mode. Declared before shards_

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "util/thread_pool.hpp"
-
 namespace ig::planner {
 
 namespace {
@@ -32,22 +30,13 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
   const std::size_t threads =
       config.threads == 0 ? sched::JobSystem::hardware_threads() : config.threads;
   PlanEvaluator evaluator(problem, config.evaluation, threads);
-  // The work-stealing job system is the production scheduler; the legacy
-  // pool stays constructible so the parallel bench can A/B them. With one
+  // The data-parallel loops run on the work-stealing job system; with one
   // thread everything runs inline on the caller (worker id 0).
   std::optional<sched::JobSystem> jobs;
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) {
-    if (config.scheduler == GpScheduler::LegacyPool)
-      pool.emplace(threads);
-    else
-      jobs.emplace(threads);
-  }
+  if (threads > 1) jobs.emplace(threads);
   const auto for_each = [&](std::size_t count, auto&& fn) {
     if (jobs)
       jobs->parallel_for(count, fn);
-    else if (pool)
-      pool->parallel_for(count, fn);
     else
       for (std::size_t index = 0; index < count; ++index) fn(index, 0);
   };

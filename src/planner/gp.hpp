@@ -21,12 +21,6 @@
 
 namespace ig::planner {
 
-/// Which scheduler drives the data-parallel GP loops. JobSystem is the
-/// production path (work-stealing, chunked parallel_for); LegacyPool keeps
-/// the old util::ThreadPool reachable so bench_planner_parallel can A/B the
-/// two on identical work. Both are bitwise-deterministic.
-enum class GpScheduler { JobSystem, LegacyPool };
-
 /// Table 1's parameter settings, as defaults.
 struct GpConfig {
   std::size_t population_size = 200;
@@ -51,8 +45,6 @@ struct GpConfig {
   /// (seed, generation, index), so the result is bitwise-identical at any
   /// thread count — `threads` is purely a wall-clock knob.
   std::size_t threads = 0;
-  /// Benchmarking knob; see GpScheduler. Leave at JobSystem.
-  GpScheduler scheduler = GpScheduler::JobSystem;
 };
 
 /// Per-generation progress sample.
@@ -77,9 +69,9 @@ struct GpResult {
   std::size_t memo_hits = 0;
   /// Worker threads actually used (resolves the config's 0 = auto).
   std::size_t threads_used = 1;
-  /// Job-system counters for the run (all zero on the serial and legacy-pool
-  /// paths). Scheduling-dependent — how much was stolen varies with timing —
-  /// unlike every result field above.
+  /// Job-system counters for the run (all zero on the serial path, which
+  /// builds no job system). Scheduling-dependent — how much was stolen
+  /// varies with timing — unlike every result field above.
   sched::JobStats scheduler_stats;
 };
 

@@ -295,6 +295,7 @@ void JobSystem::wait_idle() {
 JobStats JobSystem::stats() const {
   JobStats stats;
   stats.submitted = submitted_.load(std::memory_order_relaxed);
+  stats.swallowed = swallowed_.load(std::memory_order_relaxed);
   for (const auto& worker : workers_) {
     stats.executed += worker->executed.load(std::memory_order_relaxed);
     stats.stolen += worker->stolen.load(std::memory_order_relaxed);
@@ -326,6 +327,7 @@ void JobSystem::publish_metrics(obs::MetricsRegistry& registry,
   registry.counter("sched_steal_failures_total", labels).set_to(stats.steal_failures);
   registry.counter("sched_parks_total", labels).set_to(stats.parks);
   registry.counter("sched_unparks_total", labels).set_to(stats.unparks);
+  registry.counter("sched_jobs_swallowed_total", labels).set_to(stats.swallowed);
   registry.gauge("sched_workers", labels).set(static_cast<double>(workers_.size()));
   const std::vector<std::size_t> depths = queue_depths();
   for (std::size_t i = 0; i < depths.size(); ++i) {

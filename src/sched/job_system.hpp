@@ -1,11 +1,5 @@
 // Work-stealing job system — the one scheduler under the planner and the
-// enactment engine.
-//
-// The repo used to have two disjoint parallelism islands: the GP planner's
-// `util::ThreadPool` (a single shared queue whose per-index `parallel_for`
-// cursor serialized cheap items) and the engine's shard-owns-thread model
-// (which could not rebalance when one shard's cases were heavier than
-// another's). The job system replaces both:
+// enactment engine:
 //
 //   * Every worker owns a deque guarded by its own mutex. Local submission
 //     and local pop touch only that mutex, so the common case never
@@ -23,9 +17,8 @@
 //     post wakes the target, and when the target is already busy with a
 //     deepening backlog one parked neighbour is poked to come steal.
 //   * `parallel_for` submits *chunked* ranges — contiguous index blocks —
-//     instead of driving an atomic cursor one index at a time, which is the
-//     contention fix that makes data-parallel loops over cheap items
-//     (fitness-memo hits) actually pay for their scheduling.
+//     rather than handing out one index at a time, so data-parallel loops
+//     over cheap items (fitness-memo hits) pay for their scheduling.
 //
 // Determinism: the job system moves *where* work runs, never *what* it
 // computes. Callers that key results by index and derive per-item RNG
@@ -33,7 +26,8 @@
 // count; the planner and the engine both do.
 //
 // Observability: every worker keeps relaxed-atomic counters (executed,
-// stolen, steal probes, parks); `stats()` aggregates them and
+// stolen, steal probes, parks), plus one system-wide count of swallowed
+// post() exceptions; `stats()` aggregates them and
 // `publish_metrics` pushes the absolute values into an obs::MetricsRegistry
 // (the same publish pattern the platform and request trackers use), plus
 // per-worker queue-depth gauges.
@@ -64,6 +58,7 @@ struct JobStats {
   std::uint64_t steal_failures = 0;  ///< probes that found an empty deque
   std::uint64_t parks = 0;           ///< times a worker went to sleep
   std::uint64_t unparks = 0;         ///< times a sleeping worker was woken
+  std::uint64_t swallowed = 0;       ///< post() jobs whose exception was swallowed
 
   /// Fraction of executed jobs that ran on a worker other than the one they
   /// were queued on. 0 when nothing executed.

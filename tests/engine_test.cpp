@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "engine/engine.hpp"
+#include "store/fault_fs.hpp"
 #include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 #include "wfl/structure.hpp"
@@ -375,6 +380,68 @@ TEST(Engine, ObservabilitySnapshotsRaceShardWorkersSafely) {
   // The shard emitted spans and they survive into the engine-level view.
   EXPECT_FALSE(engine.shard_spans(0).empty());
   EXPECT_TRUE(engine.shard_spans(99).empty());  // out of range, not a crash
+}
+
+/// Value of an unlabelled registry counter, or -1 when it is not registered.
+double registry_value(const EnactmentEngine& engine, const std::string& name) {
+  const obs::RegistrySnapshot snapshot = engine.registry().snapshot();
+  const obs::MetricPoint* point = snapshot.find(name);
+  return point != nullptr ? point->value : -1.0;
+}
+
+TEST(Engine, RegistryCaseCountersAreCurrentWithoutAMetricsCall) {
+  EnactmentEngine engine(small_config(1));
+  for (int i = 0; i < 2; ++i)
+    ASSERT_NE(engine.submit(virolab::make_fig10_process(), virolab::make_case_description()),
+              kInvalidCase);
+  engine.drain();
+  // Read the registry first: a scrape must not depend on metrics() having
+  // refreshed anything.
+  const double submitted = registry_value(engine, "engine_cases_submitted_total");
+  const double completed = registry_value(engine, "engine_cases_completed_total");
+  const EngineMetrics metrics = engine.metrics();
+  EXPECT_EQ(metrics.submitted, 2u);
+  EXPECT_EQ(metrics.completed, 2u);
+  EXPECT_EQ(submitted, static_cast<double>(metrics.submitted));
+  EXPECT_EQ(completed, static_cast<double>(metrics.completed));
+}
+
+TEST(Engine, FailedDurableCommitCountsOneRejectionAndNoSubmission) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("igrid-engine-commit-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  EngineConfig config = small_config(1);
+  config.storage.data_dir = dir.string();
+  {
+    // One case journaled on a healthy disk; the reopen below recovers it.
+    EnactmentEngine engine(config);
+    ASSERT_NE(engine.submit(virolab::make_fig10_process(), virolab::make_case_description()),
+              kInvalidCase);
+    engine.drain();
+  }
+  // Every durability barrier now fails, so the next admit never commits.
+  store::FaultRule msync_fails;
+  msync_fails.match.op = store::FileOp::kMsync;
+  msync_fails.fsync_error = 1.0;
+  store::FaultFsOptions fault_options;
+  fault_options.rules.push_back(msync_fails);
+  store::FaultFs faults(fault_options);
+  config.storage.file_ops = &faults;
+  {
+    EnactmentEngine engine(config);
+    EXPECT_EQ(registry_value(engine, "engine_cases_submitted_total"), 1.0);
+    EXPECT_EQ(engine.submit(virolab::make_fig10_process(), virolab::make_case_description()),
+              kInvalidCase);
+    EXPECT_EQ(registry_value(engine, "engine_cases_submitted_total"), 1.0);
+    EXPECT_EQ(registry_value(engine, "engine_cases_rejected_total"), 1.0);
+    EXPECT_EQ(registry_value(engine, "store_io_errors_total"), 1.0);
+    const EngineMetrics metrics = engine.metrics();
+    EXPECT_EQ(metrics.submitted, 1u);
+    EXPECT_EQ(metrics.rejected, 1u);
+    EXPECT_TRUE(metrics.degraded);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Engine, ShutdownIsIdempotentAndStopsWorkers) {

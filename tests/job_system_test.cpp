@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,14 +70,21 @@ TEST(JobSystem, EveryJobRunsExactlyOnceUnderForcedStealing) {
         },
         /*affinity=*/0);
   }
-  ASSERT_TRUE(eventually([&] { return completed.load() == kJobs; }));
-  release_blocker.store(true);
+  // Only a deepening backlog pokes a thief: one job queued behind a busy
+  // worker is left for that worker. So the last post may wait for the
+  // blocker, and it must not be a backlog job. When this tail lands on a
+  // non-empty deque it pokes a thief; when it lands on an empty one, every
+  // backlog job is already on a thief.
+  jobs.post([] {}, /*affinity=*/0);
+  const bool drained = eventually([&] { return completed.load() == kJobs; });
+  release_blocker.store(true);  // before any assertion, so a failure cannot hang
   jobs.wait_idle();
+  ASSERT_TRUE(drained);
 
   for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(runs[i].load(), 1) << "job " << i;
   const sched::JobStats stats = jobs.stats();
-  EXPECT_EQ(stats.executed, kJobs + 1);
-  // Worker 0 never popped: every backlog job reached its executor via a
+  EXPECT_EQ(stats.executed, kJobs + 2);
+  // Worker 0 ran no backlog job: every one reached its executor via a
   // steal (some may count twice when re-stolen from a thief's deque).
   EXPECT_GE(stats.stolen, kJobs);
   EXPECT_GT(stats.steal_attempts, 0u);
@@ -111,7 +120,9 @@ TEST(JobSystem, AffinityHintHonoredWhenTargetWorkerFree) {
 TEST(JobSystem, SubmitPropagatesExceptionsThroughTheFuture) {
   sched::JobSystem jobs(2);
   auto future = jobs.submit([]() -> int { throw std::runtime_error("boom"); });
+  auto text = jobs.submit([] { return std::string("done"); });
   EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_EQ(text.get(), "done");
   jobs.wait_idle();  // the failed job must still be accounted as finished
 }
 
@@ -123,19 +134,34 @@ TEST(JobSystem, ParallelForRethrowsTheFirstException) {
                                  }),
                std::runtime_error);
   jobs.wait_idle();
+  // The system survives the exception.
+  std::atomic<std::size_t> ran{0};
+  jobs.parallel_for(5, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 5u);
 }
 
 TEST(JobSystem, ParallelForCoversEveryIndexOnceWithValidWorkerIds) {
-  sched::JobSystem jobs(3);
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  std::atomic<bool> worker_in_range{true};
-  jobs.parallel_for(kCount, [&](std::size_t index, std::size_t worker) {
-    hits[index].fetch_add(1);
-    if (worker >= 3) worker_in_range.store(false);
-  });
-  for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  EXPECT_TRUE(worker_in_range.load());
+  EXPECT_GE(sched::JobSystem::hardware_threads(), 1u);
+  // A request for zero workers clamps to one. Each system runs several
+  // loops back to back — empty, one item, fewer items than workers, and a
+  // large range twice — so reusing one system is covered too.
+  for (const std::size_t requested : {std::size_t{3}, std::size_t{0}}) {
+    sched::JobSystem jobs(requested);
+    const std::size_t workers = std::max<std::size_t>(requested, 1);
+    ASSERT_EQ(jobs.size(), workers);
+    for (const std::size_t count : {0, 1, 2, 1000, 1000}) {
+      std::vector<std::atomic<int>> hits(count);
+      std::atomic<bool> worker_in_range{true};
+      jobs.parallel_for(count, [&](std::size_t index, std::size_t worker) {
+        hits[index].fetch_add(1);
+        if (worker >= workers) worker_in_range.store(false);
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "workers " << workers << " count " << count
+                                     << " index " << i;
+      EXPECT_TRUE(worker_in_range.load()) << "workers " << workers << " count " << count;
+    }
+  }
 }
 
 TEST(JobSystem, NestedParallelForDoesNotDeadlockOnOneWorker) {
@@ -207,13 +233,18 @@ TEST(JobSystem, HintedPostDuringDrainRedirectsOffExitedWorkers) {
 TEST(JobSystem, PublishMetricsExportsSchedulerCounters) {
   sched::JobSystem jobs(2);
   jobs.parallel_for(100, [](std::size_t, std::size_t) {});
+  jobs.post([] { throw std::runtime_error("lost in a fire-and-forget job"); });
   jobs.wait_idle();
+  EXPECT_EQ(jobs.stats().swallowed, 1u);
   obs::MetricsRegistry registry;
   jobs.publish_metrics(registry);
   const obs::RegistrySnapshot snapshot = registry.snapshot();
   const obs::MetricPoint* executed = snapshot.find("sched_jobs_executed_total");
   ASSERT_NE(executed, nullptr);
   EXPECT_GT(executed->value, 0.0);
+  const obs::MetricPoint* swallowed = snapshot.find("sched_jobs_swallowed_total");
+  ASSERT_NE(swallowed, nullptr);
+  EXPECT_EQ(swallowed->value, 1.0);
   EXPECT_NE(snapshot.find("sched_workers"), nullptr);
 }
 
