@@ -18,13 +18,19 @@
 // the paper's text). The flow set is capped at `max_flows` to bound the
 // combinatorics of adversarially nested plans; the cap is recorded in the
 // result so harnesses can report truncation.
+//
+// The simulator is precompiled against the problem. A flow's world state is
+// a vector of item ids from a per-worker ItemTable, which evaluated every
+// input filter and goal on each item once, when it interned it. Checking a
+// precondition then looks up flags and searches for distinct items on ids;
+// only a service whose input condition couples several formals (its
+// residual condition) builds Bindings.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -69,27 +75,14 @@ struct Fitness {
   bool operator<(const Fitness& other) const noexcept { return overall < other.overall; }
 };
 
-/// Immutable output items, cached per (service, occurrence index): the k-th
-/// execution of a service always produces the same specification, so flows
-/// share one allocation instead of rebuilding property maps. Occurrence
-/// indices keep the items *distinct* (binding never reuses one item for two
-/// formals, and a service like PSF genuinely needs two different 3-D
-/// models).
-class OutputCache {
- public:
-  const std::vector<std::shared_ptr<const wfl::DataSpec>>& get(const wfl::ServiceType& service,
-                                                               std::size_t occurrence);
-
- private:
-  std::map<std::string, std::vector<std::vector<std::shared_ptr<const wfl::DataSpec>>>>
-      cache_;
-};
+/// Per-worker interned item table of the simulator (evaluate.cpp).
+class ItemTable;
 
 /// Evaluates plans against one planning problem.
 ///
 /// Thread-safe for concurrent `evaluate` calls as long as each concurrently
 /// executing caller passes a distinct `worker` id below the `workers` count
-/// given at construction: every worker owns a private OutputCache (no
+/// given at construction: every worker owns a private ItemTable (no
 /// locking on the simulation path), the fitness memo is sharded behind
 /// per-shard mutexes, and the counters are atomic. Fitness is a pure
 /// function of the plan, so the memo is transparent: results are identical
@@ -99,10 +92,11 @@ class PlanEvaluator {
  public:
   explicit PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config = {},
                          std::size_t workers = 1);
+  ~PlanEvaluator();
 
   const EvaluationConfig& config() const noexcept { return config_; }
   const PlanningProblem& problem() const noexcept { return *problem_; }
-  std::size_t workers() const noexcept { return caches_.size(); }
+  std::size_t workers() const noexcept { return tables_.size(); }
 
   /// Evaluates on behalf of `worker` (must be < workers()).
   Fitness evaluate(const PlanNode& plan, std::size_t worker) const;
@@ -135,7 +129,7 @@ class PlanEvaluator {
   EvaluationConfig config_;
   mutable std::atomic<std::size_t> evaluations_{0};
   mutable std::atomic<std::size_t> memo_hits_{0};
-  mutable std::vector<std::unique_ptr<OutputCache>> caches_;  ///< one per worker
+  mutable std::vector<std::unique_ptr<ItemTable>> tables_;  ///< one per worker
   mutable std::array<MemoShard, kMemoShards> memo_;
 };
 

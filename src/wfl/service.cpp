@@ -1,6 +1,7 @@
 #include "wfl/service.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 namespace ig::wfl {
@@ -48,28 +49,15 @@ bool ServiceType::bind_recursive(const std::vector<std::vector<const DataSpec*>>
 }
 
 std::optional<Bindings> ServiceType::bind_inputs(const DataSet& state) const {
-  std::vector<const DataSpec*> items;
-  items.reserve(state.size());
-  for (const auto& item : state.items()) items.push_back(&item);
-  return bind_inputs(items);
-}
-
-std::optional<Bindings> ServiceType::bind_inputs(
-    const std::vector<const DataSpec*>& items) const {
-  if (unary_filters_.size() != inputs_.size()) {
-    // Binder never built (e.g. condition assigned before inputs through a
-    // copy of an old object) — rebuild defensively.
-    const_cast<ServiceType*>(this)->rebuild_binder();
-  }
+  assert(unary_filters_.size() == inputs_.size());
 
   // Candidate items per formal: those passing the formal's unary filter.
   std::vector<std::vector<const DataSpec*>> candidates(inputs_.size());
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     const Condition& filter = unary_filters_[i];
     const bool pass_all = filter.is_trivially_true();
-    for (const DataSpec* item : items) {
-      if (item == nullptr) continue;
-      if (pass_all || filter.evaluate_single(inputs_[i], *item)) candidates[i].push_back(item);
+    for (const DataSpec& item : state.items()) {
+      if (pass_all || filter.evaluate_single(inputs_[i], item)) candidates[i].push_back(&item);
     }
     if (candidates[i].empty()) return std::nullopt;  // precondition cannot be met
   }
@@ -94,8 +82,7 @@ void ServiceType::rebuild_outputs() {
 }
 
 std::vector<DataSpec> ServiceType::produce_outputs(std::string_view name_prefix) const {
-  if (output_properties_.size() != outputs_.size())
-    const_cast<ServiceType*>(this)->rebuild_outputs();
+  assert(output_properties_.size() == outputs_.size());
   std::vector<DataSpec> outputs;
   outputs.reserve(outputs_.size());
   for (std::size_t i = 0; i < outputs_.size(); ++i) {

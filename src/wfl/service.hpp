@@ -14,6 +14,7 @@
 // the produced data carries.
 #pragma once
 
+#include <cassert>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -81,10 +82,6 @@ class ServiceType {
   /// nullopt when the precondition cannot be met.
   std::optional<Bindings> bind_inputs(const DataSet& state) const;
 
-  /// Pointer-based variant for callers that keep their own item stores
-  /// (the plan simulator's execution flows). Null items are skipped.
-  std::optional<Bindings> bind_inputs(const std::vector<const DataSpec*>& items) const;
-
   /// True when the precondition can be met in `state`.
   bool executable_in(const DataSet& state) const { return bind_inputs(state).has_value(); }
 
@@ -95,13 +92,29 @@ class ServiceType {
   /// concrete service implementation; the planner only needs the equalities.
   std::vector<DataSpec> produce_outputs(std::string_view name_prefix) const;
 
+  /// The conjunction of the input condition's conjuncts that mention only
+  /// input formal `index` (trivially true when there are none): an item can
+  /// bind to that formal only if it passes this filter.
+  const Condition& input_filter(std::size_t index) const {
+    assert(unary_filters_.size() == inputs_.size());
+    return unary_filters_.at(index);
+  }
+
+  /// The input condition's conjuncts that are not input filters (those over
+  /// several formals, or over no formal): checked on a complete binding.
+  const Condition& residual_condition() const noexcept { return residual_condition_; }
+
  private:
   /// Precomputed decomposition of the input condition: unary conjuncts per
   /// formal (candidate filters) and the residual multi-variable conjuncts.
   /// Keeps binding near-linear instead of exponential in the state size.
+  /// Every setter that changes the inputs or the input condition calls it,
+  /// and copies and moves carry the tables along, so `unary_filters_` is
+  /// always aligned with `inputs_` and const members never rebuild.
   void rebuild_binder();
   /// Precomputes the equality-pinned properties of each output formal so
-  /// produce_outputs need not walk the condition tree per invocation.
+  /// produce_outputs need not walk the condition tree per invocation (kept
+  /// aligned with `outputs_` the same way).
   void rebuild_outputs();
 
   bool bind_recursive(const std::vector<std::vector<const DataSpec*>>& candidates,

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "planner/evaluate.hpp"
+#include "planner/operators.hpp"
+#include "planner/workload.hpp"
 #include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 
@@ -245,6 +250,146 @@ TEST(EvaluateMemo, WorkersEvaluateIndependentlyWithSharedMemo) {
   no_memo.memoize = false;
   PlanEvaluator independent(problem, no_memo, 2);
   EXPECT_EQ(independent.evaluate(plan, 1).overall, reference.overall);
+}
+
+TEST(Evaluate, ResidualConditionMatchesBindInputs) {
+  // A multi-formal conjunct (here "A.Level > 5 or B.Level > 5") cannot be
+  // checked per item; validity must still agree with ServiceType::bind_inputs
+  // on every state, succeeding and failing, including one extended by a
+  // produced item.
+  wfl::ServiceType mixer("Mix");
+  mixer.set_inputs({"A", "B"});
+  mixer.set_input_condition(
+      wfl::Condition::parse("A.Kind = \"x\" and (A.Level > 5 or B.Level > 5)"));
+  mixer.set_outputs({"M"});
+  mixer.set_output_condition(wfl::Condition::parse("M.Kind = \"mixed\""));
+  wfl::ServiceType maker("Make");
+  maker.set_outputs({"N"});
+  maker.set_output_condition(wfl::Condition::parse("N.Kind = \"x\""));
+
+  std::vector<wfl::DataSpec> pool;
+  for (const char* kind : {"x", "y"}) {
+    for (const double level : {3.0, 7.0}) {
+      pool.push_back(wfl::DataSpec(std::string(kind) + std::to_string(static_cast<int>(level)))
+                         .with("Kind", meta::Value(kind))
+                         .with("Level", meta::Value(level)));
+    }
+  }
+
+  std::size_t succeeded = 0;
+  std::size_t failed = 0;
+  for (unsigned subset = 0; subset < (1u << pool.size()); ++subset) {
+    PlanningProblem problem;
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      if (subset & (1u << i)) problem.initial_state.put(pool[i]);
+    problem.catalogue.add(mixer);
+    problem.catalogue.add(maker);
+    PlanEvaluator evaluator(problem);
+
+    const bool direct = mixer.bind_inputs(problem.initial_state).has_value();
+    (direct ? succeeded : failed) += 1;
+    EXPECT_EQ(evaluator.evaluate(seq({"Mix"})).validity, direct ? 1.0 : 0.0) << subset;
+
+    // Make adds a level-less "x" item: it can serve as A only when some
+    // other item has Level > 5.
+    wfl::DataSet extended = problem.initial_state;
+    for (auto& item : maker.produce_outputs("Make#1:")) extended.put(std::move(item));
+    const bool after_make = mixer.bind_inputs(extended).has_value();
+    (after_make ? succeeded : failed) += 1;
+    EXPECT_EQ(evaluator.evaluate(seq({"Make", "Mix"})).validity, after_make ? 1.0 : 0.5)
+        << subset;
+  }
+  EXPECT_GT(succeeded, 0u);
+  EXPECT_GT(failed, 0u);
+}
+
+/// FNV-1a over the bit patterns of every Fitness field.
+class FitnessDigest {
+ public:
+  void add(const Fitness& fitness) {
+    for (const double value :
+         {fitness.overall, fitness.validity, fitness.goal, fitness.representation}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof bits);
+      add_word(bits);
+    }
+    add_word(fitness.size);
+    add_word(fitness.flows);
+    add_word(fitness.flows_truncated ? 1 : 0);
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void add_word(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+TEST(EvaluatePin, RandomPlansScoreBitwiseAsPinned) {
+  // Random Grow and Full plans (Smax 40) scored on the virus problem, on the
+  // replanning problem without POR (plans still name POR, so unknown
+  // services are exercised), and on layered problems up to fan-in 3 with
+  // distractor chains; each under the default settings, a tight flow cap and
+  // a single concurrent order. Any change to the simulator's semantics or
+  // its floating-point summation order changes the digest.
+  std::vector<PlanningProblem> problems;
+  problems.push_back(virolab_problem());
+  {
+    PlanningProblem no_por = virolab_problem();
+    wfl::ServiceCatalogue reduced;
+    for (const auto& service : no_por.catalogue.services())
+      if (service.name() != "POR") reduced.add(service);
+    no_por.catalogue = std::move(reduced);
+    problems.push_back(std::move(no_por));
+  }
+  WorkloadParams chain;
+  chain.depth = 3;
+  problems.push_back(make_layered_problem(chain));
+  WorkloadParams pairs;
+  pairs.depth = 4;
+  pairs.fan_in = 2;
+  pairs.distractor_chains = 1;
+  problems.push_back(make_layered_problem(pairs));
+  WorkloadParams triples;
+  triples.depth = 3;
+  triples.services_per_layer = 1;
+  triples.fan_in = 3;
+  triples.distractor_chains = 2;
+  triples.distractor_depth = 2;
+  problems.push_back(make_layered_problem(triples));
+
+  std::vector<EvaluationConfig> configs(3);
+  configs[1].max_flows = 8;
+  configs[2].concurrent_orders = 1;
+
+  const wfl::ServiceCatalogue virolab_services = virolab::make_catalogue();
+  FitnessDigest digest;
+  std::size_t evaluated = 0;
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    // The POR-less problem draws plans from the full virus catalogue.
+    const wfl::ServiceCatalogue& vocabulary =
+        p == 1 ? virolab_services : problems[p].catalogue;
+    for (const EvaluationConfig& config : configs) {
+      PlanEvaluator evaluator(problems[p], config);
+      for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+        for (const InitStyle style : {InitStyle::Grow, InitStyle::Full}) {
+          util::Rng rng(seed * 1000 + p);
+          for (int i = 0; i < 20; ++i) {
+            digest.add(evaluator.evaluate(random_tree(rng, vocabulary, 40, style)));
+            ++evaluated;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(evaluated, 1800u);
+  // A reference value, not derived: change it only with a deliberate change
+  // of the fitness semantics.
+  EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
 }
 
 }  // namespace

@@ -91,6 +91,32 @@ TEST(ServiceType, NoInputsIsTriviallyExecutable) {
   EXPECT_EQ(generator.produce_outputs("g:").size(), 1u);
 }
 
+TEST(ServiceType, CopiedAndReassignedServicesBindLikeTheOriginal) {
+  // The binder and output tables travel with every copy and move, so a
+  // const ServiceType never needs to rebuild them (concurrent planners share
+  // catalogue entries).
+  const ServiceType original = pod();
+  const ServiceType copy = original;
+  ServiceType moved_from = pod();
+  ServiceType moved_to = std::move(moved_from);
+  moved_from = original;  // a moved-from service is reassigned, then used
+
+  const DataSet good = pod_inputs();
+  DataSet bad;
+  bad.put(DataSpec("D1").with_classification("POD-Parameter"));
+  const std::vector<const ServiceType*> services{&copy, &moved_to, &moved_from};
+  for (const ServiceType* service : services) {
+    const auto bindings = service->bind_inputs(good);
+    ASSERT_TRUE(bindings.has_value());
+    EXPECT_EQ(bindings->at("A")->name(), "D1");
+    EXPECT_EQ(bindings->at("B")->name(), "D7");
+    EXPECT_FALSE(service->bind_inputs(bad).has_value());
+    const auto outputs = service->produce_outputs("POD#1:");
+    ASSERT_EQ(outputs.size(), 1u);
+    EXPECT_EQ(outputs[0], original.produce_outputs("POD#1:")[0]);
+  }
+}
+
 TEST(Catalogue, AddFindReplace) {
   ServiceCatalogue catalogue;
   catalogue.add(pod());
