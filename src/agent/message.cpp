@@ -38,34 +38,34 @@ std::optional<Performative> performative_from_string(std::string_view text) noex
 }
 
 std::string AclMessage::param(std::string_view key, std::string_view fallback) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   return it != params.end() ? it->second : std::string(fallback);
 }
 
 bool AclMessage::has_param(std::string_view key) const {
-  return params.find(std::string(key)) != params.end();
+  return params.find(key) != params.end();
 }
 
 std::optional<double> AclMessage::param_double(std::string_view key) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   if (it == params.end()) return std::nullopt;
   return util::parse_double(it->second);
 }
 
 std::optional<int> AclMessage::param_int(std::string_view key) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   if (it == params.end()) return std::nullopt;
   return util::parse_int(it->second);
 }
 
 std::optional<std::uint64_t> AclMessage::param_uint(std::string_view key) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   if (it == params.end()) return std::nullopt;
   return util::parse_uint(it->second);
 }
 
 std::optional<bool> AclMessage::param_bool(std::string_view key) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   if (it == params.end()) return std::nullopt;
   return util::parse_bool(it->second);
 }
@@ -88,7 +88,7 @@ bool AclMessage::param_bool(std::string_view key, bool fallback) const {
 
 std::string AclMessage::describe_bad_param(std::string_view key,
                                            std::string_view expected_type) const {
-  auto it = params.find(std::string(key));
+  auto it = params.find(key);
   if (it == params.end()) {
     return "missing param '" + std::string(key) + "'";
   }

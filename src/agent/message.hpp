@@ -4,15 +4,23 @@
 // FIPA ACL. This module provides the equivalent message shape: a
 // performative, sender/receiver, a conversation id correlating a whole
 // exchange (e.g. one re-planning episode), a protocol name, and content.
-// Content travels either as a free-form string (often XML produced by the
-// wfl/meta serializers) or as lightweight key-value parameters.
+// Content travels as a free-form string (often XML produced by the wfl/meta
+// serializers), as lightweight key-value parameters, or — for a case's data
+// set on the execute-activity exchange — as a typed, immutable DataSet
+// shared by every copy of the message. Inside one process that payload is
+// never serialised; the binary wire codec encodes it only when a message
+// crosses a byte stream.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "wfl/data.hpp"
 
 namespace ig::agent {
 
@@ -48,7 +56,14 @@ struct AclMessage {
   std::string protocol;         ///< e.g. "planning-request", "service-query"
   std::string ontology;         ///< vocabulary of the content, e.g. "grid-standard"
   std::string content;          ///< free-form payload (often XML)
-  std::map<std::string, std::string> params;  ///< structured payload fields
+  /// Structured payload fields. The transparent comparator lets every
+  /// lookup below take a string_view without building a temporary key.
+  std::map<std::string, std::string, std::less<>> params;
+  /// Typed data-set payload (the execute-activity request's case data and
+  /// its INFORM reply's produced items), or null. Immutable and shared:
+  /// the request tracker's retry copy, a chaos duplicate and the message
+  /// trace all point at one snapshot. make_reply does not carry it over.
+  std::shared_ptr<const wfl::DataSet> data;
 
   /// Returns params[key] or `fallback`.
   std::string param(std::string_view key, std::string_view fallback = "") const;

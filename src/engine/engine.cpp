@@ -257,6 +257,7 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   CaseId id = kInvalidCase;
   bool durable = false;
   bool journal_failed = false;
+  store::Lsn admit_lsn = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || queued_ >= config_.queue_capacity) {
@@ -291,7 +292,7 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
       // durable submission is admitted (and its id acked) only after the
       // admit event is on disk, so an acked id can never be lost to a
       // crash — the invariant the crash-point matrix test holds us to.
-      journal_failed = !journal_append_locked(payload);
+      journal_failed = !journal_append_locked(payload, &admit_lsn);
     } else {
       submitted_->inc();
       admit_locked(record);
@@ -301,7 +302,11 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   if (durable) {
     // The msync runs outside the engine mutex (group commit absorbs
     // concurrent submits).
-    if (!journal_failed) journal_failed = !journal_commit();
+    // Commit through the admit record only: a barrier that already made it
+    // durable acks it, even when a later record's barrier fails. Committing
+    // everything appended so far would then reject a case whose admit is
+    // on disk, and a restart would recover a case nobody was told about.
+    if (!journal_failed) journal_failed = !journal_commit(admit_lsn);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = records_.find(id);
     if (journal_failed) {
@@ -862,9 +867,10 @@ void EnactmentEngine::degrade_locked(const std::string& reason) {
                         << reason << ")";
 }
 
-bool EnactmentEngine::journal_append_locked(std::string_view payload) {
+bool EnactmentEngine::journal_append_locked(std::string_view payload, store::Lsn* lsn) {
   try {
-    journal_->append_event("engine", payload);
+    const store::Lsn appended = journal_->append_event("engine", payload);
+    if (lsn != nullptr) *lsn = appended;
     return true;
   } catch (const store::Error& e) {
     degrade_locked(e.what());
@@ -872,9 +878,10 @@ bool EnactmentEngine::journal_append_locked(std::string_view payload) {
   }
 }
 
-bool EnactmentEngine::journal_commit() {
+bool EnactmentEngine::journal_commit(std::optional<store::Lsn> upto) {
   try {
-    journal_->commit();
+    if (upto.has_value()) journal_->commit(*upto);
+    else journal_->commit();
     return true;
   } catch (const store::Error& e) {
     std::lock_guard<std::mutex> lock(mutex_);

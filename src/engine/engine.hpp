@@ -290,10 +290,12 @@ class EnactmentEngine {
   /// queued cases finish on their in-memory state (DESIGN.md §13).
   void degrade_locked(const std::string& reason);
   /// append_event wrapped in the degradation policy; mutex_ held.
-  bool journal_append_locked(std::string_view payload);
+  /// `lsn`, when given, receives the appended record's LSN.
+  bool journal_append_locked(std::string_view payload, store::Lsn* lsn = nullptr);
   /// Journal durability barrier wrapped in the degradation policy; called
   /// WITHOUT mutex_ (the msync must not serialize the engine).
-  bool journal_commit();
+  /// With `upto`, the barrier covers only the records through that LSN.
+  bool journal_commit(std::optional<store::Lsn> upto = std::nullopt);
 
   /// Opens the journal and rebuilds records_/queues/counters from the
   /// newest snapshot plus the WAL tail. Constructor-only (no locking).

@@ -3,7 +3,6 @@
 #include "services/protocol.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
-#include "wfl/xml_io.hpp"
 
 namespace ig::svc {
 
@@ -86,15 +85,10 @@ void ContainerAgent::handle_execute(const AclMessage& message) {
   const wfl::ServiceType* service = catalogue_->find(service_name);
   if (service == nullptr) return fail("unknown service type '" + service_name + "'");
 
-  // Bind the shipped input data against the service precondition.
-  wfl::DataSet inputs;
-  if (!message.content.empty()) {
-    try {
-      inputs = wfl::dataset_from_xml_string(message.content);
-    } catch (const std::exception& error) {
-      return fail(std::string("bad input payload: ") + error.what());
-    }
-  }
+  // Bind the shipped data set against the service precondition; a request
+  // without one binds the empty set, which fails it.
+  const wfl::DataSet no_data;
+  const wfl::DataSet& inputs = message.data != nullptr ? *message.data : no_data;
   auto bindings = service->bind_inputs(inputs);
   if (!bindings.has_value()) return fail("precondition not met by supplied data");
 
@@ -144,7 +138,7 @@ void ContainerAgent::handle_execute(const AclMessage& message) {
   reply.params["container"] = container_id_;
   reply.params["duration"] = util::format_number(duration, 6);
   reply.params["cost"] = util::format_number(service->cost() * container->price_factor(), 6);
-  reply.content = wfl::dataset_to_xml_string(produced);
+  reply.data = std::make_shared<const wfl::DataSet>(std::move(produced));
   schedule(duration, [this, reply]() mutable { send(std::move(reply)); });
   report_performance("success", duration);
 }

@@ -4,10 +4,13 @@
 // with the information service and advertises its hosted service types to
 // the brokerage service. It answers two protocols:
 //
-//   execute-activity   run a service on bound input data; replies INFORM
-//                       with the produced data at the virtual completion
-//                       time, or FAILURE (container down, precondition
-//                       unmet, or injected execution failure);
+//   execute-activity   run a service on the case data set the request
+//                       carries as its typed `data` payload (a request
+//                       without one binds the empty set); replies INFORM
+//                       with the produced items as the reply's `data` at
+//                       the virtual completion time, or FAILURE (container
+//                       down, precondition unmet, or injected execution
+//                       failure);
 //   query-executable   the re-planning probe of Figure 3 steps 6-7.
 #pragma once
 

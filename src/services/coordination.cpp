@@ -386,8 +386,9 @@ void CoordinationService::handle_match_reply(const AclMessage& message) {
   execute.params["service"] = activity->service_name;
   execute.params["activity"] = activity_id;
   execute.params["outputs"] = util::join(activity->output_data, ",");
-  // Ship the whole current data set; the container binds the precondition.
-  execute.content = wfl::dataset_to_xml_string(enactment->data);
+  // Ship a snapshot of the whole current data set; the container binds the
+  // precondition and sizes the transfer from every item.
+  execute.data = std::make_shared<const wfl::DataSet>(enactment->data);
   tracker_.track(std::move(execute), config_.exec_policy);
 }
 
@@ -412,13 +413,10 @@ void CoordinationService::handle_execution_reply(const AclMessage& message) {
   if (message.performative != Performative::Inform) return;
 
   // Merge produced data into the case's world state.
-  try {
-    const wfl::DataSet produced = wfl::dataset_from_xml_string(message.content);
-    for (const auto& item : produced.items()) enactment->data.put(item);
-  } catch (const std::exception& error) {
+  if (message.data == nullptr)
     return handle_dispatch_failure(*enactment, activity_id, message.param("container"),
-                                   std::string("bad result payload: ") + error.what());
-  }
+                                   "bad result payload: no data set");
+  for (const auto& item : message.data->items()) enactment->data.put(item);
   enactment->running.erase(activity_id);
   enactment->retries[activity_id] = 0;
   ++enactment->activities_executed;

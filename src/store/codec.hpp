@@ -47,6 +47,9 @@ class Reader {
 
   bool ok() const noexcept { return ok_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
+  /// Bytes not yet read: the bound a decoder checks a count prefix against
+  /// before it trusts the count.
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
   std::uint8_t u8() noexcept {
     if (!take(1)) return 0;

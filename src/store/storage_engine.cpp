@@ -204,6 +204,10 @@ void StorageEngine::commit() {
   if (wal_ != nullptr) wal_->commit(wal_->last_lsn());
 }
 
+void StorageEngine::commit(Lsn upto) {
+  if (wal_ != nullptr) wal_->commit(upto);
+}
+
 void StorageEngine::set_state_provider(const std::string& stream,
                                        std::function<std::string()> provider) {
   std::lock_guard<std::mutex> lock(mutex_);

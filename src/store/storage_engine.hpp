@@ -107,6 +107,10 @@ class StorageEngine {
 
   /// Durability barrier over everything appended so far.
   void commit();
+  /// Durability barrier over the records up to `upto` only: it returns at
+  /// once when an earlier barrier (another thread's commit, a segment seal)
+  /// already covered them, even if later appends are not yet durable.
+  void commit(Lsn upto);
 
   // -- snapshots & compaction --------------------------------------------------
   /// Registers the provider whose blob represents `stream`'s state in

@@ -304,6 +304,11 @@ void WriteAheadLog::roll_locked(std::size_t payload_size) {
       throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
     }
     ++fsyncs_;
+    // Every earlier segment was sealed the same way, so the whole log is
+    // now durable: a commit waiting on these records must not sync again
+    // (and fail, on a dying disk) for records already on it.
+    std::lock_guard<std::mutex> commit_lock(commit_mutex_);
+    if (durable_lsn_ < last_lsn_) durable_lsn_ = last_lsn_;
   }
   // A failed create is *not* fail-stop: the active segment is sealed and
   // intact, last_lsn_ is unchanged, and nothing was appended — the caller

@@ -28,6 +28,12 @@ void require_representable(std::string_view field, std::string_view value) {
 }  // namespace
 
 std::string acl_to_xml(const agent::AclMessage& message) {
+  // The XML form has no element for the typed payload; dropping it would
+  // deliver an execute request with no data, so refuse instead.
+  if (message.data != nullptr)
+    throw std::invalid_argument(
+        "acl_to_xml: data carries a typed DataSet payload, which the XML form cannot "
+        "represent; use the binary codec");
   require_representable("sender", message.sender);
   require_representable("receiver", message.receiver);
   require_representable("conversation-id", message.conversation_id);

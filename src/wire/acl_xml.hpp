@@ -8,7 +8,8 @@
 // XML 1.0 has no representation for the remaining C0 control characters,
 // so a message carrying them is *rejected with a reason naming the field*
 // (std::invalid_argument) instead of being silently corrupted. Arbitrary
-// binary payloads belong on the binary codec, which round-trips any bytes.
+// binary payloads and typed data sets belong on the binary codec, which
+// round-trips both.
 #pragma once
 
 #include <string>
@@ -20,7 +21,8 @@ namespace ig::wire {
 
 /// Serializes to an <acl .../> document. Throws std::invalid_argument when
 /// a field contains bytes XML 1.0 cannot represent (control characters
-/// other than tab/LF/CR), naming the offending field.
+/// other than tab/LF/CR), naming the offending field, and when the message
+/// carries a typed `data` payload, which this form has no element for.
 std::string acl_to_xml(const agent::AclMessage& message);
 
 /// Parses acl_to_xml's output. Throws xml::ParseError on malformed input

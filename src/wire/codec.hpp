@@ -5,8 +5,9 @@
 // it on a byte stream, and at production-chain volumes (McRunjob-style
 // workloads) serialization is the hot path. XML pays to re-spell the
 // protocol vocabulary in every message; this codec sends each vocabulary
-// string — the performative, protocol, ontology, and param names — in full
-// exactly once per connection and as a one- or two-byte varint id afterwards.
+// string — the performative, protocol, ontology, param names, and the
+// property names of a data-set payload — in full exactly once per
+// connection and as a one- or two-byte varint id afterwards.
 //
 // Frame layout (everything little-endian, reusing store's codec and CRC):
 //
@@ -20,25 +21,40 @@
 //   interned protocol / ontology
 //   str content
 //   varint param count, then per param: interned name, str value
+//   u8  data presence (0: no `data` payload, 1: a DataSet follows)
+//   varint item count, then per item:
+//     str name, varint property count, then per property:
+//       interned property name, value
 //
-// where `str` is store::Writer's u32-length-prefixed bytes (arbitrary
-// binary content round-trips exactly — no XML character-set caveats) and an
+// and a value is a u8 type tag (meta::ValueType: 0 none, 1 string,
+// 2 number, 3 boolean, 4 list) followed by nothing (none), a str (string),
+// the u64 IEEE-754 bits of the double (number: exact, NaN payloads and -0.0
+// included), a u8 0/1 (boolean), or a varint count and that many values
+// (list, nested at most kMaxListDepth deep).
+//
+// `str` is store::Writer's u32-length-prefixed bytes (arbitrary binary
+// content round-trips exactly — no XML character-set caveats) and an
 // *interned* field is either `varint id` (id >= 1, previously defined) or
 // `varint 0, varint id, str literal` (definition). Definitions carry their
 // id explicitly and are idempotent, so a duplicated frame replays cleanly;
 // a reference to an id the decoder never learned (a dropped or reordered
-// definition frame) is a decode error, never an out-of-bounds read.
+// definition frame) is a decode error, never an out-of-bounds read. Every
+// count is checked against the bytes left in the payload before it sizes
+// anything.
 //
-// Decoding is zero-copy: a frame parses into a WireMessageView of
-// string_views over the receive buffer (raw fields) and the decoder's
-// intern table (vocabulary fields). The view is valid until the receive
-// buffer is mutated or the decoder destroyed; `materialize()` copies it
-// into an owning AclMessage. Decode never throws: malformed input yields
-// `false` plus a reason, mirroring store's never-throwing Reader.
+// Decoding is zero-copy for the message fields: a frame parses into a
+// WireMessageView of string_views over the receive buffer (raw fields) and
+// the decoder's intern table (vocabulary fields). The view is valid until
+// the receive buffer is mutated or the decoder destroyed; `materialize()`
+// copies it into an owning AclMessage. The data-set payload decodes into
+// an owned, shared DataSet that the materialized message keeps. Decode
+// never throws: malformed input yields `false` plus a reason, mirroring
+// store's never-throwing Reader.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,7 +67,11 @@
 
 namespace ig::wire {
 
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
+/// Deepest list nesting a data-set value may have on the wire (a list of
+/// strings is depth 1). The encoder refuses deeper values before it writes
+/// anything; the decoder rejects them.
+inline constexpr int kMaxListDepth = 16;
 /// Frame header: u32 payload length + u32 crc32c of the payload.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// Upper bound a length prefix may claim; anything larger is rejected
@@ -86,6 +106,8 @@ struct EncoderStats {
 class Encoder {
  public:
   /// Appends one complete frame (header + payload) for `message` to `out`.
+  /// Throws std::invalid_argument, before touching `out` or the intern
+  /// table, when the data payload nests lists deeper than kMaxListDepth.
   void encode(const agent::AclMessage& message, std::string& out);
 
   /// Convenience: one frame as its own string.
@@ -105,6 +127,7 @@ class Encoder {
   };
 
   void intern_field(std::string_view value, std::string& payload);
+  void encode_data(const wfl::DataSet& data, std::string& payload);
 
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>> table_;
   std::uint32_t next_id_ = 1;
@@ -125,8 +148,10 @@ struct WireMessageView {
   std::string_view ontology;
   std::string_view content;
   std::vector<std::pair<std::string_view, std::string_view>> params;
+  /// The decoded data-set payload: owned, not a view; null when absent.
+  std::shared_ptr<const wfl::DataSet> data;
 
-  /// Copies the view into an owning AclMessage.
+  /// Copies the view into an owning AclMessage (sharing `data`).
   agent::AclMessage materialize() const;
 };
 
@@ -159,6 +184,7 @@ class Decoder {
 
  private:
   bool intern_field(store::Reader& reader, std::string_view& value, std::string* error);
+  bool decode_data(store::Reader& reader, WireMessageView& view, std::string* error);
 
   /// id-1 indexes the deque; deque so growth never moves the strings a
   /// live WireMessageView points into.

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+
 #include "services/environment.hpp"
 #include "services/protocol.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 #include "wfl/structure.hpp"
@@ -69,6 +75,39 @@ TEST(Coordination, EnactsFigure10CaseToCompletion) {
   ASSERT_NE(final_state.find("D12"), nullptr);
   EXPECT_LE(final_state.find("D12")->get("Value").as_number(), 8.0);
   EXPECT_EQ(fixture.environment->coordination().cases_completed(), 1u);
+}
+
+TEST(Coordination, KernelOutputsReachTheCoordinatorsDataSetWithTheirExactBits) {
+  // A model size with all 17 significant digits: an XML hop would have
+  // rounded it to 12 decimal places. Each dispatch after P3DR ships the
+  // coordinator's whole data set, so the trace shows what it holds.
+  util::Rng rng(2004);
+  EnvironmentOptions options;
+  options.kernels.model_size_mb = 64.0 * rng.next_double(0.6, 1.4);
+  options.tracing = true;
+  const double size = options.kernels.model_size_mb;
+  ASSERT_NE(util::parse_double(util::format_number(size, 12)), std::optional<double>(size));
+  Fixture fixture(options);
+  const AclMessage reply =
+      fixture.enact(virolab::make_fig10_process(), virolab::make_case_description());
+  ASSERT_EQ(reply.param("success"), "true") << reply.param("error");
+
+  std::size_t models_seen = 0;
+  for (const auto& record : fixture.environment->platform().trace()) {
+    const AclMessage& message = record.message;
+    if (message.protocol != protocols::kExecuteActivity ||
+        message.performative != Performative::Request)
+      continue;
+    ASSERT_NE(message.data, nullptr) << message.conversation_id;
+    for (const auto& item : message.data->items()) {
+      if (item.get(wfl::props::kCreator) != meta::Value("P3DR")) continue;
+      ++models_seen;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(item.get(wfl::props::kSize).as_number()),
+                std::bit_cast<std::uint64_t>(size))
+          << item.name() << " in " << message.conversation_id;
+    }
+  }
+  EXPECT_GT(models_seen, 0u);
 }
 
 TEST(Coordination, LoopIterationCountFollowsKernelConvergence) {

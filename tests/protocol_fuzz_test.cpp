@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -432,9 +433,22 @@ wire::Stream make_wire_stream(std::string_view bytes) {
   return stream;
 }
 
+/// A small case data set in the shape the coordinator ships: strings,
+/// numbers, a list.
+std::shared_ptr<const wfl::DataSet> make_wire_data(int variant) {
+  wfl::DataSet data = virolab::make_initial_data();
+  wfl::DataSpec model("D" + std::to_string(8 + variant));
+  model.with_classification("3D Model")
+      .with(wfl::props::kSize, meta::Value(64.0 / 3.0 + variant))
+      .with("Sources", meta::Value::list_of({"D7", "D8"}));
+  data.put(std::move(model));
+  return std::make_shared<const wfl::DataSet>(std::move(data));
+}
+
 /// Three-frame conversation sharing vocabulary, so frames 2 and 3 lean on
-/// the intern table frame 1 defined.
-std::string encode_three_frames() {
+/// the intern table frame 1 defined. `with_data` gives every frame a typed
+/// data-set payload, whose property names intern the same way.
+std::string encode_three_frames(bool with_data = false) {
   wire::Encoder encoder;
   std::string bytes;
   for (int i = 0; i < 3; ++i) {
@@ -446,59 +460,192 @@ std::string encode_three_frames() {
     message.protocol = "enactment-request";
     message.ontology = "grid-standard";
     message.params["activity"] = "mc-gen";
+    if (with_data) message.data = make_wire_data(i);
     encoder.encode(message, bytes);
   }
   return bytes;
 }
 
-TEST(WireFuzz, TruncationAtEveryLengthNeverThrowsOrDelivers) {
-  const std::string bytes = encode_three_frames();
-  // Find where the last frame starts by walking the first two.
+/// Offset of the third frame in encode_three_frames' output.
+std::size_t third_frame_begin(std::string_view bytes) {
   std::string_view payload;
   std::size_t first = 0, second = 0;
-  ASSERT_EQ(wire::peek_frame(bytes, payload, first), wire::FrameStatus::kFrame);
-  ASSERT_EQ(wire::peek_frame(std::string_view(bytes).substr(first), payload, second),
-            wire::FrameStatus::kFrame);
-  const std::size_t last_begin = first + second;
+  EXPECT_EQ(wire::peek_frame(bytes, payload, first), wire::FrameStatus::kFrame);
+  EXPECT_EQ(wire::peek_frame(bytes.substr(first), payload, second), wire::FrameStatus::kFrame);
+  return first + second;
+}
 
-  for (std::size_t length = last_begin; length < bytes.size(); ++length) {
-    wire::Stream stream = make_wire_stream(bytes.substr(0, length));
-    const std::size_t delivered = stream.receive([](const wire::WireMessageView&) {});
-    EXPECT_EQ(delivered, 2u) << "cut at " << length;  // intact frames still land
-    EXPECT_EQ(stream.decode_errors(), 0u);            // truncation != corruption
-    EXPECT_EQ(stream.pending_bytes(), length - last_begin);  // tail awaits more bytes
+TEST(WireFuzz, TruncationAtEveryLengthNeverThrowsOrDelivers) {
+  for (const bool with_data : {false, true}) {
+    SCOPED_TRACE(with_data ? "frames carry a data payload" : "payload-free frames");
+    const std::string bytes = encode_three_frames(with_data);
+    const std::size_t last_begin = third_frame_begin(bytes);
+
+    for (std::size_t length = last_begin; length < bytes.size(); ++length) {
+      wire::Stream stream = make_wire_stream(bytes.substr(0, length));
+      const std::size_t delivered = stream.receive([](const wire::WireMessageView&) {});
+      EXPECT_EQ(delivered, 2u) << "cut at " << length;  // intact frames still land
+      EXPECT_EQ(stream.decode_errors(), 0u);            // truncation != corruption
+      EXPECT_EQ(stream.pending_bytes(), length - last_begin);  // tail awaits more bytes
+    }
   }
 }
 
 TEST(WireFuzz, BitFlipAtEveryByteOffsetOfTheLastFrameIsADecodeErrorNotACrash) {
-  const std::string bytes = encode_three_frames();
-  std::string_view payload;
-  std::size_t first = 0, second = 0;
-  ASSERT_EQ(wire::peek_frame(bytes, payload, first), wire::FrameStatus::kFrame);
-  ASSERT_EQ(wire::peek_frame(std::string_view(bytes).substr(first), payload, second),
-            wire::FrameStatus::kFrame);
-  const std::size_t last_begin = first + second;
+  for (const bool with_data : {false, true}) {
+    SCOPED_TRACE(with_data ? "frames carry a data payload" : "payload-free frames");
+    const std::string bytes = encode_three_frames(with_data);
+    const std::size_t last_begin = third_frame_begin(bytes);
 
-  for (std::size_t offset = last_begin; offset < bytes.size(); ++offset) {
-    std::string mutated = bytes;
-    mutated[offset] = static_cast<char>(mutated[offset] ^ 0x01);
-    wire::Stream stream = make_wire_stream(mutated);
-    std::size_t valid = 0;
-    const std::size_t delivered = stream.receive([&](const wire::WireMessageView& view) {
-      // Whatever decodes must be internally consistent, not garbage.
-      if (view.sender == "coordination") ++valid;
-    });
-    EXPECT_EQ(valid, delivered);
-    EXPECT_GE(delivered, 2u) << "offset " << offset;  // intact prefix always lands
-    // The flipped frame either failed its checksum / payload decode, or
-    // (flip in the length prefix) turned into a partial or oversized frame.
-    const bool rejected = stream.decode_errors() > 0;
-    const bool still_pending = stream.pending_bytes() > 0;
-    EXPECT_TRUE(rejected || still_pending || delivered == 3u) << "offset " << offset;
-    // A third delivery would mean a 1-bit corruption slid through crc32c on
-    // this tiny frame — that is a codec bug, not bad luck.
-    EXPECT_LT(delivered, 3u) << "offset " << offset;
+    for (std::size_t offset = last_begin; offset < bytes.size(); ++offset) {
+      std::string mutated = bytes;
+      mutated[offset] = static_cast<char>(mutated[offset] ^ 0x01);
+      wire::Stream stream = make_wire_stream(mutated);
+      std::size_t valid = 0;
+      const std::size_t delivered = stream.receive([&](const wire::WireMessageView& view) {
+        // Whatever decodes must be internally consistent, not garbage.
+        if (view.sender == "coordination" && (view.data != nullptr) == with_data) ++valid;
+      });
+      EXPECT_EQ(valid, delivered);
+      EXPECT_GE(delivered, 2u) << "offset " << offset;  // intact prefix always lands
+      // The flipped frame either failed its checksum / payload decode, or
+      // (flip in the length prefix) turned into a partial or oversized frame.
+      const bool rejected = stream.decode_errors() > 0;
+      const bool still_pending = stream.pending_bytes() > 0;
+      EXPECT_TRUE(rejected || still_pending || delivered == 3u) << "offset " << offset;
+      // A third delivery would mean a 1-bit corruption slid through crc32c on
+      // this frame — that is a codec bug, not bad luck.
+      EXPECT_LT(delivered, 3u) << "offset " << offset;
+    }
   }
+}
+
+/// Wraps `payload` in a frame with a valid header, so the bytes get past
+/// the checksum and reach the payload decoder.
+std::string frame_with_valid_crc(std::string_view payload) {
+  std::string frame;
+  store::Writer header(frame);
+  header.u32(static_cast<std::uint32_t>(payload.size()));
+  header.u32(store::crc32c(payload));
+  frame += payload;
+  return frame;
+}
+
+/// The payload of a data-free frame minus its trailing presence byte: the
+/// message fields of a valid frame, ready for a hand-built data section.
+std::string payload_before_data() {
+  AclMessage message;
+  message.performative = Performative::Inform;
+  message.sender = "ac-1";
+  message.receiver = "coordination";
+  message.protocol = "execute-activity";
+  wire::Encoder encoder;
+  std::string payload = encoder.encode(message).substr(wire::kFrameHeaderBytes);
+  EXPECT_EQ(encoder.intern_size(), 3u);  // performative, protocol, ontology
+  EXPECT_EQ(payload.back(), '\0');       // presence: no data
+  payload.pop_back();
+  return payload;
+}
+
+/// Appends the first property-name definition a data section behind
+/// payload_before_data() may make (intern id 4).
+void define_property_name(std::string& section, std::string_view name) {
+  wire::put_varint(section, 0);
+  wire::put_varint(section, 4);
+  store::Writer(section).str(name);
+}
+
+/// Decodes `payload` with a fresh decoder; returns the error ("" on success).
+std::string decode_error(std::string_view payload) {
+  wire::Decoder decoder;
+  wire::WireMessageView view;
+  std::string error;
+  if (decoder.decode_payload(payload, view, &error)) return "";
+  EXPECT_FALSE(error.empty());
+  return error;
+}
+
+TEST(WireFuzz, ForgedDataCountsBeyondTheRemainingBytesAreRejected) {
+  // Each count claims far more elements than the frame has bytes left; the
+  // decoder must refuse before it sizes anything by it.
+  const std::string base = payload_before_data();
+  struct Case {
+    const char* what;
+    std::string section;
+    const char* reason;
+  };
+  std::vector<Case> cases;
+  {
+    std::string s = "\x01";
+    wire::put_varint(s, std::uint64_t{1} << 62);  // items
+    cases.push_back({"item count", s, "item count"});
+  }
+  {
+    std::string s = "\x01";
+    wire::put_varint(s, 1);
+    store::Writer(s).str("D1");
+    wire::put_varint(s, 0xFFFFFFFFu);  // properties
+    cases.push_back({"property count", s, "data item 'D1'"});
+  }
+  {
+    std::string s = "\x01";
+    wire::put_varint(s, 1);
+    store::Writer(s).str("D1");
+    wire::put_varint(s, 1);
+    define_property_name(s, "Sources");
+    s.push_back(static_cast<char>(meta::ValueType::List));
+    wire::put_varint(s, std::uint64_t{1} << 40);  // list items
+    cases.push_back({"list count", s, "list count"});
+  }
+  {
+    std::string s = "\x01";
+    wire::put_varint(s, 1);
+    store::Writer(s).u32(0x7FFFFFFFu);  // item name length
+    cases.push_back({"name length", s, "data item"});
+  }
+  for (const Case& c : cases) {
+    const std::string error = decode_error(base + c.section);
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.what << ": " << error;
+  }
+}
+
+TEST(WireFuzz, DataNestingPastTheDepthCapIsRejectedWithAReason) {
+  const auto section = [](int depth) {
+    std::string s = "\x01";
+    wire::put_varint(s, 1);
+    store::Writer(s).str("deep");
+    wire::put_varint(s, 1);
+    define_property_name(s, "Value");
+    for (int i = 0; i < depth; ++i) {
+      s.push_back(static_cast<char>(meta::ValueType::List));
+      wire::put_varint(s, 1);
+    }
+    s.push_back(static_cast<char>(meta::ValueType::None));
+    return s;
+  };
+  const std::string base = payload_before_data();
+  EXPECT_EQ(decode_error(base + section(wire::kMaxListDepth)), "");
+  const std::string error = decode_error(base + section(wire::kMaxListDepth + 1));
+  EXPECT_NE(error.find("depth cap"), std::string::npos) << error;
+  // A hostile frame far deeper than the cap fails the same way, without
+  // recursing once per level it claims.
+  EXPECT_NE(decode_error(base + section(100000)).find("depth cap"), std::string::npos);
+}
+
+TEST(WireFuzz, MalformedDataTagsAreRejectedWithAReason) {
+  const std::string base = payload_before_data();
+  EXPECT_NE(decode_error(base + "\x02").find("presence"), std::string::npos);
+  std::string bad_tag = "\x01";
+  wire::put_varint(bad_tag, 1);
+  store::Writer(bad_tag).str("D1");
+  wire::put_varint(bad_tag, 1);
+  define_property_name(bad_tag, "Size");
+  std::string bad_bool = bad_tag;
+  bad_tag.push_back('\x09');
+  EXPECT_NE(decode_error(base + bad_tag).find("type tag"), std::string::npos);
+  bad_bool.push_back(static_cast<char>(meta::ValueType::Boolean));
+  bad_bool.push_back('\x02');
+  EXPECT_NE(decode_error(base + bad_bool).find("boolean"), std::string::npos);
 }
 
 TEST(WireFuzz, FrameWithoutItsInternDefinitionsIsAStaleIdError) {
@@ -526,13 +673,7 @@ TEST(WireFuzz, ForgedInternIdsFarBeyondTheTableAreRejected) {
   wire::put_varint(payload, 1u << 20);  // interned performative: forged reference
   store::Writer(payload).str("s");      // sender; decode dies before needing the rest
 
-  std::string frame;
-  store::Writer header(frame);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(store::crc32c(payload));
-  frame += payload;
-
-  wire::Stream stream = make_wire_stream(frame);
+  wire::Stream stream = make_wire_stream(frame_with_valid_crc(payload));
   const std::size_t delivered = stream.receive([](const wire::WireMessageView&) {});
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(stream.decode_errors(), 1u);
@@ -562,6 +703,26 @@ TEST(WireFuzz, RandomGarbageBuffersNeverThrow) {
     wire::Stream stream = make_wire_stream(garbage);
     stream.receive([](const wire::WireMessageView&) {});  // must simply not crash
   }
+}
+
+TEST(WireFuzz, RandomGarbageDataSectionsBehindAValidCrcNeverThrow) {
+  // Random bytes in place of a payload-carrying frame's data section, framed
+  // with a correct checksum so every trial reaches the data decoder.
+  const std::string base = payload_before_data();
+  std::mt19937_64 rng(2004);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string section(1 + rng() % 96, '\0');
+    for (char& c : section) c = static_cast<char>(rng());
+    section[0] = '\x01';  // claim a payload
+    wire::Stream stream = make_wire_stream(frame_with_valid_crc(base + section));
+    const std::size_t delivered = stream.receive([](const wire::WireMessageView& view) {
+      EXPECT_NE(view.data, nullptr);
+    });
+    EXPECT_EQ(delivered + stream.decode_errors(), 1u);
+    rejected += stream.decode_errors();
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

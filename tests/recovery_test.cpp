@@ -69,6 +69,19 @@ engine::EngineConfig durable_config(const std::string& dir, std::size_t cases,
   return config;
 }
 
+/// durable_config whose kernels each hold the shard's worker for 5 ms of
+/// wall clock, so one fig10 case lasts about 60 ms. For tests whose claim
+/// needs a case still queued or running when the test thread acts (cancels
+/// it, or reads the counters of a restarted engine before a resumed case
+/// can finish): a latency-0 case takes a few milliseconds, which a test
+/// thread descheduled on a loaded host can miss entirely.
+engine::EngineConfig slow_durable_config(const std::string& dir, std::size_t cases,
+                                         std::uint64_t seed) {
+  engine::EngineConfig config = durable_config(dir, cases, 0.0, seed);
+  config.environment.kernels.execution_latency_seconds = 0.005;
+  return config;
+}
+
 std::vector<engine::CaseId> submit_fleet(engine::EnactmentEngine& engine,
                                          std::size_t cases) {
   std::vector<engine::CaseId> ids;
@@ -144,14 +157,14 @@ TEST(DurableEngine, ColdStartResumesQueuedAndRunningCases) {
   const std::size_t kCases = 4;
   std::vector<engine::CaseId> ids;
   {
-    engine::EnactmentEngine engine(durable_config(dir.str(), kCases, 0.0, 11));
+    engine::EnactmentEngine engine(slow_durable_config(dir.str(), kCases, 11));
     ASSERT_TRUE(engine.durable());
     ids = submit_fleet(engine, kCases);
     for (const engine::CaseId id : ids) ASSERT_NE(id, engine::kInvalidCase);
     // Kill without draining: whatever is mid-flight is abandoned, nothing
     // terminal is journaled for it.
   }
-  engine::EnactmentEngine restarted(durable_config(dir.str(), kCases, 0.0, 11));
+  engine::EnactmentEngine restarted(slow_durable_config(dir.str(), kCases, 11));
   const engine::EngineMetrics after_recovery = restarted.metrics();
   EXPECT_EQ(after_recovery.submitted, kCases);
   EXPECT_GE(after_recovery.recovered, 1u);
@@ -262,7 +275,7 @@ TEST(DurableEngine, CancelledCaseStaysCancelledAfterRestart) {
   const std::size_t kCases = 2;
   std::vector<engine::CaseId> ids;
   {
-    engine::EnactmentEngine engine(durable_config(dir.str(), kCases, 0.0, 3));
+    engine::EnactmentEngine engine(slow_durable_config(dir.str(), kCases, 3));
     ids = submit_fleet(engine, kCases);
     // With one shard the second case sits queued behind the first for the
     // whole first enactment; cancelling it now is deterministic.
@@ -270,7 +283,7 @@ TEST(DurableEngine, CancelledCaseStaysCancelledAfterRestart) {
     engine.drain();
     EXPECT_EQ(engine.status(ids[1]), engine::CaseState::Cancelled);
   }
-  engine::EnactmentEngine restarted(durable_config(dir.str(), kCases, 0.0, 3));
+  engine::EnactmentEngine restarted(slow_durable_config(dir.str(), kCases, 3));
   EXPECT_EQ(restarted.status(ids[1]), engine::CaseState::Cancelled);
   EXPECT_EQ(restarted.metrics().cancelled, 1u);
   restarted.drain();

@@ -430,12 +430,13 @@ TEST(ContainerAgentTest, ExecuteProducesOutputs) {
   execute.params["service"] = "POD";
   execute.params["activity"] = "A2";
   execute.params["outputs"] = "D8";
-  execute.content = wfl::dataset_to_xml_string(virolab::make_initial_data());
+  execute.data = std::make_shared<const wfl::DataSet>(virolab::make_initial_data());
   fixture.client->request(fixture.environment->platform(), execute);
   fixture.environment->run();
   const AclMessage reply = fixture.last();
   ASSERT_EQ(reply.performative, Performative::Inform) << reply.param("error");
-  const wfl::DataSet produced = wfl::dataset_from_xml_string(reply.content);
+  ASSERT_NE(reply.data, nullptr);
+  const wfl::DataSet& produced = *reply.data;
   ASSERT_NE(produced.find("D8"), nullptr);
   EXPECT_EQ(produced.find("D8")->classification(), "Orientation File");
   EXPECT_GT(std::stod(reply.param("duration")), 0.0);
@@ -451,11 +452,30 @@ TEST(ContainerAgentTest, ExecuteFailsOnUnmetPrecondition) {
   execute.protocol = protocols::kExecuteActivity;
   execute.params["service"] = "PSF";
   execute.params["activity"] = "A11";
-  execute.content = wfl::dataset_to_xml_string(virolab::make_initial_data());  // no models
+  execute.data = std::make_shared<const wfl::DataSet>(virolab::make_initial_data());  // no models
   fixture.client->request(fixture.environment->platform(), execute);
   fixture.environment->run();
   EXPECT_EQ(fixture.last().performative, Performative::Failure);
   EXPECT_NE(fixture.last().param("error").find("precondition"), std::string::npos);
+}
+
+TEST(ContainerAgentTest, ExecuteWithoutADataPayloadFailsThePrecondition) {
+  // No typed payload binds the empty set, which POD's precondition rejects.
+  Fixture fixture;
+  const auto hosts = fixture.environment->grid().containers_hosting("POD");
+  ASSERT_FALSE(hosts.empty());
+  AclMessage execute;
+  execute.performative = Performative::Request;
+  execute.receiver = hosts.front()->id();
+  execute.protocol = protocols::kExecuteActivity;
+  execute.params["service"] = "POD";
+  execute.params["activity"] = "A2";
+  execute.content = wfl::dataset_to_xml_string(virolab::make_initial_data());  // ignored
+  fixture.client->request(fixture.environment->platform(), execute);
+  fixture.environment->run();
+  EXPECT_EQ(fixture.last().performative, Performative::Failure);
+  EXPECT_NE(fixture.last().param("error").find("precondition"), std::string::npos);
+  EXPECT_EQ(fixture.last().data, nullptr);
 }
 
 TEST(PlanningServiceTest, Figure2PlanRequestReturnsValidProcess) {

@@ -742,6 +742,55 @@ TEST(FaultFs, PowerCutFreezesTheDiskForever) {
     EXPECT_EQ(reopened.get(key).value_or(""), "v") << key;
 }
 
+// A record a segment seal made durable stays acked: committing through its
+// LSN must not sync again, so a dying disk that fails the next barrier
+// cannot turn a record already on it into a rejected one. The enactment
+// engine acks a submission by committing through its Admit record's LSN.
+TEST(FaultFs, ARecordASealMadeDurableCommitsAfterTheDiskDies) {
+  // Two records too large to share a 512-byte segment: appending the second
+  // seals (and syncs) the first one's segment.
+  const auto append_both = [](FaultFs& faults, const std::string& dir, Lsn& first,
+                              Lsn& second) {
+    Options options;
+    options.data_dir = dir;
+    options.segment_size = 512;
+    options.file_ops = &faults;
+    auto engine = std::make_unique<StorageEngine>(options);
+    first = engine->append_event("engine", std::string(300, 'a'));
+    second = engine->append_event("engine", std::string(300, 'b'));
+    return engine;
+  };
+  std::uint64_t ops_through_seal = 0;
+  {
+    TempDir dir("seal-count");
+    FaultFs pass_through{FaultFsOptions{}};
+    Lsn first = 0, second = 0;
+    auto engine = append_both(pass_through, dir.str(), first, second);
+    ops_through_seal = pass_through.ops();
+  }
+
+  TempDir dir("seal-cut");
+  FaultFsOptions fault_options;
+  fault_options.power_cut_after = ops_through_seal;  // every later op fails
+  FaultFs faults(fault_options);
+  Lsn first = 0, second = 0;
+  auto engine = append_both(faults, dir.str(), first, second);
+  EXPECT_NO_THROW(engine->commit(first));  // the seal already synced it
+  EXPECT_EQ(faults.stats().power_cut_failures, 0u);
+  EXPECT_THROW(engine->commit(second), Error);  // this one needs the dead disk
+  EXPECT_GT(faults.stats().power_cut_failures, 0u);
+  engine.reset();
+
+  Options reopen_options;
+  reopen_options.data_dir = dir.str();
+  std::vector<std::string> replayed;
+  StorageEngine reopened(reopen_options, [&](std::string_view, std::string_view payload) {
+    replayed.emplace_back(payload);
+  });
+  ASSERT_FALSE(replayed.empty());
+  EXPECT_EQ(replayed.front(), std::string(300, 'a'));
+}
+
 // A failed snapshot rename must leave the previous snapshot authoritative
 // and never leave a half-written .tmp behind to confuse a later open.
 TEST(StorageEngine, SnapshotRenameFailureKeepsThePreviousSnapshotAuthoritative) {

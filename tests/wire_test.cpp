@@ -9,13 +9,22 @@
 // included.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "agent/platform.hpp"
+#include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "services/environment.hpp"
+#include "services/protocol.hpp"
+#include "virolab/catalogue.hpp"
+#include "virolab/workflow.hpp"
+#include "wfl/xml_io.hpp"
 #include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
 #include "wire/codec.hpp"
@@ -41,11 +50,92 @@ AclMessage make_message(const std::string& conversation = "c-1") {
   return message;
 }
 
+std::uint64_t bits(double number) { return std::bit_cast<std::uint64_t>(number); }
+
+/// Value equality down to the IEEE-754 bits (== would call NaN != NaN and
+/// -0.0 == 0.0).
+bool same_value_bits(const meta::Value& a, const meta::Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case meta::ValueType::None: return true;
+    case meta::ValueType::String: return a.as_string() == b.as_string();
+    case meta::ValueType::Number: return bits(a.as_number()) == bits(b.as_number());
+    case meta::ValueType::Boolean: return a.as_boolean() == b.as_boolean();
+    case meta::ValueType::List: {
+      const auto& left = a.as_list();
+      const auto& right = b.as_list();
+      if (left.size() != right.size()) return false;
+      for (std::size_t i = 0; i < left.size(); ++i)
+        if (!same_value_bits(left[i], right[i])) return false;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool same_data_bits(const std::shared_ptr<const wfl::DataSet>& a,
+                    const std::shared_ptr<const wfl::DataSet>& b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  if (a->size() != b->size()) return false;
+  for (std::size_t i = 0; i < a->size(); ++i) {
+    const wfl::DataSpec& left = a->items()[i];
+    const wfl::DataSpec& right = b->items()[i];
+    if (left.name() != right.name() || left.properties().size() != right.properties().size())
+      return false;
+    auto r = right.properties().begin();
+    for (const auto& [name, value] : left.properties()) {
+      if (name != r->first || !same_value_bits(value, r->second)) return false;
+      ++r;
+    }
+  }
+  return true;
+}
+
 bool same_message(const AclMessage& a, const AclMessage& b) {
   return std::tie(a.performative, a.sender, a.receiver, a.conversation_id, a.protocol,
                   a.ontology, a.content, a.params) ==
-         std::tie(b.performative, b.sender, b.receiver, b.conversation_id, b.protocol,
-                  b.ontology, b.content, b.params);
+             std::tie(b.performative, b.sender, b.receiver, b.conversation_id, b.protocol,
+                      b.ontology, b.content, b.params) &&
+         same_data_bits(a.data, b.data);
+}
+
+meta::Value list(std::vector<meta::Value> items) { return meta::Value(std::move(items)); }
+
+/// A data set exercising every meta::ValueType and the numbers a decimal
+/// rendering would lose: -0.0, NaN payloads, subnormals, 17-digit doubles.
+wfl::DataSet make_payload() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  wfl::DataSpec numbers("numbers");
+  numbers.with("zero", 0.0)
+      .with("negative-zero", -0.0)
+      .with("quiet-nan-payload", std::bit_cast<double>(std::uint64_t{0x7FF8'0000'0000'0123}))
+      .with("signalling-nan", std::bit_cast<double>(std::uint64_t{0x7FF0'0000'0000'0001}))
+      .with("negative-nan", std::bit_cast<double>(std::uint64_t{0xFFF8'0000'0000'0ABC}))
+      .with("min-subnormal", std::numeric_limits<double>::denorm_min())
+      .with("max-subnormal", std::bit_cast<double>(std::uint64_t{0x000F'FFFF'FFFF'FFFF}))
+      .with("seventeen-digits", 0.1 + 0.2)
+      .with("third", 1.0 / 3.0)
+      .with("max", std::numeric_limits<double>::max())
+      .with("minus-infinity", -kInf);
+  wfl::DataSpec scalars("scalars");
+  scalars.with_classification("Orientation File")
+      .with("empty", std::string())
+      .with("binary", std::string("\0\x01\xFF", 3))
+      .with("yes", true)
+      .with("no", false)
+      .with("unset", meta::Value());
+  wfl::DataSpec lists("lists");
+  lists.with("empty-list", list({}))
+      .with("ids", meta::Value::list_of({"D1", "D2", ""}))
+      .with("nested", list({1.5, list({"x", list({}), -0.0}), true, meta::Value()}));
+  return wfl::DataSet({numbers, scalars, lists, wfl::DataSpec("bare"), wfl::DataSpec("")});
+}
+
+/// A value `depth` lists deep (depth 0: a scalar).
+meta::Value nested_list(int depth) {
+  meta::Value value(2.5);
+  for (int i = 0; i < depth; ++i) value = list({std::move(value)});
+  return value;
 }
 
 /// Encode one message and decode it back with fresh codec state.
@@ -110,6 +200,55 @@ TEST(WireCodec, RoundTripsEmptyFields) {
   EXPECT_TRUE(same_message(message, round_trip_once(message)));
 }
 
+TEST(WireCodec, RoundTripsTheDataPayloadBitwise) {
+  AclMessage message = make_message();
+  message.data = std::make_shared<const wfl::DataSet>(make_payload());
+  const AclMessage decoded = round_trip_once(message);
+  ASSERT_NE(decoded.data, nullptr);
+  EXPECT_TRUE(same_message(message, decoded));
+  // Spot-check the bits a decimal rendering would have lost.
+  const wfl::DataSpec* numbers = decoded.data->find("numbers");
+  ASSERT_NE(numbers, nullptr);
+  EXPECT_EQ(bits(numbers->get("negative-zero").as_number()), bits(-0.0));
+  EXPECT_EQ(bits(numbers->get("quiet-nan-payload").as_number()), 0x7FF8'0000'0000'0123u);
+  EXPECT_EQ(bits(numbers->get("seventeen-digits").as_number()), bits(0.1 + 0.2));
+  EXPECT_EQ(decoded.data->find("scalars")->get("binary").as_string().size(), 3u);
+}
+
+TEST(WireCodec, EmptyAndAbsentDataPayloadsStayDistinct) {
+  AclMessage message = make_message();
+  EXPECT_EQ(round_trip_once(message).data, nullptr);
+  message.data = std::make_shared<const wfl::DataSet>();
+  const AclMessage decoded = round_trip_once(message);
+  ASSERT_NE(decoded.data, nullptr);
+  EXPECT_TRUE(decoded.data->empty());
+}
+
+TEST(WireCodec, ListsNestedToTheCapRoundTrip) {
+  wfl::DataSpec deep("deep");
+  deep.with("value", nested_list(kMaxListDepth));
+  AclMessage message = make_message();
+  message.data = std::make_shared<const wfl::DataSet>(wfl::DataSet({deep}));
+  EXPECT_TRUE(same_message(message, round_trip_once(message)));
+}
+
+TEST(WireCodec, EncoderRefusesNestingPastTheCapBeforeWritingAnything) {
+  wfl::DataSpec deep("deep");
+  deep.with("value", nested_list(kMaxListDepth + 1));
+  AclMessage message = make_message();
+  message.data = std::make_shared<const wfl::DataSet>(wfl::DataSet({deep}));
+  Encoder encoder;
+  std::string out;
+  try {
+    encoder.encode(message, out);
+    FAIL() << "over-deep list encoded";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("deeper than"), std::string::npos) << error.what();
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(encoder.intern_size(), 0u);  // no definition the decoder never sees
+}
+
 TEST(WireCodec, VarintRoundTripsBoundaries) {
   const std::uint64_t values[] = {0,   1,   127,        128,
                                   129, 300, 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFFULL};
@@ -150,6 +289,37 @@ TEST(WireIntern, RepeatFramesShrinkAndHitTheTable) {
     EXPECT_EQ(view.protocol, "enactment-request");
   }
   EXPECT_EQ(decoder.intern_size(), 5u);
+}
+
+TEST(WireIntern, RepeatFramesHitTheTableForPropertyNames) {
+  // Property names are vocabulary: a second data set with the same shape
+  // sends every one of them as an id.
+  AclMessage message = make_message("c-1");
+  message.data = std::make_shared<const wfl::DataSet>(make_payload());
+  std::size_t property_names = 0;
+  for (const auto& item : message.data->items()) property_names += item.properties().size();
+
+  Encoder encoder;
+  Decoder decoder;
+  const std::string first = encoder.encode(message);
+  const EncoderStats after_first = encoder.stats();
+  EXPECT_EQ(after_first.intern_misses, 5u + property_names);
+  message.conversation_id = "c-2";
+  const std::string second = encoder.encode(message);
+  EXPECT_LT(second.size(), first.size());
+  EXPECT_EQ(encoder.stats().intern_misses, after_first.intern_misses);
+  EXPECT_EQ(encoder.stats().intern_hits - after_first.intern_hits, 5u + property_names);
+
+  for (const std::string& frame : {first, second}) {
+    std::string_view payload;
+    std::size_t frame_size = 0;
+    std::string error;
+    ASSERT_EQ(peek_frame(frame, payload, frame_size, &error), FrameStatus::kFrame) << error;
+    WireMessageView view;
+    ASSERT_TRUE(decoder.decode_payload(payload, view, &error)) << error;
+    EXPECT_TRUE(same_data_bits(view.data, message.data));
+  }
+  EXPECT_EQ(decoder.intern_size(), encoder.intern_size());
 }
 
 TEST(WireIntern, DuplicatedDefinitionFrameReplaysCleanly) {
@@ -300,6 +470,7 @@ TEST(WireHook, MessagesCrossTheCodecUnchanged) {
   message.sender = "a";
   message.receiver = "b";
   message.content = std::string("\x00\x01\x02 binary ok", 13);
+  message.data = std::make_shared<const wfl::DataSet>(make_payload());
   platform.send(message);
   sim.run();
 
@@ -401,6 +572,159 @@ TEST(WireEnvironment, BootstrapTrafficCrossesTheWireAndPublishesCounters) {
 }
 
 // ---------------------------------------------------------------------------
+// enactment under chaos: wire on vs off
+// ---------------------------------------------------------------------------
+//
+// The settings of `igrid_cli chaos 2004 20`: 20% of container-bound messages
+// dropped and 10% delayed, on a 2x3 grid with heartbeats and the tightened
+// request policies. Every execute request and reply carries the case data
+// set as its typed payload, so with the wire on each one crosses the data
+// codec; the runs must not be able to tell.
+
+constexpr std::uint64_t kChaosSeed = 2004;
+constexpr int kChaosCases = 8;
+
+void apply_cli_chaos_settings(svc::EnvironmentOptions& options, bool wire) {
+  options.topology.domains = 2;
+  options.topology.nodes_per_domain = 3;
+  options.heartbeat_period = 5.0;
+  options.wire_transport = wire;
+  options.coordination.exec_policy = {300.0, 3, 0.5, 10.0};
+  options.coordination.replan_policy = {300.0, 2, 0.5, 10.0};
+  agent::ChaosRule rule;
+  rule.match.receiver = "ac-*";
+  rule.drop = 0.2;
+  rule.delay = 0.1;
+  options.chaos.rules.push_back(rule);
+  options.chaos.seed = kChaosSeed;
+}
+
+double chaos_case_resolution(int i) { return 8.0 - 0.04 * static_cast<double>(i); }
+
+TEST(WireChaosDifferential, EngineCaseOutcomesMatchWithTheWireOnAndOff) {
+  const auto run_once = [](bool wire) {
+    engine::EngineConfig config;
+    config.shards = 1;
+    config.queue_capacity = kChaosCases + 4;
+    apply_cli_chaos_settings(config.environment, wire);
+    engine::EnactmentEngine engine(config);
+    std::vector<engine::CaseId> ids;
+    for (int i = 0; i < kChaosCases; ++i)
+      ids.push_back(engine.submit(virolab::make_fig10_process(chaos_case_resolution(i)),
+                                  virolab::make_case_description(chaos_case_resolution(i))));
+    engine.drain();
+    std::vector<std::string> signatures;
+    for (const engine::CaseId id : ids) {
+      const auto outcome = engine.result(id);
+      if (!outcome.has_value()) {
+        signatures.push_back("missing");
+        continue;
+      }
+      signatures.push_back(std::string(engine::to_string(outcome->state)) + " makespan " +
+                           std::to_string(bits(outcome->makespan)) + " cost " +
+                           std::to_string(bits(outcome->total_cost)) + " activities " +
+                           std::to_string(outcome->activities_executed) + " replans " +
+                           std::to_string(outcome->replans) + " dispatch-failures " +
+                           std::to_string(outcome->dispatch_failures));
+    }
+    const engine::EngineMetrics metrics = engine.metrics();
+    const std::uint64_t frames =
+        engine.registry().counter("wire_frames_total", {{"shard", "0"}}).value();
+    return std::make_tuple(signatures, metrics.faults_injected, metrics.request_retries,
+                           metrics.completed, frames);
+  };
+
+  const auto [bare, bare_faults, bare_retries, bare_completed, bare_frames] = run_once(false);
+  const auto [wired, wired_faults, wired_retries, wired_completed, wired_frames] =
+      run_once(true);
+  ASSERT_EQ(bare.size(), static_cast<std::size_t>(kChaosCases));
+  for (int i = 0; i < kChaosCases; ++i) EXPECT_EQ(bare[i], wired[i]) << "case " << i;
+  EXPECT_EQ(bare_faults, wired_faults);
+  EXPECT_EQ(bare_retries, wired_retries);
+  EXPECT_EQ(bare_completed, wired_completed);
+  EXPECT_GT(bare_faults, 0u);  // the nemesis really fired
+  EXPECT_GT(bare_retries, 0u);
+  EXPECT_EQ(bare_frames, 0u);
+  EXPECT_GT(wired_frames, 0u);  // and the wire run really crossed the codec
+}
+
+TEST(WireChaosDifferential, EnvironmentDataSetsAndTranscriptsMatchWithTheWireOnAndOff) {
+  /// Records the case-completed replies.
+  class Client : public agent::Agent {
+   public:
+    using Agent::Agent;
+    void handle_message(const AclMessage& message) override { replies.push_back(message); }
+    std::vector<AclMessage> replies;
+  };
+  struct Run {
+    std::vector<std::string> outcomes;
+    std::vector<wfl::DataSet> final_data;
+    std::string transcript;
+    std::vector<std::shared_ptr<const wfl::DataSet>> payloads;
+    std::size_t faults = 0;
+    std::uint64_t frames = 0;
+  };
+  const auto run_once = [](bool wire) {
+    svc::EnvironmentOptions options;
+    options.tracing = true;
+    apply_cli_chaos_settings(options, wire);
+    auto environment = svc::make_environment(options);
+    auto& client = environment->platform().spawn<Client>("ui");
+    for (int i = 0; i < kChaosCases; ++i) {
+      AclMessage request;
+      request.performative = Performative::Request;
+      request.sender = client.name();
+      request.receiver = svc::names::kCoordination;
+      request.protocol = svc::protocols::kEnactCase;
+      request.content =
+          wfl::process_to_xml_string(virolab::make_fig10_process(chaos_case_resolution(i)));
+      request.params["case-xml"] =
+          wfl::case_to_xml_string(virolab::make_case_description(chaos_case_resolution(i)));
+      environment->platform().send(request);
+    }
+    environment->run();
+
+    Run run;
+    for (const AclMessage& reply : client.replies) {
+      run.outcomes.push_back(reply.param("case") + " " + reply.param("success") + " " +
+                             reply.param("makespan") + " " + reply.param("error"));
+      run.final_data.push_back(reply.content.empty()
+                                   ? wfl::DataSet()
+                                   : wfl::dataset_from_xml_string(reply.content));
+    }
+    for (const auto& record : environment->platform().trace()) {
+      run.transcript += record.message.protocol + " " + record.message.conversation_id + " " +
+                        std::to_string(bits(record.sent_at)) + " " +
+                        std::to_string(bits(record.delivered_at)) + " " +
+                        (record.delivered ? "delivered" : "lost") + "\n";
+      run.payloads.push_back(record.message.data);
+    }
+    run.faults = environment->platform().chaos_stats().total_injected();
+    if (environment->wire_link() != nullptr) run.frames = environment->wire_link()->stats().frames;
+    return run;
+  };
+
+  const Run bare = run_once(false);
+  const Run wired = run_once(true);
+  ASSERT_EQ(bare.outcomes.size(), static_cast<std::size_t>(kChaosCases));
+  EXPECT_EQ(bare.outcomes, wired.outcomes);
+  EXPECT_EQ(bare.final_data, wired.final_data);
+  EXPECT_EQ(bare.transcript, wired.transcript);
+  EXPECT_EQ(bare.faults, wired.faults);
+  EXPECT_GT(bare.faults, 0u);
+  EXPECT_GT(wired.frames, 0u);
+  // Every typed payload the run carried (each execute request's case data
+  // and each reply's produced items) arrived with the same bits.
+  ASSERT_EQ(bare.payloads.size(), wired.payloads.size());
+  std::size_t carried = 0;
+  for (std::size_t i = 0; i < bare.payloads.size(); ++i) {
+    EXPECT_TRUE(same_data_bits(bare.payloads[i], wired.payloads[i])) << "trace record " << i;
+    if (bare.payloads[i] != nullptr) ++carried;
+  }
+  EXPECT_GT(carried, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // XML path: reject-with-reason vs binary round trip (the bugfix)
 // ---------------------------------------------------------------------------
 
@@ -423,6 +747,21 @@ TEST(WireAclXml, RejectsControlCharactersWithFieldAndOffset) {
     EXPECT_NE(what.find("offset 2"), std::string::npos) << what;
   }
   // The binary codec carries the same message bitwise.
+  EXPECT_TRUE(same_message(message, round_trip_once(message)));
+}
+
+TEST(WireAclXml, RejectsATypedDataPayloadInsteadOfDroppingIt) {
+  AclMessage message = make_message();
+  message.data = std::make_shared<const wfl::DataSet>(virolab::make_initial_data());
+  try {
+    acl_to_xml(message);
+    FAIL() << "typed payload silently dropped";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("data"), std::string::npos) << error.what();
+  }
+  // Even an empty set is a payload the XML form cannot say it carries.
+  message.data = std::make_shared<const wfl::DataSet>();
+  EXPECT_THROW(acl_to_xml(message), std::invalid_argument);
   EXPECT_TRUE(same_message(message, round_trip_once(message)));
 }
 
