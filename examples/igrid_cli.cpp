@@ -195,6 +195,13 @@ int cmd_enact(const std::string& path, std::uint64_t seed) {
   return 0;
 }
 
+/// A case with no outcome to show (e.g. Evicted past the retention
+/// horizon) still gets its line, with its state.
+void print_outcomeless_case(const engine::EnactmentEngine& engine, engine::CaseId id) {
+  std::printf("  case %llu: %s\n", static_cast<unsigned long long>(id),
+              std::string(engine::to_string(engine.status(id))).c_str());
+}
+
 int cmd_engine(std::size_t cases, std::size_t shards, const std::string& data_dir) {
   if (!data_dir.empty() && !data_dir_usable(data_dir)) return 1;
   engine::EngineConfig config;
@@ -224,7 +231,10 @@ int cmd_engine(std::size_t cases, std::size_t shards, const std::string& data_di
 
   for (const engine::CaseId id : ids) {
     const auto outcome = engine.result(id);
-    if (!outcome.has_value()) continue;
+    if (!outcome.has_value()) {
+      print_outcomeless_case(engine, id);
+      continue;
+    }
     std::printf("  case %llu: %s on shard %zu, makespan %.1f, %d activities%s%s\n",
                 static_cast<unsigned long long>(id),
                 std::string(engine::to_string(outcome->state)).c_str(), outcome->shard,
@@ -235,9 +245,10 @@ int cmd_engine(std::size_t cases, std::size_t shards, const std::string& data_di
 
   const engine::EngineMetrics metrics = engine.metrics();
   std::printf("engine: %zu submitted, %zu recovered, %zu completed, %zu failed, "
-              "%zu retried, p50 latency %.3fs\n",
+              "%zu retried, p50 latency %.3fs; %zu outcomes retained, %zu evicted\n",
               metrics.submitted, metrics.recovered, metrics.completed, metrics.failed,
-              metrics.retried, metrics.latency_p50);
+              metrics.retried, metrics.latency_p50, metrics.cases_retained,
+              metrics.cases_evicted);
   for (std::size_t i = 0; i < metrics.shards.size(); ++i)
     std::printf("  shard %zu: %zu run, %zu completed, utilization %.0f%%\n", i,
                 metrics.shards[i].cases_run, metrics.shards[i].cases_completed,
@@ -287,7 +298,10 @@ int cmd_chaos(std::uint64_t seed, std::uint64_t drop_percent, std::size_t cases,
 
   for (const engine::CaseId id : ids) {
     const auto outcome = engine.result(id);
-    if (!outcome.has_value()) continue;
+    if (!outcome.has_value()) {
+      print_outcomeless_case(engine, id);
+      continue;
+    }
     std::printf("  case %llu: %s, makespan %.1f%s%s\n",
                 static_cast<unsigned long long>(id),
                 std::string(engine::to_string(outcome->state)).c_str(), outcome->makespan,

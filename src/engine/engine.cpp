@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "services/protocol.hpp"
 #include "store/codec.hpp"
@@ -23,6 +24,7 @@ std::string_view to_string(CaseState state) noexcept {
     case CaseState::Failed: return "Failed";
     case CaseState::Cancelled: return "Cancelled";
     case CaseState::Rejected: return "Rejected";
+    case CaseState::Evicted: return "Evicted";
   }
   return "?";
 }
@@ -32,7 +34,9 @@ namespace {
 /// The engine's in-platform proxy: the agent that submits enact / restore /
 /// checkpoint requests on a shard and collects the replies. Only the
 /// shard's worker thread ever touches it (it runs the simulation), so it
-/// needs no locking.
+/// needs no locking. Replies to conversations the shard abandoned
+/// (cancelled, stalled or shut-down attempts, late checkpoints) are never
+/// taken; forget_all() drops them when the next attempt starts.
 class EngineClient final : public agent::Agent {
  public:
   using Agent::Agent;
@@ -51,6 +55,9 @@ class EngineClient final : public agent::Agent {
     return message;
   }
 
+  void forget_all() { replies_.clear(); }
+  std::size_t held() const noexcept { return replies_.size(); }
+
  private:
   std::map<std::string, AclMessage> replies_;
 };
@@ -65,7 +72,9 @@ constexpr std::uint8_t kEventAdmit = 1;
 constexpr std::uint8_t kEventRetry = 2;
 constexpr std::uint8_t kEventCancel = 3;
 constexpr std::uint8_t kEventTerminal = 4;
-constexpr std::uint32_t kStateBlobVersion = 1;
+// Version 2 appends the evicted tallies and id ranges; version 1 blobs
+// (no eviction) still decode.
+constexpr std::uint32_t kStateBlobVersion = 2;
 
 std::uint64_t double_bits(double value) noexcept {
   std::uint64_t bits = 0;
@@ -138,7 +147,7 @@ struct EnactmentEngine::Shard {
   /// Checkpoint: snapshotting a failed enactment for a cross-shard retry.
   enum class Phase { Idle, Drain, Enact, Checkpoint };
   Phase phase = Phase::Idle;
-  CaseRecord snapshot;        ///< inputs of the current attempt
+  CaseRecord snapshot;        ///< the current attempt's record (inputs shared)
   std::string conversation;   ///< engine/<case>/<retry>
   std::size_t slices = 0;     ///< slices consumed in the current phase
   AttemptResult attempt;      ///< result under construction
@@ -148,6 +157,7 @@ struct EnactmentEngine::Shard {
   std::size_t cases_run = 0;
   std::size_t cases_completed = 0;
   std::size_t cases_failed = 0;
+  std::size_t stale_replies = 0;  ///< client replies left after the last attempt
   double busy_seconds = 0.0;
   // Counters folded in from retired environments: durable mode rebuilds
   // the stack per attempt, and each rebuild would otherwise zero the
@@ -164,6 +174,9 @@ struct EnactmentEngine::Shard {
 EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config)) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
   config_.events_per_slice = std::max<std::size_t>(1, config_.events_per_slice);
+  // The newest outcome is always retained: finalizing a case never evicts
+  // the record being finalized.
+  config_.retained_outcomes = std::max<std::size_t>(1, config_.retained_outcomes);
   started_at_ = std::chrono::steady_clock::now();
   // Ring capacity well above any bench's case count, so registry-derived
   // percentiles stay exact (see obs/metrics.hpp).
@@ -177,6 +190,8 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
   retried_ = &registry_.counter("engine_case_retries_total");
   recovered_ = &registry_.counter("engine_cases_recovered_total");
   io_errors_ = &registry_.counter("store_io_errors_total");
+  evicted_ = &registry_.counter("engine_cases_evicted_total");
+  retained_ = &registry_.gauge("engine_cases_retained");
 
   // Durable mode: open the journal and rebuild the case table before any
   // shard exists, so recovered cases are queued by the time pumps start.
@@ -276,8 +291,8 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
     CaseRecord& record = records_[id];
     record.id = id;
     record.tenant = tenant.empty() ? "default" : tenant;
-    record.process_xml = std::move(process_xml);
-    record.case_xml = std::move(case_xml);
+    record.inputs = std::make_shared<const CaseInputs>(
+        CaseInputs{std::move(process_xml), std::move(case_xml), {}});
     record.submitted_at = std::chrono::steady_clock::now();
     durable = journal_ != nullptr;
     if (durable) {
@@ -286,8 +301,8 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
       w.u8(kEventAdmit);
       w.u64(record.id);
       w.str(record.tenant);
-      w.str(record.process_xml);
-      w.str(record.case_xml);
+      w.str(record.inputs->process_xml);
+      w.str(record.inputs->case_xml);
       // The record deliberately stays out of the tenant queues here: a
       // durable submission is admitted (and its id acked) only after the
       // admit event is on disk, so an acked id can never be lost to a
@@ -390,7 +405,8 @@ std::optional<CaseId> EnactmentEngine::pop_for_shard_locked(std::size_t shard_in
 CaseState EnactmentEngine::status(CaseId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = records_.find(id);
-  return it == records_.end() ? CaseState::Rejected : it->second.state;
+  if (it != records_.end()) return it->second.state;
+  return evicted_locked(id) ? CaseState::Evicted : CaseState::Rejected;
 }
 
 std::optional<CaseOutcome> EnactmentEngine::result(CaseId id) const {
@@ -451,6 +467,7 @@ bool EnactmentEngine::cancel(CaseId id) {
         write_outcome(w, record.outcome);
         journal_append_locked(payload);
       }
+      retire_locked(record);
       case_terminal_.notify_all();
     }
     // A Running case is abandoned by its shard at the next slice boundary.
@@ -467,10 +484,14 @@ bool EnactmentEngine::cancel_requested(CaseId id) const {
 
 std::optional<CaseOutcome> EnactmentEngine::wait(CaseId id) {
   std::unique_lock<std::mutex> lock(mutex_);
-  auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  case_terminal_.wait(lock, [&] { return stopping_ || is_terminal(it->second.state); });
-  if (!is_terminal(it->second.state)) return std::nullopt;
+  // Looked up afresh on every wake-up: the record may be evicted (erased)
+  // between its terminal notification and this waiter running.
+  auto it = records_.end();
+  case_terminal_.wait(lock, [&] {
+    it = records_.find(id);
+    return stopping_ || it == records_.end() || is_terminal(it->second.state);
+  });
+  if (it == records_.end() || !is_terminal(it->second.state)) return std::nullopt;
   return it->second.outcome;
 }
 
@@ -493,6 +514,8 @@ EngineMetrics EnactmentEngine::metrics() const {
   snapshot.degraded = degraded_;
   snapshot.queue_depth = queued_;
   snapshot.running = running_;
+  snapshot.cases_retained = terminal_order_.size();
+  snapshot.cases_evicted = evicted_->value();
   const sched::JobStats job_stats = jobs_->stats();
   snapshot.jobs_executed = job_stats.executed;
   snapshot.jobs_stolen = job_stats.stolen;
@@ -516,6 +539,7 @@ EngineMetrics EnactmentEngine::metrics() const {
     sm.cases_run = shard->cases_run;
     sm.cases_completed = shard->cases_completed;
     sm.cases_failed = shard->cases_failed;
+    sm.stale_replies = shard->stale_replies;
     // These counters are all atomic on their owners (platform, request
     // trackers, monitoring), so reading them here while the shard's worker
     // is mid-enactment is safe.
@@ -619,7 +643,7 @@ bool EnactmentEngine::step(Shard& shard) {
         record.outcome.shard = shard.index;
         ++running_;
         ++shard.cases_run;
-        shard.snapshot = record;  // inputs the attempt needs, copied out of the lock
+        shard.snapshot = record;  // the inputs are shared: a refcount bump, no copy
         shard.conversation = "engine/" + std::to_string(record.id) + "/" +
                              std::to_string(record.retries_used);
         shard.slices = 0;
@@ -705,22 +729,27 @@ bool EnactmentEngine::step(Shard& shard) {
 
 void EnactmentEngine::begin_enact(Shard& shard) {
   svc::Environment& environment = *shard.environment;
-  // Drain done: give this case a fresh kernel state.
+  // Drain done: give this case a fresh kernel state. An enactment the
+  // previous attempt abandoned (cancelled) finished during the Drain, and
+  // its late replies reached the client: release both.
   environment.kernels().reset();
+  environment.coordination().release_finished();
+  shard.client->forget_all();
 
+  const CaseInputs& inputs = *shard.snapshot.inputs;
   AclMessage request;
   request.performative = Performative::Request;
   request.receiver = svc::names::kCoordination;
   request.conversation_id = shard.conversation;
-  if (shard.snapshot.checkpoint_xml.empty()) {
+  if (inputs.checkpoint_xml.empty()) {
     request.protocol = svc::protocols::kEnactCase;
-    request.content = shard.snapshot.process_xml;
-    request.params["case-xml"] = shard.snapshot.case_xml;
+    request.content = inputs.process_xml;
+    request.params["case-xml"] = inputs.case_xml;
   } else {
     // Retry from the failed attempt's snapshot: completed activities replay,
     // and the new shard gets a full re-planning budget again.
     request.protocol = svc::protocols::kRestoreCase;
-    request.content = shard.snapshot.checkpoint_xml;
+    request.content = inputs.checkpoint_xml;
     request.params["reset-replans"] = "true";
   }
   shard.client->post(std::move(request));
@@ -732,6 +761,13 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
   AttemptResult attempt = std::move(shard.attempt);
   shard.attempt = AttemptResult{};
   shard.phase = Shard::Phase::Idle;
+  // Any checkpoint this attempt needed is taken: the coordinator may drop
+  // the finished enactment. Done before running_ falls, so a drain()ed
+  // engine's coordinators are quiescent.
+  shard.environment->coordination().release_finished();
+  // This attempt's own reply is taken; anything the client still holds
+  // belongs to a conversation the shard abandoned.
+  const std::size_t stale_replies = shard.client->held();
 
   std::vector<Shard*> to_pump;
   bool again = true;
@@ -739,6 +775,7 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --running_;
+    shard.stale_replies = stale_replies;
     auto it = records_.find(shard.snapshot.id);
     if (it != records_.end()) {
       CaseRecord& record = it->second;
@@ -762,8 +799,11 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
             if (record.retries_used < config_.max_case_retries && !record.cancel_requested) {
               ++record.retries_used;
               retried_->inc();
-              if (!attempt.checkpoint_xml.empty())
-                record.checkpoint_xml = std::move(attempt.checkpoint_xml);
+              if (!attempt.checkpoint_xml.empty()) {
+                record.inputs = std::make_shared<const CaseInputs>(
+                    CaseInputs{record.inputs->process_xml, record.inputs->case_xml,
+                               std::move(attempt.checkpoint_xml)});
+              }
               if (shards_.size() > 1) {
                 // Prefer a different shard; never strand the case when the
                 // exclusion set would cover the whole fleet.
@@ -779,7 +819,7 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
                 w.u8(kEventRetry);
                 w.u64(record.id);
                 w.u32(static_cast<std::uint32_t>(record.retries_used));
-                w.str(record.checkpoint_xml);
+                w.str(record.inputs->checkpoint_xml);
                 w.u64(record.excluded_shards.size());
                 for (std::size_t excluded : record.excluded_shards) w.u64(excluded);
                 journal_append_locked(payload);
@@ -800,6 +840,7 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
       shard.pump_scheduled = false;
       again = false;
     }
+    shard.snapshot.inputs.reset();  // a retry's inputs live on in its record
   }
   if (journaled) {
     // Group-commit barrier off the engine mutex, then a snapshot if the
@@ -854,7 +895,55 @@ void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseStat
   }
   IG_LOG_DEBUG("engine") << "case " << record.id << " -> " << to_string(state)
                          << " on shard " << shard.index;
+  retire_locked(record);
   case_terminal_.notify_all();
+}
+
+void EnactmentEngine::retire_locked(CaseRecord& record) {
+  record.inputs.reset();
+  terminal_order_.push_back(record.id);
+  evict_locked();
+}
+
+void EnactmentEngine::evict_locked() {
+  while (terminal_order_.size() > config_.retained_outcomes) {
+    const CaseId id = terminal_order_.front();
+    terminal_order_.pop_front();
+    auto it = records_.find(id);
+    if (it == records_.end()) continue;
+    switch (it->second.state) {
+      case CaseState::Completed: ++evicted_tally_.completed; break;
+      case CaseState::Cancelled: ++evicted_tally_.cancelled; break;
+      default: ++evicted_tally_.failed; break;
+    }
+    evicted_tally_.retries += static_cast<std::uint64_t>(it->second.retries_used);
+    records_.erase(it);
+    evicted_->inc();
+    // Insert [id, id + 1), merging with the neighbouring ranges. Cases
+    // finish roughly in id order, so the ranges stay few.
+    CaseId first = id;
+    CaseId last = id + 1;
+    auto next = evicted_ranges_.lower_bound(id);
+    if (next != evicted_ranges_.begin()) {
+      auto prev = std::prev(next);
+      if (prev->second == id) {
+        first = prev->first;
+        evicted_ranges_.erase(prev);
+      }
+    }
+    if (next != evicted_ranges_.end() && next->first == last) {
+      last = next->second;
+      evicted_ranges_.erase(next);
+    }
+    evicted_ranges_.emplace(first, last);
+  }
+  retained_->set(static_cast<double>(terminal_order_.size()));
+}
+
+bool EnactmentEngine::evicted_locked(CaseId id) const {
+  auto it = evicted_ranges_.upper_bound(id);
+  if (it == evicted_ranges_.begin()) return false;
+  return id < std::prev(it)->second;
 }
 
 void EnactmentEngine::degrade_locked(const std::string& reason) {
@@ -908,12 +997,31 @@ void EnactmentEngine::recover_from_journal() {
   }
   for (const std::string& payload : replayed) apply_journal_event(payload);
 
+  // The retention horizon applies to recovered outcomes too, so a journal
+  // of N finished cases comes back holding at most retained_outcomes of
+  // them, and the next snapshot compacts the rest away for good.
+  std::vector<std::pair<std::size_t, CaseId>> terminal;
+  for (const auto& [id, record] : records_) {
+    if (is_terminal(record.state)) terminal.emplace_back(record.outcome.completion_index, id);
+  }
+  std::sort(terminal.begin(), terminal.end());
+  for (const auto& entry : terminal) terminal_order_.push_back(entry.second);
+  const std::uint64_t evicted_before = evicted_tally_.cases();
+  evict_locked();
+  evicted_->inc(evicted_before);
+
   // Rebuild the queues and aggregate counters the replay implies. Cases
   // that were Queued *or Running* when the process died are re-admitted:
   // a running attempt left no durable partial state, and because its
   // random streams derive only from (case id, retries) it re-executes
   // identically on whatever shard picks it up after the restart.
-  submitted_->inc(records_.size());
+  submitted_->inc(records_.size() + evicted_tally_.cases());
+  completed_->inc(evicted_tally_.completed);
+  failed_->inc(evicted_tally_.failed);
+  cancelled_->inc(evicted_tally_.cancelled);
+  retried_->inc(evicted_tally_.retries);
+  for (const auto& [first, last] : evicted_ranges_)
+    next_case_id_ = std::max(next_case_id_, last);
   for (auto& [id, record] : records_) {
     next_case_id_ = std::max(next_case_id_, id + 1);
     retried_->inc(static_cast<std::uint64_t>(record.retries_used));
@@ -944,6 +1052,9 @@ void EnactmentEngine::apply_journal_event(std::string_view payload) {
   store::Reader r(payload);
   const std::uint8_t type = r.u8();
   const CaseId id = r.u64();
+  // An evicted case stays evicted: the WAL tail may still hold its events
+  // when they overlap the snapshot that recorded the eviction.
+  if (evicted_locked(id)) return;
   switch (type) {
     case kEventAdmit: {
       const std::string tenant(r.str());
@@ -954,8 +1065,8 @@ void EnactmentEngine::apply_journal_event(std::string_view payload) {
       if (record.id != kInvalidCase) return;  // already known via the snapshot blob
       record.id = id;
       record.tenant = tenant;
-      record.process_xml = std::move(process_xml);
-      record.case_xml = std::move(case_xml);
+      record.inputs = std::make_shared<const CaseInputs>(
+          CaseInputs{std::move(process_xml), std::move(case_xml), {}});
       record.state = CaseState::Queued;
       return;
     }
@@ -971,7 +1082,8 @@ void EnactmentEngine::apply_journal_event(std::string_view payload) {
       CaseRecord& record = it->second;
       if (is_terminal(record.state)) return;  // stale overlap of a finished case
       record.retries_used = static_cast<int>(retries);
-      record.checkpoint_xml = std::move(checkpoint_xml);
+      record.inputs = std::make_shared<const CaseInputs>(CaseInputs{
+          record.inputs->process_xml, record.inputs->case_xml, std::move(checkpoint_xml)});
       record.excluded_shards = std::move(excluded);
       record.state = CaseState::Queued;
       return;
@@ -989,6 +1101,7 @@ void EnactmentEngine::apply_journal_event(std::string_view payload) {
       if (!is_terminal(outcome.state)) return;  // corrupt state byte
       it->second.state = outcome.state;
       it->second.outcome = outcome;
+      it->second.inputs.reset();
       return;
     }
     default:
@@ -1007,11 +1120,14 @@ std::string EnactmentEngine::encode_engine_state() const {
   w.u64(completion_sequence_);
   w.u64(records_.size());
   for (const auto& [id, record] : records_) {
+    // A terminal record has no inputs left and writes them empty.
+    static const CaseInputs kNoInputs;
+    const CaseInputs& inputs = record.inputs ? *record.inputs : kNoInputs;
     w.u64(id);
     w.str(record.tenant);
-    w.str(record.process_xml);
-    w.str(record.case_xml);
-    w.str(record.checkpoint_xml);
+    w.str(inputs.process_xml);
+    w.str(inputs.case_xml);
+    w.str(inputs.checkpoint_xml);
     w.u8(static_cast<std::uint8_t>(record.state));
     w.u8(record.cancel_requested ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(record.retries_used));
@@ -1019,12 +1135,22 @@ std::string EnactmentEngine::encode_engine_state() const {
     for (std::size_t excluded : record.excluded_shards) w.u64(excluded);
     write_outcome(w, record.outcome);
   }
+  w.u64(evicted_tally_.completed);
+  w.u64(evicted_tally_.failed);
+  w.u64(evicted_tally_.cancelled);
+  w.u64(evicted_tally_.retries);
+  w.u64(evicted_ranges_.size());
+  for (const auto& [first, last] : evicted_ranges_) {
+    w.u64(first);
+    w.u64(last);
+  }
   return out;
 }
 
 bool EnactmentEngine::decode_engine_state(std::string_view blob) {
   store::Reader r(blob);
-  if (r.u32() != kStateBlobVersion) return false;
+  const std::uint32_t version = r.u32();
+  if (version != 1 && version != kStateBlobVersion) return false;
   const std::uint64_t next_id = r.u64();
   const std::uint64_t completion_sequence = r.u64();
   const std::uint64_t count = r.u64();
@@ -1033,9 +1159,10 @@ bool EnactmentEngine::decode_engine_state(std::string_view blob) {
     CaseRecord record;
     record.id = r.u64();
     record.tenant = std::string(r.str());
-    record.process_xml = std::string(r.str());
-    record.case_xml = std::string(r.str());
-    record.checkpoint_xml = std::string(r.str());
+    CaseInputs inputs;
+    inputs.process_xml = std::string(r.str());
+    inputs.case_xml = std::string(r.str());
+    inputs.checkpoint_xml = std::string(r.str());
     const std::uint8_t state = r.u8();
     record.cancel_requested = r.u8() != 0;
     record.retries_used = static_cast<int>(r.u32());
@@ -1048,11 +1175,30 @@ bool EnactmentEngine::decode_engine_state(std::string_view blob) {
       return false;
     }
     record.state = static_cast<CaseState>(state);
+    if (!is_terminal(record.state))  // a terminal record keeps only its outcome
+      record.inputs = std::make_shared<const CaseInputs>(std::move(inputs));
     const CaseId record_id = record.id;
     records.emplace(record_id, std::move(record));
   }
+  EvictedTally tally;
+  std::map<CaseId, CaseId> ranges;
+  if (version >= 2) {
+    tally.completed = r.u64();
+    tally.failed = r.u64();
+    tally.cancelled = r.u64();
+    tally.retries = r.u64();
+    const std::uint64_t range_count = r.u64();
+    for (std::uint64_t i = 0; i < range_count && r.ok(); ++i) {
+      const CaseId first = r.u64();
+      const CaseId last = r.u64();
+      if (first >= last) return false;
+      ranges.emplace(first, last);
+    }
+  }
   if (!r.ok() || !r.done()) return false;
   records_ = std::move(records);
+  evicted_tally_ = tally;
+  evicted_ranges_ = std::move(ranges);
   next_case_id_ = std::max<CaseId>(1, next_id);
   completion_sequence_ = static_cast<std::size_t>(completion_sequence);
   return true;

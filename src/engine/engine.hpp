@@ -16,7 +16,9 @@
 // submissions (backpressure) instead of buffering without bound.
 //
 // Lifecycle: `submit` -> Queued -> Running -> {Completed | Failed |
-// Cancelled}; a full queue yields Rejected without creating a case. A
+// Cancelled} -> Evicted; a full queue yields Rejected without creating a
+// case. A terminal case keeps only its outcome, and only the newest
+// `retained_outcomes` outcomes are kept; older ids report Evicted. A
 // failed case is retried up to `max_case_retries` times: the engine
 // snapshots the failed enactment through the coordination service's
 // `checkpoint-case` protocol and re-admits the snapshot (via
@@ -56,7 +58,9 @@ namespace ig::engine {
 
 /// Case lifecycle states. Rejected is terminal and only ever reported for
 /// submissions bounced by a full admission queue (no CaseId is allocated).
-enum class CaseState { Queued, Running, Completed, Failed, Cancelled, Rejected };
+/// Evicted is reported for a case that did finish but whose outcome fell
+/// past the `retained_outcomes` horizon.
+enum class CaseState { Queued, Running, Completed, Failed, Cancelled, Rejected, Evicted };
 
 std::string_view to_string(CaseState state) noexcept;
 
@@ -93,6 +97,11 @@ struct EngineConfig {
   std::size_t events_per_slice = 2048;
   /// Runaway guard: a single attempt aborts after this many slices.
   std::size_t max_slices_per_case = 1 << 14;
+  /// Terminal outcomes kept for result()/status(); past this many the
+  /// oldest (by completion order) are evicted and report Evicted. The
+  /// default matches the latency histogram's sample ring. Durable mode
+  /// applies the same horizon at recovery, so snapshots stay bounded.
+  std::size_t retained_outcomes = 65536;
   /// Optional hook run once per shard after its stack is built and before
   /// its worker starts (shard index is the second argument). Tests use it to
   /// inject faulty agents into a specific shard's platform. In durable mode
@@ -137,6 +146,10 @@ struct ShardMetrics {
   std::size_t dead_letters = 0;      ///< tracked requests abandoned after max attempts
   std::size_t containers_recovered = 0;  ///< Dead containers readmitted by the breaker
   std::size_t trace_dropped = 0;  ///< message-trace ring evictions on the shard
+  /// Replies the shard's engine client still held for abandoned
+  /// conversations when its last attempt ended (dropped when the next
+  /// attempt begins, so this never accumulates).
+  std::size_t stale_replies = 0;
   double busy_seconds = 0.0;  ///< wall clock spent enacting
   double utilization = 0.0;   ///< busy_seconds / engine uptime
 };
@@ -161,6 +174,8 @@ struct EngineMetrics {
   std::size_t containers_recovered = 0;  ///< circuit-breaker readmissions, all shards
   std::size_t queue_depth = 0;
   std::size_t running = 0;
+  std::size_t cases_retained = 0;  ///< terminal outcomes still answerable
+  std::size_t cases_evicted = 0;   ///< outcomes dropped past retained_outcomes
   // -- shared job-system view (see sched::JobStats for semantics) --
   std::size_t jobs_executed = 0;   ///< pump jobs run across all shards
   std::size_t jobs_stolen = 0;     ///< pump jobs that migrated off their home worker
@@ -205,18 +220,22 @@ class EnactmentEngine {
   CaseId submit_xml(std::string process_xml, std::string case_xml,
                     const std::string& tenant = "default");
 
-  /// Current lifecycle state; Rejected for unknown ids (incl. kInvalidCase).
+  /// Current lifecycle state; Evicted for a finished case past the
+  /// retention horizon, Rejected for ids never acked (incl. kInvalidCase).
   CaseState status(CaseId id) const;
 
-  /// The terminal report, or nullopt while the case is still queued/running.
+  /// The terminal report, or nullopt while the case is still queued/running
+  /// (or once its outcome was evicted).
   std::optional<CaseOutcome> result(CaseId id) const;
 
   /// Cancels a case. Queued cases terminate immediately; running cases are
   /// abandoned at the next slice boundary. Returns false when the case is
-  /// unknown or already terminal.
+  /// unknown, evicted or already terminal.
   bool cancel(CaseId id);
 
   /// Blocks until the case reaches a terminal state (or the engine stops).
+  /// Returns nullopt at once for an unknown or evicted id, and nullopt when
+  /// the outcome is evicted before the waiter wakes.
   std::optional<CaseOutcome> wait(CaseId id);
 
   /// Blocks until every admitted case is terminal.
@@ -231,13 +250,14 @@ class EnactmentEngine {
   EngineMetrics metrics() const;
 
   /// The engine's metrics registry, and the only store of the engine's case
-  /// tallies: the `engine_case*_total` and `store_io_errors_total` counters
-  /// and the `engine_case_latency_seconds` histogram are updated as cases
-  /// move, so a scrape sees them current at any time. The per-shard
-  /// (labelled {shard=i}), scheduler and journal counters and the engine
-  /// gauges are refreshed by metrics(), so `registry().snapshot()` after
-  /// metrics() is the complete exporter feed. EngineMetrics reads the same
-  /// instruments, so both views agree on the same run.
+  /// tallies: the `engine_case*_total` and `store_io_errors_total` counters,
+  /// the `engine_cases_retained` gauge and the `engine_case_latency_seconds`
+  /// histogram are updated as cases move, so a scrape sees them current at
+  /// any time. The per-shard (labelled {shard=i}), scheduler and journal
+  /// counters and the other engine gauges are refreshed by metrics(), so
+  /// `registry().snapshot()` after metrics() is the complete exporter feed.
+  /// EngineMetrics reads the same instruments, so both views agree on the
+  /// same run.
   obs::MetricsRegistry& registry() noexcept { return registry_; }
   const obs::MetricsRegistry& registry() const noexcept { return registry_; }
 
@@ -247,12 +267,18 @@ class EnactmentEngine {
   std::vector<obs::Span> shard_spans(std::size_t shard_index) const;
 
  private:
-  struct CaseRecord {
-    CaseId id = kInvalidCase;
-    std::string tenant;
+  /// What an attempt enacts. Immutable and shared, so handing a record to a
+  /// shard is a refcount bump, and a terminal case drops it.
+  struct CaseInputs {
     std::string process_xml;
     std::string case_xml;
     std::string checkpoint_xml;  ///< non-empty after a checkpointed failure
+  };
+
+  struct CaseRecord {
+    CaseId id = kInvalidCase;
+    std::string tenant;
+    std::shared_ptr<const CaseInputs> inputs;  ///< null once terminal
     CaseState state = CaseState::Queued;
     bool cancel_requested = false;
     int retries_used = 0;
@@ -280,6 +306,14 @@ class EnactmentEngine {
   std::optional<CaseId> pop_for_shard_locked(std::size_t shard_index);
   void finalize_locked(CaseRecord& record, Shard& shard, CaseState state,
                        const agent::AclMessage& reply, bool journal_terminal = true);
+  /// Bookkeeping of a record that just became terminal: drops its inputs,
+  /// files it in completion order and evicts past the retention horizon.
+  /// Invalidates references to the evicted records (never to `record`).
+  void retire_locked(CaseRecord& record);
+  /// Evicts the oldest terminal outcomes until at most retained_outcomes
+  /// remain.
+  void evict_locked();
+  bool evicted_locked(CaseId id) const;
   bool cancel_requested(CaseId id) const;
 
   // -- durable mode ------------------------------------------------------------
@@ -318,6 +352,22 @@ class EnactmentEngine {
   bool stopping_ = false;
 
   std::map<CaseId, CaseRecord> records_;
+  /// Retained terminal cases, oldest completion first.
+  std::deque<CaseId> terminal_order_;
+  /// Evicted ids as disjoint [first, last) ranges keyed by first. Ids that
+  /// were never acked (rejected, or burnt by a failed durable admit) are
+  /// never in it, so status() tells Evicted from Rejected.
+  std::map<CaseId, CaseId> evicted_ranges_;
+  /// Terminal states and retries of the evicted cases, so the counters a
+  /// cold start rebuilds from the journal still cover them.
+  struct EvictedTally {
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t cancelled = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t cases() const noexcept { return completed + failed + cancelled; }
+  };
+  EvictedTally evicted_tally_;
   std::map<std::string, std::deque<CaseId>> tenant_queues_;
   std::vector<std::string> tenant_order_;  ///< round-robin ring of active tenants
   std::size_t rr_cursor_ = 0;
@@ -343,6 +393,8 @@ class EnactmentEngine {
   obs::Counter* retried_ = nullptr;
   obs::Counter* recovered_ = nullptr;
   obs::Counter* io_errors_ = nullptr;
+  obs::Counter* evicted_ = nullptr;
+  obs::Gauge* retained_ = nullptr;
   std::chrono::steady_clock::time_point started_at_;
 
   /// Durable-mode journal; null in in-memory mode. Declared before shards_

@@ -30,6 +30,17 @@ CoordinationService::Enactment* CoordinationService::find_enactment(const std::s
   return it != enactments_.end() ? &it->second : nullptr;
 }
 
+std::size_t CoordinationService::finished_enactment_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(enactments_.begin(), enactments_.end(),
+                    [](const auto& entry) { return entry.second.finished; }));
+}
+
+std::size_t CoordinationService::release_finished() {
+  return static_cast<std::size_t>(
+      std::erase_if(enactments_, [](const auto& entry) { return entry.second.finished; }));
+}
+
 void CoordinationService::handle_message(const AclMessage& message) {
   if (message.protocol == protocols::kEnactCase) return handle_enact(message);
   if (message.protocol == protocols::kCheckpointCase) return handle_checkpoint(message);

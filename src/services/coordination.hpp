@@ -75,6 +75,18 @@ class CoordinationService : public agent::Agent {
   std::size_t cases_failed() const noexcept { return cases_failed_; }
   std::size_t replans_triggered() const noexcept { return replans_triggered_; }
 
+  /// Enactments held, running or finished. A finished enactment stays
+  /// until release_finished(), so `checkpoint-case` can still snapshot it
+  /// post mortem.
+  std::size_t enactment_count() const noexcept { return enactments_.size(); }
+  std::size_t finished_enactment_count() const;
+  /// Erases every finished enactment and returns how many; running ones
+  /// stay. Late replies to a released enactment are dropped, exactly as
+  /// for a finished one, and a later `checkpoint-case` for it fails as
+  /// for an unknown case. Callers own the timing: the enactment engine
+  /// calls it once any checkpoint it needs has been taken.
+  std::size_t release_finished();
+
   /// The conversation reliability layer (retry/timeout/dead-letter counts).
   const RequestTracker& tracker() const noexcept { return tracker_; }
   /// Seed for retry jitter; engines derive a per-shard stream.

@@ -207,6 +207,60 @@ TEST(Coordination, MultipleCasesSequentially) {
   EXPECT_EQ(fixture.environment->coordination().cases_completed(), 3u);
 }
 
+TEST(Coordination, ReleaseFinishedDropsOnlyFinishedEnactments) {
+  Fixture fixture;
+  CoordinationService& coordination = fixture.environment->coordination();
+  const AclMessage done =
+      fixture.enact(virolab::make_fig10_process(), virolab::make_case_description());
+  ASSERT_EQ(done.param("success"), "true") << done.param("error");
+
+  // A second case, started but not run to its end.
+  AclMessage request;
+  request.performative = Performative::Request;
+  request.sender = fixture.client->name();
+  request.receiver = names::kCoordination;
+  request.protocol = protocols::kEnactCase;
+  request.content = wfl::process_to_xml_string(virolab::make_fig10_process());
+  request.params["case-xml"] = wfl::case_to_xml_string(virolab::make_case_description());
+  fixture.environment->platform().send(request);
+  fixture.environment->sim().run(4);
+  ASSERT_EQ(coordination.enactment_count(), 2u);
+  EXPECT_EQ(coordination.finished_enactment_count(), 1u);
+
+  EXPECT_EQ(coordination.release_finished(), 1u);
+  EXPECT_EQ(coordination.enactment_count(), 1u);
+  EXPECT_EQ(coordination.finished_enactment_count(), 0u);
+
+  const auto checkpoint = [&](const std::string& id) {
+    AclMessage snapshot;
+    snapshot.performative = Performative::Request;
+    snapshot.sender = fixture.client->name();
+    snapshot.receiver = names::kCoordination;
+    snapshot.protocol = protocols::kCheckpointCase;
+    snapshot.conversation_id = "snapshot/" + id;
+    snapshot.params["case"] = id;
+    fixture.environment->platform().send(snapshot);
+    fixture.environment->sim().run_until(fixture.environment->sim().now() + 1.0);
+    for (auto it = fixture.client->replies.rbegin(); it != fixture.client->replies.rend(); ++it)
+      if (it->conversation_id == snapshot.conversation_id) return it->performative;
+    return Performative::NotUnderstood;
+  };
+  // The released case is gone; the running one can still be snapshotted.
+  EXPECT_EQ(checkpoint(done.param("case")), Performative::Failure);
+  EXPECT_EQ(checkpoint("case-2"), Performative::Inform);
+
+  // Late traffic of the released case is dropped as for a finished one, and
+  // the running case still completes.
+  fixture.environment->run();
+  ASSERT_FALSE(fixture.client->replies.empty());
+  const AclMessage& last = fixture.client->replies.back();
+  EXPECT_EQ(last.protocol, protocols::kCaseCompleted);
+  EXPECT_EQ(last.param("success"), "true") << last.param("error");
+  EXPECT_EQ(coordination.release_finished(), 1u);
+  EXPECT_EQ(coordination.enactment_count(), 0u);
+  EXPECT_EQ(coordination.release_finished(), 0u);
+}
+
 TEST(Coordination, MakespanReflectsSlowWanStaging) {
   // Same workload, but all inter-domain links throttled: makespan grows.
   EnvironmentOptions fast_options;
