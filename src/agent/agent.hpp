@@ -5,6 +5,7 @@
 // needs no locking. Agents may also schedule timers on the virtual clock.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "agent/message.hpp"
@@ -29,6 +30,16 @@ class Agent {
 
   /// Delivers one message; the platform never calls this re-entrantly.
   virtual void handle_message(const AclMessage& message) = 0;
+
+  // -- attempt model (svc::Environment::reset) ---------------------------------
+  // A long-lived stack returns to its pristine state before every attempt.
+  // `save_pristine` runs once the stack is built and records the agent's
+  // per-attempt state; `reset` restores it and reseeds the agent's random
+  // streams from `attempt_seed`. Pending timers are already gone (the
+  // calendar is reset first), so neither may touch the simulation.
+  // Monotonic counters are kept. Both do nothing by default.
+  virtual void save_pristine() {}
+  virtual void reset(std::uint64_t attempt_seed) { (void)attempt_seed; }
 
  protected:
   /// Sends a message (the sender field is stamped with this agent's name).

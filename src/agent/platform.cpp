@@ -50,7 +50,8 @@ std::vector<std::string> AgentPlatform::agent_names() const {
 }
 
 void AgentPlatform::send(AclMessage message) {
-  const std::uint64_t sequence = messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t sequence = send_sequence_++;
+  messages_sent_.fetch_add(1, std::memory_order_relaxed);
   const grid::SimTime sent_at = sim_.now();
   grid::SimTime latency =
       latency_fn_ ? latency_fn_(message.sender, message.receiver) : 0.001;
@@ -121,7 +122,21 @@ void AgentPlatform::send(AclMessage message) {
   });
 }
 
+void AgentPlatform::save_pristine() {
+  pristine_ = Pristine{send_sequence_, health_, deliveries_by_agent_};
+  for (auto& agent : agents_) agent->save_pristine();
+}
+
+void AgentPlatform::reset(std::uint64_t attempt_seed) {
+  send_sequence_ = pristine_.send_sequence;
+  health_ = pristine_.health;
+  deliveries_by_agent_ = pristine_.deliveries_by_agent;
+  if (chaos_.has_value()) chaos_->seed = util::derive_stream(chaos_seed_, attempt_seed);
+  for (auto& agent : agents_) agent->reset(attempt_seed);
+}
+
 void AgentPlatform::set_chaos(ChaosPolicy policy) {
+  chaos_seed_ = policy.seed;
   chaos_ = std::move(policy);
   deliveries_by_agent_.clear();
   chaos_dropped_.store(0, std::memory_order_relaxed);

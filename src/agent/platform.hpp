@@ -112,6 +112,18 @@ class AgentPlatform {
     return messages_delivered_.load(std::memory_order_relaxed);
   }
 
+  // -- attempt model ---------------------------------------------------------------
+  /// Records the per-attempt transport state — the send sequence that keys
+  /// chaos draws, agent health, and the per-agent delivery counts that arm
+  /// agent faults — and has every registered agent save its own
+  /// (Agent::save_pristine).
+  void save_pristine();
+  /// Restores what save_pristine recorded, reseeds the chaos stream from
+  /// (policy seed, `attempt_seed`) and resets every agent with
+  /// `attempt_seed`. Counters, the trace and the chaos rules are kept. The
+  /// caller resets the calendar first: messages in flight die with it.
+  void reset(std::uint64_t attempt_seed);
+
   // -- chaos --------------------------------------------------------------------
   /// Installs (or replaces) the fault-injection policy. Counters reset.
   void set_chaos(ChaosPolicy policy);
@@ -189,6 +201,8 @@ class AgentPlatform {
 
   grid::Simulation& sim_;
   std::vector<std::unique_ptr<Agent>> agents_;
+  /// Keys each send's chaos draws; unlike messages_sent_, reset per attempt.
+  std::uint64_t send_sequence_ = 0;
   std::function<grid::SimTime(const std::string&, const std::string&)> latency_fn_;
   TransportHook transport_hook_;
   std::atomic<std::size_t> transport_rejects_{0};
@@ -202,8 +216,15 @@ class AgentPlatform {
   std::atomic<std::size_t> handler_failures_total_{0};
 
   std::optional<ChaosPolicy> chaos_;
+  std::uint64_t chaos_seed_ = 0;  ///< the installed policy's own seed
   std::map<std::string, AgentHealth> health_;
   std::map<std::string, std::size_t> deliveries_by_agent_;
+  struct Pristine {
+    std::uint64_t send_sequence = 0;
+    std::map<std::string, AgentHealth> health;
+    std::map<std::string, std::size_t> deliveries_by_agent;
+  };
+  Pristine pristine_;
   std::atomic<std::size_t> chaos_dropped_{0};
   std::atomic<std::size_t> chaos_delayed_{0};
   std::atomic<std::size_t> chaos_duplicated_{0};

@@ -36,7 +36,7 @@ namespace {
 /// shard's worker thread ever touches it (it runs the simulation), so it
 /// needs no locking. Replies to conversations the shard abandoned
 /// (cancelled, stalled or shut-down attempts, late checkpoints) are never
-/// taken; forget_all() drops them when the next attempt starts.
+/// taken; the reset before the next attempt drops them.
 class EngineClient final : public agent::Agent {
  public:
   using Agent::Agent;
@@ -44,6 +44,7 @@ class EngineClient final : public agent::Agent {
   void handle_message(const AclMessage& message) override {
     replies_[message.conversation_id] = message;
   }
+  void reset(std::uint64_t) override { replies_.clear(); }
 
   void post(AclMessage message) { send(std::move(message)); }
 
@@ -55,7 +56,6 @@ class EngineClient final : public agent::Agent {
     return message;
   }
 
-  void forget_all() { replies_.clear(); }
   std::size_t held() const noexcept { return replies_.size(); }
 
  private:
@@ -130,8 +130,9 @@ struct EnactmentEngine::AttemptResult {
   std::string checkpoint_xml;  ///< snapshot captured after a failure
 };
 
-/// One shard: a private environment, its proxy agent, and the state machine
-/// that a chain of pump jobs advances one simulation slice at a time. The
+/// One shard: a private environment built once and reset before every
+/// attempt, its proxy agent, and the state machine that a chain of pump
+/// jobs advances one simulation slice at a time. The
 /// attempt state is touched only by the shard's single in-flight pump job
 /// (the job chain serializes through the job system's deques), so it needs
 /// no lock even though successive slices may run on different workers.
@@ -142,10 +143,10 @@ struct EnactmentEngine::Shard {
   EngineClient* client = nullptr;
 
   // -- attempt state machine, owned by the in-flight pump job --
-  /// Idle: no case. Drain: flushing calendar leftovers of an abandoned
-  /// case. Enact: slicing the simulation until the completion reply.
-  /// Checkpoint: snapshotting a failed enactment for a cross-shard retry.
-  enum class Phase { Idle, Drain, Enact, Checkpoint };
+  /// Idle: no case. Enact: slicing the simulation until the completion
+  /// reply. Checkpoint: snapshotting a failed enactment for a cross-shard
+  /// retry.
+  enum class Phase { Idle, Enact, Checkpoint };
   Phase phase = Phase::Idle;
   CaseRecord snapshot;        ///< the current attempt's record (inputs shared)
   std::string conversation;   ///< engine/<case>/<retry>
@@ -159,16 +160,6 @@ struct EnactmentEngine::Shard {
   std::size_t cases_failed = 0;
   std::size_t stale_replies = 0;  ///< client replies left after the last attempt
   double busy_seconds = 0.0;
-  // Counters folded in from retired environments: durable mode rebuilds
-  // the stack per attempt, and each rebuild would otherwise zero the
-  // platform/tracker counters metrics() reads. metrics() reports
-  // accumulator + live environment.
-  std::size_t acc_handler_failures = 0;
-  std::size_t acc_faults_injected = 0;
-  std::size_t acc_request_retries = 0;
-  std::size_t acc_dead_letters = 0;
-  std::size_t acc_containers_recovered = 0;
-  std::size_t acc_trace_dropped = 0;
 };
 
 EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config)) {
@@ -204,23 +195,20 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
     recover_from_journal();
   }
 
-  // Build every shard stack on the caller's thread (deterministic seeds,
-  // no construction races), then start the workers.
+  // Build every shard stack once, on the caller's thread (no construction
+  // races), then start the workers. The shard index is pinned to 0 in the
+  // seed derivation, so every shard's pristine stack is the same and an
+  // attempt's outcome cannot depend on the shard that runs it.
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     const double floor =
         i < config_.shard_failure_floor.size() ? config_.shard_failure_floor[i] : 0.0;
-    svc::EnvironmentOptions options = config_.environment;
-    if (options.chaos.enabled()) {
-      // Same chaos rules on every shard, decorrelated fault streams: each
-      // shard's draw sequence comes from (template chaos seed, shard index).
-      options.chaos.seed = util::derive_stream(options.chaos.seed, 0xC4A05ULL, i);
-    }
-    shard->environment = svc::make_shard_stack(options, config_.seed, i, floor);
+    shard->environment = svc::make_shard_stack(config_.environment, config_.seed, 0, floor);
     shard->client = &shard->environment->platform().spawn<EngineClient>("engine-client");
     if (config_.shard_setup) config_.shard_setup(*shard->environment, i);
+    shard->environment->save_pristine();
     shards_.push_back(std::move(shard));
   }
   // One shared work-stealing pool under every shard's pump stream. The
@@ -542,21 +530,17 @@ EngineMetrics EnactmentEngine::metrics() const {
     sm.stale_replies = shard->stale_replies;
     // These counters are all atomic on their owners (platform, request
     // trackers, monitoring), so reading them here while the shard's worker
-    // is mid-enactment is safe.
+    // is mid-enactment is safe. The stack lives as long as the shard and a
+    // reset never zeroes them.
     svc::Environment& environment = *shard->environment;
-    sm.handler_failures =
-        shard->acc_handler_failures + environment.platform().handler_failures_total();
-    sm.faults_injected =
-        shard->acc_faults_injected + environment.platform().chaos_stats().total_injected();
-    sm.request_retries = shard->acc_request_retries +
-                         environment.coordination().tracker().retries_total() +
+    sm.handler_failures = environment.platform().handler_failures_total();
+    sm.faults_injected = environment.platform().chaos_stats().total_injected();
+    sm.request_retries = environment.coordination().tracker().retries_total() +
                          environment.planning().tracker().retries_total();
-    sm.dead_letters = shard->acc_dead_letters +
-                      environment.coordination().tracker().dead_letters_total() +
+    sm.dead_letters = environment.coordination().tracker().dead_letters_total() +
                       environment.planning().tracker().dead_letters_total();
-    sm.containers_recovered =
-        shard->acc_containers_recovered + environment.monitoring().containers_recovered();
-    sm.trace_dropped = shard->acc_trace_dropped + environment.platform().trace_dropped();
+    sm.containers_recovered = environment.monitoring().containers_recovered();
+    sm.trace_dropped = environment.platform().trace_dropped();
     snapshot.handler_failures += sm.handler_failures;
     snapshot.faults_injected += sm.faults_injected;
     snapshot.request_retries += sm.request_retries;
@@ -607,7 +591,7 @@ bool EnactmentEngine::step(Shard& shard) {
     if (stopping_) {
       if (shard.phase != Shard::Phase::Idle) {
         // Abandon the in-flight attempt (a Checkpoint phase is already a
-        // failed attempt; Drain/Enact become failures now). No Terminal is
+        // failed attempt; Enact becomes a failure now). No Terminal is
         // journaled: a durable engine's cold start must resume the case.
         auto it = records_.find(shard.snapshot.id);
         if (it != records_.end()) {
@@ -646,25 +630,17 @@ bool EnactmentEngine::step(Shard& shard) {
         shard.snapshot = record;  // the inputs are shared: a refcount bump, no copy
         shard.conversation = "engine/" + std::to_string(record.id) + "/" +
                              std::to_string(record.retries_used);
-        shard.slices = 0;
         shard.attempt = AttemptResult{};
-        shard.phase = Shard::Phase::Drain;
       }
-      // Durable mode: the attempt runs on a stack derived purely from
-      // (case id, retries) — rebuilt fresh, outside the engine mutex, so
-      // a crash-resumed attempt re-executes bit-identically no matter
-      // which shard hosts it or what ran on the shard before.
-      if (journal_) refresh_shard_environment(shard);
-      return true;
-    }
-
-    case Shard::Phase::Drain: {
-      // Flush anything a previous (possibly abandoned) case left on the
-      // calendar before the fresh attempt starts.
-      if (sim.run(config_.events_per_slice) == 0 ||
-          ++shard.slices >= config_.max_slices_per_case) {
-        begin_enact(shard);
-      }
+      // Outside the engine mutex: the stack returns to its pristine state,
+      // reseeded purely from (engine seed, case id, retries). Whatever the
+      // previous attempt left (an abandoned or stalled enactment, messages
+      // in flight, late replies) is gone, so the attempt re-executes
+      // bit-identically on any shard, after any history, and after a
+      // crash-restart.
+      const auto retries = static_cast<std::uint64_t>(shard.snapshot.retries_used);
+      environment.reset(util::derive_stream(config_.seed, shard.snapshot.id, retries));
+      begin_enact(shard);
       return true;
     }
 
@@ -728,14 +704,6 @@ bool EnactmentEngine::step(Shard& shard) {
 }
 
 void EnactmentEngine::begin_enact(Shard& shard) {
-  svc::Environment& environment = *shard.environment;
-  // Drain done: give this case a fresh kernel state. An enactment the
-  // previous attempt abandoned (cancelled) finished during the Drain, and
-  // its late replies reached the client: release both.
-  environment.kernels().reset();
-  environment.coordination().release_finished();
-  shard.client->forget_all();
-
   const CaseInputs& inputs = *shard.snapshot.inputs;
   AclMessage request;
   request.performative = Performative::Request;
@@ -805,11 +773,14 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
                                std::move(attempt.checkpoint_xml)});
               }
               if (shards_.size() > 1) {
-                // Prefer a different shard; never strand the case when the
-                // exclusion set would cover the whole fleet.
+                // Never retry on the shard that just failed the case, and
+                // never strand it: once every shard has failed it, the
+                // exclusions start over from this one. Every shard runs
+                // the same pristine stack, so what sets a shard apart is
+                // its own fault (a floor, a broken agent), not its luck.
                 record.excluded_shards.insert(shard.index);
                 if (record.excluded_shards.size() >= shards_.size())
-                  record.excluded_shards.clear();
+                  record.excluded_shards = {shard.index};
               }
               if (journal_) {
                 // The event carries the resulting retry state (absolute),
@@ -1202,45 +1173,6 @@ bool EnactmentEngine::decode_engine_state(std::string_view blob) {
   next_case_id_ = std::max<CaseId>(1, next_id);
   completion_sequence_ = static_cast<std::size_t>(completion_sequence);
   return true;
-}
-
-void EnactmentEngine::refresh_shard_environment(Shard& shard) {
-  const double floor = shard.index < config_.shard_failure_floor.size()
-                           ? config_.shard_failure_floor[shard.index]
-                           : 0.0;
-  svc::EnvironmentOptions options = config_.environment;
-  const std::uint64_t retries = static_cast<std::uint64_t>(shard.snapshot.retries_used);
-  if (options.chaos.enabled()) {
-    options.chaos.seed =
-        util::derive_stream(options.chaos.seed, 0xC4A05ULL, shard.snapshot.id, retries);
-  }
-  // Shard index pinned to 0 in the seed derivation: the attempt's random
-  // streams must depend only on (engine seed, case id, retries), or a
-  // restarted engine — whose shard assignment can differ — would diverge.
-  auto fresh = svc::make_shard_stack(
-      options, util::derive_stream(config_.seed, shard.snapshot.id, retries), 0, floor);
-  EngineClient* client = &fresh->platform().spawn<EngineClient>("engine-client");
-  if (config_.shard_setup) config_.shard_setup(*fresh, shard.index);
-  std::unique_ptr<svc::Environment> retiring;
-  {
-    // Swap under the engine mutex — metrics() and shard_spans() read
-    // shard.environment under the same mutex — folding the retiring
-    // stack's counters into the shard accumulators first.
-    std::lock_guard<std::mutex> lock(mutex_);
-    svc::Environment& old_env = *shard.environment;
-    shard.acc_handler_failures += old_env.platform().handler_failures_total();
-    shard.acc_faults_injected += old_env.platform().chaos_stats().total_injected();
-    shard.acc_request_retries += old_env.coordination().tracker().retries_total() +
-                                 old_env.planning().tracker().retries_total();
-    shard.acc_dead_letters += old_env.coordination().tracker().dead_letters_total() +
-                              old_env.planning().tracker().dead_letters_total();
-    shard.acc_containers_recovered += old_env.monitoring().containers_recovered();
-    shard.acc_trace_dropped += old_env.platform().trace_dropped();
-    retiring = std::move(shard.environment);
-    shard.environment = std::move(fresh);
-    shard.client = client;
-  }
-  // `retiring` dies here, off the engine mutex (platform teardown is not cheap).
 }
 
 }  // namespace ig::engine

@@ -3,7 +3,8 @@
 // The coordination service enacts one case at a time on one agent platform;
 // the engine turns that single-case machine into a throughput machine. It
 // owns N *shards*, each a private `svc::Environment` (simulation + agent
-// platform + the full Figure 1 service stack). Shards no longer own
+// platform + the full Figure 1 service stack), built once and reset to its
+// pristine state before every attempt. Shards no longer own
 // threads: each shard is an affinity-pinned *job stream* on the shared
 // work-stealing `sched::JobSystem` — a chain of pump jobs where each job
 // advances the shard's enactment by one slice of simulation events and
@@ -84,11 +85,12 @@ struct EngineConfig {
   int max_case_retries = 1;        ///< checkpoint/restore re-admissions per case
   std::uint64_t seed = 42;         ///< root of every shard's derived seed
   /// Template for each shard's stack (topology, catalogue, coordination
-  /// tunables). The per-shard seed is derived; monitoring is disabled.
-  /// `environment.chaos` is also a template: when enabled, every shard gets
-  /// the same rules but a chaos seed derived from (template seed, shard
-  /// index), so shards inject decorrelated fault streams while the whole
-  /// fleet stays reproducible. With shards = 1 the run is bit-reproducible.
+  /// tunables). Every shard builds the same stack once, seeded from `seed`;
+  /// monitoring is disabled. `environment.chaos` is also a template: every
+  /// shard gets the same rules, and each attempt draws its faults from a
+  /// stream derived from (template chaos seed, attempt seed), so a case
+  /// meets the same faults on any shard and the whole fleet stays
+  /// reproducible.
   svc::EnvironmentOptions environment;
   /// Per-shard dispatch-failure floor (index i applies to shard i; missing
   /// entries mean 0 = healthy). See grid::FailureInjector::set_failure_floor.
@@ -104,18 +106,20 @@ struct EngineConfig {
   std::size_t retained_outcomes = 65536;
   /// Optional hook run once per shard after its stack is built and before
   /// its worker starts (shard index is the second argument). Tests use it to
-  /// inject faulty agents into a specific shard's platform. In durable mode
-  /// the hook also re-runs for every per-attempt stack rebuild.
+  /// inject faulty agents into a specific shard's platform. Its effects are
+  /// part of the shard's pristine state: the reset before every attempt
+  /// keeps them, and the hook never runs again.
   std::function<void(svc::Environment&, std::size_t)> shard_setup;
   /// Durable journal options. `storage.data_dir` empty (the default) keeps
-  /// the engine fully in-memory — the historical behavior, with warm shard
-  /// stacks reused across cases. Non-empty arms durable mode: every case
+  /// the engine fully in-memory. Non-empty arms durable mode: every case
   /// lifecycle transition (admit, retry, cancel, terminal) is WAL-journaled
-  /// under the directory, a cold start replays the journal and re-admits
-  /// every case that was Queued or Running, and each attempt runs on a
-  /// freshly built shard stack seeded from (engine seed, case id, retries)
-  /// — independent of which shard hosts it — so an attempt interrupted by
-  /// a crash re-executes bit-identically after the restart.
+  /// under the directory, and a cold start replays the journal and
+  /// re-admits every case that was Queued or Running. In both modes each
+  /// attempt starts by resetting its shard's stack to the pristine state,
+  /// reseeded from (engine seed, case id, retries), so an attempt's outcome
+  /// is independent of which shard hosts it and of what ran there before,
+  /// and an attempt interrupted by a crash re-executes bit-identically
+  /// after the restart.
   store::Options storage;
 };
 
@@ -147,8 +151,8 @@ struct ShardMetrics {
   std::size_t containers_recovered = 0;  ///< Dead containers readmitted by the breaker
   std::size_t trace_dropped = 0;  ///< message-trace ring evictions on the shard
   /// Replies the shard's engine client still held for abandoned
-  /// conversations when its last attempt ended (dropped when the next
-  /// attempt begins, so this never accumulates).
+  /// conversations when its last attempt ended (dropped by the reset when
+  /// the next attempt begins, so this never accumulates).
   std::size_t stale_replies = 0;
   double busy_seconds = 0.0;  ///< wall clock spent enacting
   double utilization = 0.0;   ///< busy_seconds / engine uptime
@@ -341,10 +345,6 @@ class EnactmentEngine {
   /// snapshot blob. Takes the engine mutex; runs on the snapshotting thread.
   std::string encode_engine_state() const;
   bool decode_engine_state(std::string_view blob);
-  /// Replaces `shard`'s environment with a stack built solely from the
-  /// pending attempt's (case id, retries) — the durable-mode determinism
-  /// contract. Builds outside the engine mutex, swaps under it.
-  void refresh_shard_environment(Shard& shard);
 
   EngineConfig config_;
   mutable std::mutex mutex_;

@@ -34,8 +34,8 @@ class ApplicationContainer {
   const std::vector<std::string>& hosted_services() const noexcept { return hosted_services_; }
 
   /// End-user services are not persistent: a container may go away.
-  bool available() const noexcept { return available_; }
-  void set_available(bool available) noexcept { available_ = available; }
+  bool available() const noexcept { return runtime_.available; }
+  void set_available(bool available) noexcept { runtime_.available = available; }
 
   /// Per-dispatch failure probability of this container's runtime (on top
   /// of node reliability).
@@ -48,22 +48,30 @@ class ApplicationContainer {
   double price_factor() const noexcept { return price_factor_; }
   void set_price_factor(double factor) noexcept { price_factor_ = factor; }
 
-  std::size_t dispatch_count() const noexcept { return dispatch_count_; }
-  std::size_t failure_count() const noexcept { return failure_count_; }
+  std::size_t dispatch_count() const noexcept { return runtime_.dispatch_count; }
+  std::size_t failure_count() const noexcept { return runtime_.failure_count; }
   void record_dispatch(bool failed) noexcept {
-    ++dispatch_count_;
-    if (failed) ++failure_count_;
+    ++runtime_.dispatch_count;
+    if (failed) ++runtime_.failure_count;
   }
+
+  /// Availability and dispatch tallies, as one value a long-lived grid
+  /// saves and restores (Grid::save_pristine / Grid::reset).
+  struct Runtime {
+    bool available = true;
+    std::size_t dispatch_count = 0;
+    std::size_t failure_count = 0;
+  };
+  const Runtime& runtime() const noexcept { return runtime_; }
+  void set_runtime(const Runtime& runtime) noexcept { runtime_ = runtime; }
 
  private:
   std::string id_;
   std::string node_id_;
   std::vector<std::string> hosted_services_;
-  bool available_ = true;
   double failure_probability_ = 0.0;
   double price_factor_ = 1.0;
-  std::size_t dispatch_count_ = 0;
-  std::size_t failure_count_ = 0;
+  Runtime runtime_;
 };
 
 }  // namespace ig::grid

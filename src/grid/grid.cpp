@@ -133,6 +133,20 @@ void Grid::set_node_state(std::string_view node_id, NodeState state) {
   if (node != nullptr) node->set_state(state);
 }
 
+void Grid::save_pristine() {
+  pristine_nodes_.clear();
+  for (const auto& node : nodes_) pristine_nodes_.push_back(node->runtime());
+  pristine_containers_.clear();
+  for (const auto& container : containers_) pristine_containers_.push_back(container->runtime());
+}
+
+void Grid::reset() {
+  for (std::size_t i = 0; i < pristine_nodes_.size(); ++i)
+    nodes_[i]->set_runtime(pristine_nodes_[i]);
+  for (std::size_t i = 0; i < pristine_containers_.size(); ++i)
+    containers_[i]->set_runtime(pristine_containers_[i]);
+}
+
 std::string Grid::to_display_string() const {
   std::string out = "Grid: " + std::to_string(nodes_.size()) + " nodes, " +
                     std::to_string(containers_.size()) + " containers\n";

@@ -79,10 +79,22 @@ class Grid {
 
   std::string to_display_string() const;
 
+  // -- attempt model ---------------------------------------------------------------
+  /// Records every node's and container's runtime state (up/down,
+  /// execution queue, availability, dispatch tallies) for `reset`. The
+  /// topology and its configuration (speeds, reliability, hosted services,
+  /// prices) are long-lived and never reset.
+  void save_pristine();
+  /// Restores the runtime state save_pristine recorded (nodes and
+  /// containers added since keep theirs).
+  void reset();
+
  private:
   std::vector<std::unique_ptr<GridNode>> nodes_;
   std::vector<std::unique_ptr<ApplicationContainer>> containers_;
   NetworkModel network_;
+  std::vector<GridNode::Runtime> pristine_nodes_;
+  std::vector<ApplicationContainer::Runtime> pristine_containers_;
 };
 
 /// Parameters for the synthetic topology factory.

@@ -7,12 +7,12 @@
 namespace ig::grid {
 
 SimTime GridNode::enqueue_work(SimTime now, double work) {
-  const SimTime start = std::max(now, next_free_);
+  const SimTime start = std::max(now, runtime_.next_free);
   const SimTime duration = execution_time(work);
-  next_free_ = start + duration;
-  busy_time_ += duration;
-  ++completed_tasks_;
-  return next_free_;
+  runtime_.next_free = start + duration;
+  runtime_.busy_time += duration;
+  ++runtime_.completed_tasks;
+  return runtime_.next_free;
 }
 
 std::string GridNode::to_display_string() const {

@@ -35,9 +35,9 @@ class GridNode {
   const std::vector<SoftwareSpec>& software() const noexcept { return software_; }
   void install(SoftwareSpec software) { software_.push_back(std::move(software)); }
 
-  NodeState state() const noexcept { return state_; }
-  void set_state(NodeState state) noexcept { state_ = state; }
-  bool is_up() const noexcept { return state_ == NodeState::Up; }
+  NodeState state() const noexcept { return runtime_.state; }
+  void set_state(NodeState state) noexcept { runtime_.state = state; }
+  bool is_up() const noexcept { return runtime_.state == NodeState::Up; }
 
   /// Probability that a task dispatched here completes without node failure.
   double reliability() const noexcept { return reliability_; }
@@ -49,7 +49,7 @@ class GridNode {
 
   // -- execution-queue bookkeeping -------------------------------------------
   /// Virtual time at which the node becomes free for new work.
-  SimTime next_free() const noexcept { return next_free_; }
+  SimTime next_free() const noexcept { return runtime_.next_free; }
 
   /// Duration of `work` abstract operations on this node.
   SimTime execution_time(double work) const noexcept {
@@ -62,8 +62,19 @@ class GridNode {
   SimTime enqueue_work(SimTime now, double work);
 
   /// Accumulated busy virtual seconds (for utilization reports).
-  SimTime busy_time() const noexcept { return busy_time_; }
-  std::size_t completed_tasks() const noexcept { return completed_tasks_; }
+  SimTime busy_time() const noexcept { return runtime_.busy_time; }
+  std::size_t completed_tasks() const noexcept { return runtime_.completed_tasks; }
+
+  /// Up/down and the execution queue, as one value a long-lived grid saves
+  /// and restores (Grid::save_pristine / Grid::reset).
+  struct Runtime {
+    NodeState state = NodeState::Up;
+    SimTime next_free = 0.0;
+    SimTime busy_time = 0.0;
+    std::size_t completed_tasks = 0;
+  };
+  const Runtime& runtime() const noexcept { return runtime_; }
+  void set_runtime(const Runtime& runtime) noexcept { runtime_ = runtime; }
 
   std::string to_display_string() const;
 
@@ -73,12 +84,9 @@ class GridNode {
   std::string domain_;
   HardwareSpec hardware_;
   std::vector<SoftwareSpec> software_;
-  NodeState state_ = NodeState::Up;
   double reliability_ = 1.0;
   int node_count_ = 1;
-  SimTime next_free_ = 0.0;
-  SimTime busy_time_ = 0.0;
-  std::size_t completed_tasks_ = 0;
+  Runtime runtime_;
 };
 
 }  // namespace ig::grid

@@ -3,7 +3,7 @@
 namespace ig::grid {
 
 EventId Simulation::schedule(SimTime delay, std::function<void()> action) {
-  return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(action));
+  return schedule_at(calendar_.now + (delay > 0 ? delay : 0), std::move(action));
 }
 
 EventId Simulation::schedule_at(SimTime at, std::function<void()> action) {
@@ -11,45 +11,48 @@ EventId Simulation::schedule_at(SimTime at, std::function<void()> action) {
 }
 
 EventId Simulation::schedule_daemon(SimTime delay, std::function<void()> action) {
-  return enqueue(now_ + (delay > 0 ? delay : 0), std::move(action), /*daemon=*/true);
+  return enqueue(calendar_.now + (delay > 0 ? delay : 0), std::move(action), /*daemon=*/true);
 }
 
 EventId Simulation::enqueue(SimTime at, std::function<void()> action, bool daemon) {
-  if (at < now_) at = now_;
-  const EventId id = next_id_++;
-  queue_.push(Event{at, next_sequence_++, id});
-  actions_.emplace(id, Action{std::move(action), daemon});
-  if (!daemon) ++real_pending_;
+  Calendar& c = calendar_;
+  if (at < c.now) at = c.now;
+  const EventId id = c.next_id++;
+  c.queue.push(Event{at, c.next_sequence++, id});
+  c.actions.emplace(id, Action{std::move(action), daemon});
+  if (!daemon) ++c.real_pending;
   return id;
 }
 
 bool Simulation::cancel(EventId id) {
-  auto it = actions_.find(id);
-  if (it == actions_.end()) return false;
-  if (!it->second.daemon) --real_pending_;
-  cancelled_.insert(id);
-  actions_.erase(it);
+  Calendar& c = calendar_;
+  auto it = c.actions.find(id);
+  if (it == c.actions.end()) return false;
+  if (!it->second.daemon) --c.real_pending;
+  c.cancelled.insert(id);
+  c.actions.erase(it);
   return true;
 }
 
 bool Simulation::step_one(bool daemons_alone) {
+  Calendar& c = calendar_;
   // Without real work pending, daemons alone must not advance the clock:
   // the calendar counts as drained (unless the caller is time-bounded).
-  if (!daemons_alone && real_pending_ == 0) return false;
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    auto cancelled = cancelled_.find(event.id);
-    if (cancelled != cancelled_.end()) {
-      cancelled_.erase(cancelled);
+  if (!daemons_alone && c.real_pending == 0) return false;
+  while (!c.queue.empty()) {
+    const Event event = c.queue.top();
+    c.queue.pop();
+    auto cancelled = c.cancelled.find(event.id);
+    if (cancelled != c.cancelled.end()) {
+      c.cancelled.erase(cancelled);
       continue;
     }
-    auto action = actions_.find(event.id);
-    if (action == actions_.end()) continue;  // defensive; should not happen
+    auto action = c.actions.find(event.id);
+    if (action == c.actions.end()) continue;  // defensive; should not happen
     std::function<void()> callback = std::move(action->second.callback);
-    if (!action->second.daemon) --real_pending_;
-    actions_.erase(action);
-    now_ = event.time;
+    if (!action->second.daemon) --c.real_pending;
+    c.actions.erase(action);
+    c.now = event.time;
     ++executed_;
     callback();
     return true;
@@ -66,17 +69,18 @@ std::size_t Simulation::run(std::size_t max_events) {
 }
 
 std::size_t Simulation::run_until(SimTime until) {
+  Calendar& c = calendar_;
   std::size_t count = 0;
-  while (!queue_.empty()) {
+  while (!c.queue.empty()) {
     // Peek through cancellations.
-    while (!queue_.empty() && cancelled_.count(queue_.top().id) > 0) {
-      cancelled_.erase(queue_.top().id);
-      queue_.pop();
+    while (!c.queue.empty() && c.cancelled.count(c.queue.top().id) > 0) {
+      c.cancelled.erase(c.queue.top().id);
+      c.queue.pop();
     }
-    if (queue_.empty() || queue_.top().time > until) break;
+    if (c.queue.empty() || c.queue.top().time > until) break;
     if (step_one(/*daemons_alone=*/true)) ++count;
   }
-  if (now_ < until) now_ = until;
+  if (c.now < until) c.now = until;
   return count;
 }
 

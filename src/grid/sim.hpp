@@ -31,7 +31,7 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  SimTime now() const noexcept { return now_; }
+  SimTime now() const noexcept { return calendar_.now; }
 
   /// Schedules `action` to run `delay` seconds from now (delay >= 0).
   EventId schedule(SimTime delay, std::function<void()> action);
@@ -61,9 +61,22 @@ class Simulation {
   /// fewer events existed.
   std::size_t run_until(SimTime until);
 
-  std::size_t pending_events() const noexcept { return queue_.size() - cancelled_.size(); }
+  /// Records the clock and the whole calendar (pending events, sequence
+  /// and id counters) as the state `reset` returns to. A long-lived shard
+  /// stack saves it once, after its bootstrap flush, when only daemon
+  /// events (heartbeats) are pending.
+  void save_pristine() { pristine_ = calendar_; }
+
+  /// Discards every pending event and restores the saved clock and
+  /// calendar; with nothing saved, an empty calendar at time 0.
+  /// `executed_events` keeps counting across resets.
+  void reset() { calendar_ = pristine_; }
+
+  std::size_t pending_events() const noexcept {
+    return calendar_.queue.size() - calendar_.cancelled.size();
+  }
   /// Pending non-daemon events: the "real work" that keeps `run` going.
-  std::size_t real_pending() const noexcept { return real_pending_; }
+  std::size_t real_pending() const noexcept { return calendar_.real_pending; }
   std::size_t executed_events() const noexcept { return executed_; }
 
  private:
@@ -87,15 +100,21 @@ class Simulation {
 
   EventId enqueue(SimTime at, std::function<void()> action, bool daemon);
 
-  SimTime now_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
-  EventId next_id_ = 1;
+  /// Everything a reset restores: the clock and the pending events.
+  struct Calendar {
+    SimTime now = 0.0;
+    std::uint64_t next_sequence = 0;
+    EventId next_id = 1;
+    std::size_t real_pending = 0;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+    std::unordered_set<EventId> cancelled;
+    // Actions are stored out-of-band so Event stays trivially copyable.
+    std::unordered_map<EventId, Action> actions;
+  };
+
+  Calendar calendar_;
+  Calendar pristine_;
   std::size_t executed_ = 0;
-  std::size_t real_pending_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;
-  // Actions are stored out-of-band so Event stays trivially copyable.
-  std::unordered_map<EventId, Action> actions_;
 };
 
 }  // namespace ig::grid

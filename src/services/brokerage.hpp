@@ -39,6 +39,9 @@ class BrokerageService : public agent::Agent {
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
+  /// The performance history (offers and advertisements are long-lived).
+  void save_pristine() override { pristine_history_ = history_; }
+  void reset(std::uint64_t) override { history_ = pristine_history_; }
 
   // Direct lookups for tests and harnesses.
   std::vector<std::string> providers_of(const std::string& service_type) const;
@@ -58,6 +61,7 @@ class BrokerageService : public agent::Agent {
   std::map<std::string, std::vector<std::string>> advertised_;
   /// container id -> performance history.
   std::map<std::string, PerformanceHistory> history_;
+  std::map<std::string, PerformanceHistory> pristine_history_;
 };
 
 }  // namespace ig::svc

@@ -36,6 +36,12 @@ std::size_t CoordinationService::finished_enactment_count() const {
                     [](const auto& entry) { return entry.second.finished; }));
 }
 
+void CoordinationService::reset(std::uint64_t attempt_seed) {
+  enactments_.clear();
+  next_enactment_ = 1;
+  tracker_.reset(util::derive_stream(attempt_seed, kTrackerStream));
+}
+
 std::size_t CoordinationService::release_finished() {
   return static_cast<std::size_t>(
       std::erase_if(enactments_, [](const auto& entry) { return entry.second.finished; }));

@@ -68,6 +68,13 @@ class CoordinationService : public agent::Agent {
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
+  /// Drops every enactment, running or finished, restarts local case ids
+  /// at case-1 and reseeds the request tracker.
+  void reset(std::uint64_t attempt_seed) override;
+
+  /// Stream tag of the request tracker's jitter seed (derived from the
+  /// environment seed, and from the attempt seed on reset).
+  static constexpr std::uint64_t kTrackerStream = 0x7AC4ULL;
 
   const CoordinationConfig& config() const noexcept { return config_; }
 
@@ -76,8 +83,8 @@ class CoordinationService : public agent::Agent {
   std::size_t replans_triggered() const noexcept { return replans_triggered_; }
 
   /// Enactments held, running or finished. A finished enactment stays
-  /// until release_finished(), so `checkpoint-case` can still snapshot it
-  /// post mortem.
+  /// until release_finished() (or a reset), so `checkpoint-case` can still
+  /// snapshot it post mortem.
   std::size_t enactment_count() const noexcept { return enactments_.size(); }
   std::size_t finished_enactment_count() const;
   /// Erases every finished enactment and returns how many; running ones

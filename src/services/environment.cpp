@@ -8,6 +8,11 @@
 
 namespace ig::svc {
 
+namespace {
+/// Stream tag of a shard stack's seed (see make_shard_stack and reset).
+constexpr std::uint64_t kShardStream = 0x5AD0ULL;
+}  // namespace
+
 Environment::Environment(const EnvironmentOptions& options)
     : injector_(util::Rng(options.seed)),
       platform_(sim_),
@@ -56,8 +61,9 @@ Environment::Environment(const EnvironmentOptions& options)
   coordination_ =
       &platform_.spawn<CoordinationService>(names::kCoordination, options.coordination);
   // Decorrelate the retry-jitter streams from the environment seed.
-  coordination_->set_tracker_seed(util::derive_stream(options.seed, 0x7AC4ULL));
-  planning_->set_tracker_seed(util::derive_stream(options.seed, 0x7AC5ULL));
+  coordination_->set_tracker_seed(
+      util::derive_stream(options.seed, CoordinationService::kTrackerStream));
+  planning_->set_tracker_seed(util::derive_stream(options.seed, PlanningService::kTrackerStream));
   coordination_->set_tracer(&tracer_);
 
   // -- one agent per application container ----------------------------------------
@@ -74,6 +80,27 @@ Environment::Environment(const EnvironmentOptions& options)
   // whole environment before the experiment starts.
   sim_.run(100'000);
   if (options.chaos.enabled()) platform_.set_chaos(options.chaos);
+  save_pristine();
+}
+
+void Environment::save_pristine() {
+  sim_.save_pristine();
+  grid_.save_pristine();
+  platform_.save_pristine();
+}
+
+void Environment::reset(std::uint64_t attempt_seed) {
+  // The streams restart where a shard stack built from the attempt seed
+  // starts them: the injector and the request trackers draw exactly what
+  // make_shard_stack(options, attempt_seed, 0) would give them.
+  const std::uint64_t seed = util::derive_stream(attempt_seed, kShardStream, 0);
+  // Calendar first: the previous attempt's messages and timers die with it,
+  // so no component below has a pending event to cancel.
+  sim_.reset();
+  grid_.reset();
+  injector_.rng() = util::Rng(seed);
+  kernels_.reset();
+  platform_.reset(seed);
 }
 
 void Environment::publish_metrics(obs::MetricsRegistry& registry,
@@ -98,7 +125,7 @@ std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               std::uint64_t engine_seed,
                                               std::size_t shard_index,
                                               double failure_floor) {
-  base.seed = util::derive_stream(engine_seed, 0x5AD0ULL, shard_index);
+  base.seed = util::derive_stream(engine_seed, kShardStream, shard_index);
   base.monitor_period = 0.0;  // the engine slices the calendar and drains it
   // Shard-level parallelism replaces planner-level parallelism: with N
   // shards each running its own GP episodes, letting every episode also

@@ -115,6 +115,30 @@ class Environment {
   /// Drains the event calendar (bounded by `max_events` as a runaway guard).
   std::size_t run(std::size_t max_events = 1'000'000) { return sim_.run(max_events); }
 
+  // -- attempt model ---------------------------------------------------------------
+  // The stack is built once and enacts any number of attempts, each from
+  // the same *pristine* state: reset(seed) before every attempt makes its
+  // outcome a function of the pristine stack, its inputs and the seed,
+  // whatever ran on the stack before.
+
+  /// Records the current state as pristine. The constructor calls it after
+  /// the bootstrap flush; call it again after customizing the stack (extra
+  /// agents, grid tweaks) to make those part of the pristine state.
+  void save_pristine();
+
+  /// Returns to the pristine state and reseeds every per-attempt random
+  /// stream from `attempt_seed`: the failure injector and the request
+  /// trackers restart exactly where a shard stack built from it
+  /// (make_shard_stack(options, attempt_seed, 0)) starts them, and the
+  /// chaos and planning streams derive from it. The calendar and clock go
+  /// back to their pristine contents (the daemon events, e.g. heartbeats,
+  /// pending then), along with the platform's send sequence and agent
+  /// health, every agent's own state (Agent::reset), the grid's runtime
+  /// state and the synthetic kernels. Monotonic counters (messages, sim
+  /// events, wire, chaos, tracker, monitoring), the wire intern tables, the
+  /// message trace and the spans are kept.
+  void reset(std::uint64_t attempt_seed);
+
  private:
   grid::Simulation sim_;
   grid::Grid grid_;

@@ -23,6 +23,16 @@ void MonitoringService::on_start() {
   if (sample_period_ > 0) sample();
 }
 
+void MonitoringService::save_pristine() {
+  pristine_beats_ = beats_;
+  pristine_next_probe_ = next_probe_;
+}
+
+void MonitoringService::reset(std::uint64_t) {
+  beats_ = pristine_beats_;
+  next_probe_ = pristine_next_probe_;
+}
+
 void MonitoringService::sample() {
   const grid::SimTime elapsed = now() > 0 ? now() : 1.0;
   for (const auto& node : grid_->nodes()) {

@@ -52,6 +52,9 @@ class MonitoringService : public agent::Agent {
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
+  /// Liveness and quarantine state: last beats, probe times, probe ids.
+  void save_pristine() override;
+  void reset(std::uint64_t attempt_seed) override;
 
   /// Utilization samples per node id (busy fraction at each sample time).
   const std::map<std::string, std::vector<double>>& samples() const noexcept { return samples_; }
@@ -111,6 +114,8 @@ class MonitoringService : public agent::Agent {
   std::atomic<std::size_t> heartbeats_received_{0};
   std::uint64_t next_probe_ = 0;
   std::atomic<std::size_t> containers_recovered_{0};
+  std::map<std::string, Beat> pristine_beats_;
+  std::uint64_t pristine_next_probe_ = 0;
 };
 
 }  // namespace ig::svc

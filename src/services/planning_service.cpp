@@ -18,6 +18,14 @@ void PlanningService::on_start() {
       [this](const DeadLetter& letter) { on_dead_letter(letter); });
 }
 
+void PlanningService::reset(std::uint64_t attempt_seed) {
+  sessions_.clear();
+  next_session_ = 1;
+  tracker_.reset(util::derive_stream(attempt_seed, kTrackerStream));
+  episode_seed_ = util::derive_stream(attempt_seed, kEpisodeStream, gp_config_.seed);
+  episodes_ = 0;
+}
+
 std::string PlanningService::session_of(const std::string& conversation_id) {
   const auto slash = conversation_id.find('/');
   return slash == std::string::npos ? conversation_id : conversation_id.substr(0, slash);
@@ -53,7 +61,7 @@ void PlanningService::plan_and_reply(const AclMessage& request,
     planner::GpConfig config = gp_config_;
     // Each planning episode explores from a different (still deterministic)
     // seed, so a re-planning retry does not just reproduce the failed plan.
-    config.seed = gp_config_.seed + plans_produced_ * 7919;
+    config.seed = episode_seed_.value_or(gp_config_.seed) + episodes_ * 7919;
     if (request.has_param("seed")) {
       const auto seed = request.param_uint("seed");
       if (!seed.has_value()) {
@@ -78,6 +86,7 @@ void PlanningService::plan_and_reply(const AclMessage& request,
     const wfl::ProcessDescription process = planner::to_process(result.best_plan, plan_name);
 
     ++plans_produced_;
+    ++episodes_;
     reply.content = wfl::process_to_xml_string(process);
     reply.params["plan"] = plan_name;
     reply.params["fitness"] = util::format_number(result.best_fitness.overall, 4);

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,6 +42,15 @@ class PlanningService : public agent::Agent {
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
+  /// Drops every re-planning session, reseeds the request tracker, and
+  /// restarts the planning episodes on a seed derived from (attempt seed,
+  /// GP seed).
+  void reset(std::uint64_t attempt_seed) override;
+
+  /// Stream tags of the request tracker's jitter seed and (on reset) the
+  /// planning episodes' seed.
+  static constexpr std::uint64_t kTrackerStream = 0x7AC5ULL;
+  static constexpr std::uint64_t kEpisodeStream = 0x6E9ULL;
 
   const planner::GpConfig& gp_config() const noexcept { return gp_config_; }
   void set_gp_config(planner::GpConfig config) { gp_config_ = config; }
@@ -91,6 +101,10 @@ class PlanningService : public agent::Agent {
   planner::GpConfig gp_config_;
   grid::SimTime planning_latency_ = 0.5;
   std::size_t plans_produced_ = 0;
+  /// Episode k plans from seed episode_seed_ + 7919 k. Until the first
+  /// reset the base is the GP seed itself and k counts every plan produced.
+  std::optional<std::uint64_t> episode_seed_;
+  std::size_t episodes_ = 0;
   std::uint64_t next_session_ = 1;
   RequestTracker tracker_;
   RetryPolicy probe_policy_{10.0, 2, 0.25, 2.0};

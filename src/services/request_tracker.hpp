@@ -72,6 +72,16 @@ class RequestTracker {
   /// Seed for the backoff jitter streams (derive per-shard for engines).
   void set_seed(std::uint64_t seed) noexcept { seed_ = seed; }
 
+  /// Attempt model: forgets every outstanding conversation and restarts the
+  /// jitter streams from `seed`. Their deadline timers are not cancelled:
+  /// the owner resets the calendar first, which already dropped them. The
+  /// retry, timeout and dead-letter counts and the dead-letter ring stay.
+  void reset(std::uint64_t seed) {
+    pending_.clear();
+    seed_ = seed;
+    next_sequence_ = 0;
+  }
+
   /// Sends `message` (attempt 1 of `policy.max_attempts`) and arms its
   /// deadline. Re-tracking a conversation id replaces the previous entry.
   void track(agent::AclMessage message, const RetryPolicy& policy);
