@@ -118,19 +118,8 @@ void ContainerAgent::handle_execute(const AclMessage& message) {
   const std::vector<std::string> output_names =
       util::split_trimmed(message.param("outputs"), ',');
   wfl::DataSet produced;
-  if (kernels_ != nullptr) {
-    for (auto& item : kernels_->execute(*service, *bindings, output_names))
-      produced.put(std::move(item));
-  } else {
-    const std::string prefix =
-        output_names.empty() ? service_name + ":" : std::string();
-    auto items = service->produce_outputs(prefix);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i < output_names.size() && !output_names[i].empty())
-        items[i].set_name(output_names[i]);
-      produced.put(std::move(items[i]));
-    }
-  }
+  for (auto& item : kernels_->execute(*service, *bindings, output_names))
+    produced.put(std::move(item));
 
   const grid::SimTime duration = result.completion_time - started;
   AclMessage reply = message.make_reply(Performative::Inform);

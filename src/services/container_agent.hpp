@@ -25,14 +25,13 @@ namespace ig::svc {
 
 class ContainerAgent : public agent::Agent {
  public:
-  /// `kernels` may be null: outputs then come from the services' declarative
-  /// postconditions instead of the synthetic compute kernels.
+  /// Outputs come from the synthetic compute `kernels` (not owned).
   /// `heartbeat_period` > 0 makes the agent emit liveness heartbeats to the
   /// monitoring service at that spacing (as daemon events — they never keep
   /// the calendar alive on their own); 0 disables them.
   ContainerAgent(std::string name, grid::Grid& grid, grid::Simulation& sim,
                  grid::FailureInjector& injector, std::string container_id,
-                 const wfl::ServiceCatalogue& catalogue, virolab::SyntheticKernels* kernels,
+                 const wfl::ServiceCatalogue& catalogue, virolab::SyntheticKernels& kernels,
                  grid::SimTime heartbeat_period = 0.0)
       : Agent(std::move(name)),
         grid_(&grid),
@@ -40,7 +39,7 @@ class ContainerAgent : public agent::Agent {
         injector_(&injector),
         container_id_(std::move(container_id)),
         catalogue_(&catalogue),
-        kernels_(kernels),
+        kernels_(&kernels),
         heartbeat_period_(heartbeat_period) {}
 
   void on_start() override;

@@ -5,13 +5,11 @@
 #include "services/protocol.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
-#include "wfl/validate.hpp"
 
 namespace ig::svc {
 
 using agent::AclMessage;
 using agent::Performative;
-using wfl::ActivityKind;
 
 void CoordinationService::on_start() {
   register_with_information_service(*this, platform(), "coordination");
@@ -62,34 +60,57 @@ void CoordinationService::handle_message(const AclMessage& message) {
   send(make_not_understood(message, "unknown protocol '" + message.protocol + "'"));
 }
 
-void CoordinationService::handle_enact(const AclMessage& message) {
-  const std::string id = "case-" + std::to_string(next_enactment_++);
-  Enactment& enactment = enactments_[id];
-  enactment.id = id;
+CoordinationService::Enactment::Enactment(CoordinationService& service,
+                                          std::string enactment_id)
+    : id(std::move(enactment_id)),
+      atn({.ready = [&service, this](const wfl::Activity& activity) {
+             service.dispatch(*this, activity);
+           },
+           .end = [&service, this] { service.reach_end(*this); },
+           .fail = [&service, this](const std::string& error) {
+             service.finish(*this, false, error);
+           }},
+          service.config_.max_loop_iterations) {}
+
+CoordinationService::Enactment& CoordinationService::open_enactment(const AclMessage& message) {
+  std::string id = "case-" + std::to_string(next_enactment_++);
+  Enactment& enactment = enactments_.try_emplace(id, *this, id).first->second;
   enactment.original = message;
   enactment.started = now();
+  return enactment;
+}
+
+void CoordinationService::load_plan(Enactment& enactment, wfl::ProcessDescription process) {
+  const std::string error = enactment.atn.load(std::move(process));
+  if (!error.empty()) throw wfl::ProcessError(error);
+}
+
+void CoordinationService::open_case_span(Enactment& enactment) {
+  if (tracer_ != nullptr) {
+    enactment.case_span = tracer_->begin(obs::SpanKind::Case, enactment.atn.process().name(),
+                                         enactment.id, 0, now());
+  }
+  enactment.atn.trace_to(tracer_, enactment.id, enactment.case_span);
+}
+
+void CoordinationService::handle_enact(const AclMessage& message) {
+  Enactment& enactment = open_enactment(message);
   try {
-    enactment.process = wfl::process_from_xml_string(message.param("process-xml").empty()
-                                                         ? message.content
-                                                         : message.param("process-xml"));
+    wfl::ProcessDescription process = wfl::process_from_xml_string(
+        message.param("process-xml").empty() ? message.content : message.param("process-xml"));
     if (message.has_param("case-xml"))
       enactment.case_description = wfl::case_from_xml_string(message.param("case-xml"));
-    const auto errors = wfl::validate(enactment.process);
-    if (!errors.empty())
-      throw wfl::ProcessError("invalid process description: " + errors.front().message);
+    load_plan(enactment, std::move(process));
   } catch (const std::exception& error) {
     AclMessage reply = message.make_reply(Performative::Failure);
     reply.params["error"] = error.what();
     send(std::move(reply));
-    enactments_.erase(id);
+    enactments_.erase(enactment.id);
     return;
   }
   enactment.data = enactment.case_description.initial_data();
-  if (tracer_ != nullptr) {
-    enactment.case_span =
-        tracer_->begin(obs::SpanKind::Case, enactment.process.name(), id, 0, now());
-  }
-  IG_LOG_DEBUG("cs") << "enacting " << enactment.process.name() << " as " << id;
+  open_case_span(enactment);
+  IG_LOG_DEBUG("cs") << "enacting " << enactment.atn.process().name() << " as " << enactment.id;
   start_enactment(enactment);
 }
 
@@ -104,14 +125,14 @@ void CoordinationService::handle_checkpoint(const AclMessage& message) {
   xml::Document document("checkpoint");
   xml::Element& root = document.root();
   root.set_attribute("case", enactment->id);
-  root.add_child("process-xml")
-      .set_text(wfl::process_to_xml_string(enactment->process));
+  const wfl::ProcessDescription& process = enactment->atn.process();
+  root.add_child("process-xml").set_text(wfl::process_to_xml_string(process));
   root.add_child("case-xml")
       .set_text(wfl::case_to_xml_string(enactment->case_description));
   root.add_child("dataset-xml").set_text(wfl::dataset_to_xml_string(enactment->data));
   xml::Element& completions = root.add_child("completions");
-  for (const auto& [activity_id, count] : enactment->completions) {
-    const wfl::Activity* activity = enactment->process.find_activity(activity_id);
+  for (const auto& [activity_id, count] : enactment->atn.completions()) {
+    const wfl::Activity* activity = process.find_activity(activity_id);
     // Only end-user completions are credited on restore; flow-control
     // token state is reconstructed by the replay walk itself.
     if (activity == nullptr || activity->kind != wfl::ActivityKind::EndUser) continue;
@@ -130,16 +151,12 @@ void CoordinationService::handle_checkpoint(const AclMessage& message) {
 }
 
 void CoordinationService::handle_restore(const AclMessage& message) {
-  const std::string id = "case-" + std::to_string(next_enactment_++);
-  Enactment& enactment = enactments_[id];
-  enactment.id = id;
-  enactment.original = message;
-  enactment.started = now();
+  Enactment& enactment = open_enactment(message);
   try {
     const xml::Document document = xml::parse(message.content);
     const xml::Element& root = document.root();
     if (root.name() != "checkpoint") throw wfl::ProcessError("not a checkpoint document");
-    enactment.process = wfl::process_from_xml_string(root.child_text("process-xml"));
+    wfl::ProcessDescription process = wfl::process_from_xml_string(root.child_text("process-xml"));
     enactment.case_description = wfl::case_from_xml_string(root.child_text("case-xml"));
     enactment.data = wfl::dataset_from_xml_string(root.child_text("dataset-xml"));
     const xml::Element* completions = root.find_child("completions");
@@ -161,170 +178,38 @@ void CoordinationService::handle_restore(const AclMessage& message) {
     // failure carries the spent re-planning budget; a supervised retry on a
     // fresh shard asks for the budget back.
     if (message.param_bool("reset-replans", false)) enactment.replans = 0;
+    load_plan(enactment, std::move(process));
   } catch (const std::exception& error) {
     AclMessage reply = message.make_reply(Performative::Failure);
     reply.params["error"] = std::string("bad checkpoint: ") + error.what();
     send(std::move(reply));
-    enactments_.erase(id);
+    enactments_.erase(enactment.id);
     return;
   }
-  if (tracer_ != nullptr) {
-    enactment.case_span =
-        tracer_->begin(obs::SpanKind::Case, enactment.process.name(), id, 0, now());
-    tracer_->tag(enactment.case_span, "restored", "true");
-  }
-  IG_LOG_DEBUG("cs") << "restoring checkpointed case as " << id;
+  open_case_span(enactment);
+  if (tracer_ != nullptr) tracer_->tag(enactment.case_span, "restored", "true");
+  IG_LOG_DEBUG("cs") << "restoring checkpointed case as " << enactment.id;
   start_enactment(enactment);
 }
 
 void CoordinationService::start_enactment(Enactment& enactment) {
   ++enactment.epoch;
   // Work of the superseded plan stops here; its spans close as such.
-  if (enactment.epoch > 1) close_open_spans(enactment, "superseded");
+  close_activity_spans(enactment, "superseded");
   // Conversations of the superseded epoch must not retry or dead-letter.
   tracker_.abandon_prefix(enactment.id + "/");
-  enactment.completions.clear();
-  enactment.running.clear();
-  enactment.join_arrivals.clear();
   enactment.retries.clear();
-  complete_activity(enactment, enactment.process.begin_activity().id);
+  enactment.atn.start(enactment.data, now());
 }
 
-void CoordinationService::complete_activity(Enactment& enactment,
-                                            const std::string& activity_id) {
-  if (enactment.finished) return;
-  const wfl::Activity* activity = enactment.process.find_activity(activity_id);
-  if (activity == nullptr) return finish(enactment, false, "activity vanished");
-  ++enactment.completions[activity_id];
-
-  if (activity->kind == ActivityKind::End) {
-    // Reaching End only succeeds when the case's goals are met; otherwise
-    // the coordinator escalates to re-planning (or fails once the budget is
-    // exhausted) instead of reporting a hollow success.
-    const double satisfaction =
-        enactment.case_description.goal_satisfaction(enactment.data);
-    if (satisfaction >= 1.0) return finish(enactment, true, "");
-    if (enactment.replans < config_.max_replans)
-      return request_replanning(enactment, "");
-    return finish(enactment, false, "plan completed without satisfying the case goals");
-  }
-
-  const auto outgoing = enactment.process.outgoing(activity_id);
-  if (tracer_ != nullptr && activity->kind == ActivityKind::Fork) {
-    const obs::SpanId fork = tracer_->instant(obs::SpanKind::Barrier, activity->name,
-                                              enactment.id, enactment.case_span, now());
-    tracer_->tag(fork, "type", "fork");
-    tracer_->tag(fork, "fanout", std::to_string(outgoing.size()));
-  }
-
-  if (activity->kind == ActivityKind::Choice) {
-    // Evaluate guards in transition order against the current data.
-    const wfl::Transition* chosen = nullptr;
-    const wfl::Transition* fallback = nullptr;
-    for (const auto* transition : outgoing) {
-      const bool back_edge = enactment.completions[transition->destination] > 0;
-      const bool satisfied = wfl::evaluate_against_state(transition->guard, enactment.data);
-      if (!satisfied) continue;
-      // Guardrail: once a loop has run its allotted iterations, prefer a
-      // forward transition even if the (possibly trivially-true) back-edge
-      // guard still holds.
-      if (back_edge &&
-          enactment.completions[activity_id] >= config_.max_loop_iterations) {
-        fallback = transition;
-        continue;
-      }
-      chosen = transition;
-      break;
-    }
-    if (chosen == nullptr) {
-      // No guard satisfied: prefer any forward transition, then fallback.
-      for (const auto* transition : outgoing) {
-        if (enactment.completions[transition->destination] == 0) {
-          chosen = transition;
-          break;
-        }
-      }
-      if (chosen == nullptr) chosen = fallback;
-    }
-    if (chosen == nullptr)
-      return finish(enactment, false, "Choice '" + activity->name + "' has no viable transition");
-    if (tracer_ != nullptr) {
-      const obs::SpanId decision = tracer_->instant(
-          obs::SpanKind::Choice, activity->name, enactment.id, enactment.case_span, now());
-      tracer_->tag(decision, "chosen", chosen->destination);
-      tracer_->tag(decision, "visit", std::to_string(enactment.completions[activity_id]));
-      // A back edge opens the next loop pass; any edge closes the current one.
-      auto open = enactment.iteration_spans.find(activity_id);
-      if (open != enactment.iteration_spans.end()) {
-        tracer_->end(open->second, now());
-        enactment.iteration_spans.erase(open);
-      }
-      if (enactment.completions[chosen->destination] > 0) {
-        const obs::SpanId pass = tracer_->begin(
-            obs::SpanKind::Iteration, activity->name, enactment.id, enactment.case_span, now());
-        tracer_->tag(pass, "pass", std::to_string(enactment.completions[activity_id]));
-        enactment.iteration_spans[activity_id] = pass;
-      }
-    }
-    return follow_transition(enactment, *chosen);
-  }
-
-  // Begin, EndUser, Fork, Join, Merge: follow every outgoing transition
-  // (Fork has several; the others exactly one).
-  for (const auto* transition : outgoing) follow_transition(enactment, *transition);
-}
-
-void CoordinationService::follow_transition(Enactment& enactment,
-                                            const wfl::Transition& transition) {
-  trigger(enactment, transition.destination, transition.source);
-}
-
-void CoordinationService::trigger(Enactment& enactment, const std::string& activity_id,
-                                  const std::string& from_activity) {
-  if (enactment.finished) return;
-  const wfl::Activity* activity = enactment.process.find_activity(activity_id);
-  if (activity == nullptr) return finish(enactment, false, "dangling transition");
-
-  switch (activity->kind) {
-    case ActivityKind::Begin:
-      return finish(enactment, false, "transition into Begin");
-    case ActivityKind::End:
-    case ActivityKind::Fork:
-    case ActivityKind::Choice:
-      return complete_activity(enactment, activity_id);
-    case ActivityKind::Merge:
-      // "A Merge activity is triggered after the completion of any activity
-      // in its predecessor set."
-      return complete_activity(enactment, activity_id);
-    case ActivityKind::Join: {
-      // "A Join activity can be triggered only after all of its predecessor
-      // activities are completed."
-      auto& arrivals = enactment.join_arrivals[activity_id];
-      if (tracer_ != nullptr && arrivals.empty() &&
-          enactment.barrier_spans.count(activity_id) == 0) {
-        // The wait starts at the first arrival and ends when the join fires.
-        const obs::SpanId wait = tracer_->begin(obs::SpanKind::Barrier, activity->name,
-                                                enactment.id, enactment.case_span, now());
-        tracer_->tag(wait, "type", "join");
-        enactment.barrier_spans[activity_id] = wait;
-      }
-      arrivals.insert(from_activity);
-      const auto predecessors = enactment.process.predecessors(activity_id);
-      if (arrivals.size() < predecessors.size()) return;
-      if (tracer_ != nullptr) {
-        auto wait = enactment.barrier_spans.find(activity_id);
-        if (wait != enactment.barrier_spans.end()) {
-          tracer_->tag(wait->second, "arrivals", std::to_string(arrivals.size()));
-          tracer_->end(wait->second, now());
-          enactment.barrier_spans.erase(wait);
-        }
-      }
-      arrivals.clear();  // reset for the next loop iteration, if any
-      return complete_activity(enactment, activity_id);
-    }
-    case ActivityKind::EndUser:
-      return dispatch(enactment, *activity);
-  }
+void CoordinationService::reach_end(Enactment& enactment) {
+  // Reaching End only succeeds when the case's goals are met; otherwise
+  // the coordinator escalates to re-planning (or fails once the budget is
+  // exhausted) instead of reporting a hollow success.
+  const double satisfaction = enactment.case_description.goal_satisfaction(enactment.data);
+  if (satisfaction >= 1.0) return finish(enactment, true, "");
+  if (enactment.replans < config_.max_replans) return request_replanning(enactment, "");
+  finish(enactment, false, "plan completed without satisfying the case goals");
 }
 
 void CoordinationService::dispatch(Enactment& enactment, const wfl::Activity& activity) {
@@ -339,7 +224,7 @@ void CoordinationService::dispatch(Enactment& enactment, const wfl::Activity& ac
           obs::SpanKind::Activity, activity.name, enactment.id, enactment.case_span, now());
       tracer_->tag(replay, "status", "replayed");
     }
-    return complete_activity(enactment, activity.id);
+    return enactment.atn.complete(activity.id, enactment.data, now());
   }
   // One Activity span covers all container attempts of one dispatch: a
   // retry tags the open span instead of opening a second one.
@@ -349,7 +234,6 @@ void CoordinationService::dispatch(Enactment& enactment, const wfl::Activity& ac
     tracer_->tag(span, "service", activity.service_name);
     enactment.activity_spans[activity.id] = span;
   }
-  enactment.running.insert(activity.id);
   AclMessage query;
   query.performative = Performative::QueryRef;
   query.receiver = names::kMatchmaking;
@@ -375,12 +259,11 @@ void CoordinationService::handle_match_reply(const AclMessage& message) {
   if (parts.size() > 3 && util::parse_int(parts[3]) != std::optional<int>(enactment->epoch))
     return;
   const std::string activity_id = parts.size() > 2 ? parts[2] : "";
-  const wfl::Activity* activity = enactment->process.find_activity(activity_id);
+  const wfl::Activity* activity = enactment->atn.process().find_activity(activity_id);
   if (activity == nullptr) return;
 
   if (message.performative != Performative::Inform) {
     // No container can host the service at all: go straight to re-planning.
-    enactment->running.erase(activity_id);
     ++enactment->dispatch_failures;
     if (tracer_ != nullptr) {
       auto span = enactment->activity_spans.find(activity_id);
@@ -434,7 +317,6 @@ void CoordinationService::handle_execution_reply(const AclMessage& message) {
     return handle_dispatch_failure(*enactment, activity_id, message.param("container"),
                                    "bad result payload: no data set");
   for (const auto& item : message.data->items()) enactment->data.put(item);
-  enactment->running.erase(activity_id);
   enactment->retries[activity_id] = 0;
   ++enactment->activities_executed;
   enactment->total_cost += message.param_double("cost", 0.0);
@@ -447,7 +329,7 @@ void CoordinationService::handle_execution_reply(const AclMessage& message) {
       enactment->activity_spans.erase(span);
     }
   }
-  complete_activity(*enactment, activity_id);
+  enactment->atn.complete(activity_id, enactment->data, now());
 }
 
 void CoordinationService::handle_dispatch_failure(Enactment& enactment,
@@ -455,7 +337,7 @@ void CoordinationService::handle_dispatch_failure(Enactment& enactment,
                                                   const std::string& container,
                                                   const std::string& reason) {
   ++enactment.dispatch_failures;
-  const wfl::Activity* activity = enactment.process.find_activity(activity_id);
+  const wfl::Activity* activity = enactment.atn.process().find_activity(activity_id);
   if (activity == nullptr) return;
   IG_LOG_DEBUG("cs") << activity->name << " failed on " << container << ": " << reason;
 
@@ -486,7 +368,6 @@ void CoordinationService::handle_dispatch_failure(Enactment& enactment,
       enactment.activity_spans.erase(span);
     }
   }
-  enactment.running.erase(activity_id);
   request_replanning(enactment, activity->service_name);
 }
 
@@ -530,12 +411,12 @@ void CoordinationService::handle_plan_reply(const AclMessage& message) {
     return finish(*enactment, false, "re-planning failed: " + message.param("error"));
   }
   try {
-    enactment->process = wfl::process_from_xml_string(message.content);
+    load_plan(*enactment, wfl::process_from_xml_string(message.content));
   } catch (const std::exception& error) {
     return finish(*enactment, false, std::string("bad re-plan payload: ") + error.what());
   }
   IG_LOG_DEBUG("cs") << enactment->id << " restarting on new plan '"
-                     << enactment->process.name() << "'";
+                     << enactment->atn.process().name() << "'";
   start_enactment(*enactment);
 }
 
@@ -556,9 +437,8 @@ void CoordinationService::on_dead_letter(const DeadLetter& letter) {
   if (kind == "match") {
     // The matchmaking service itself is unreachable; re-planning is the
     // only lever left.
-    enactment->running.erase(activity_id);
     ++enactment->dispatch_failures;
-    const wfl::Activity* activity = enactment->process.find_activity(activity_id);
+    const wfl::Activity* activity = enactment->atn.process().find_activity(activity_id);
     return request_replanning(*enactment,
                               activity != nullptr ? activity->service_name : activity_id);
   }
@@ -568,18 +448,13 @@ void CoordinationService::on_dead_letter(const DeadLetter& letter) {
   }
 }
 
-void CoordinationService::close_open_spans(Enactment& enactment, const std::string& status) {
+void CoordinationService::close_activity_spans(Enactment& enactment, const std::string& status) {
   if (tracer_ == nullptr) return;
-  const auto close = [&](std::map<std::string, obs::SpanId>& open) {
-    for (const auto& [id, span] : open) {
-      tracer_->tag(span, "status", status);
-      tracer_->end(span, now());
-    }
-    open.clear();
-  };
-  close(enactment.activity_spans);
-  close(enactment.barrier_spans);
-  close(enactment.iteration_spans);
+  for (const auto& [id, span] : enactment.activity_spans) {
+    tracer_->tag(span, "status", status);
+    tracer_->end(span, now());
+  }
+  enactment.activity_spans.clear();
 }
 
 void CoordinationService::finish(Enactment& enactment, bool success, const std::string& reason) {
@@ -588,7 +463,8 @@ void CoordinationService::finish(Enactment& enactment, bool success, const std::
   // Outstanding conversations of a finished case must not retry into the
   // void (or keep the calendar alive until their deadlines).
   tracker_.abandon_prefix(enactment.id + "/");
-  close_open_spans(enactment, success ? "ok" : "aborted");
+  close_activity_spans(enactment, success ? "ok" : "aborted");
+  enactment.atn.stop(success ? "ok" : "aborted", now());
   if (tracer_ != nullptr && enactment.case_span != 0) {
     tracer_->tag(enactment.case_span, "success", success ? "true" : "false");
     tracer_->tag(enactment.case_span, "replans", std::to_string(enactment.replans));

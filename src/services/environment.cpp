@@ -67,11 +67,9 @@ Environment::Environment(const EnvironmentOptions& options)
   coordination_->set_tracer(&tracer_);
 
   // -- one agent per application container ----------------------------------------
-  virolab::SyntheticKernels* kernels =
-      options.use_synthetic_kernels ? &kernels_ : nullptr;
   for (const auto& container : grid_.containers()) {
     platform_.spawn<ContainerAgent>(container->id(), grid_, sim_, injector_, container->id(),
-                                    catalogue_, kernels, options.heartbeat_period);
+                                    catalogue_, kernels_, options.heartbeat_period);
   }
 
   // Flush registrations and advertisements so the environment is ready.

@@ -37,7 +37,6 @@ struct EnvironmentOptions {
   planner::GpConfig gp;               ///< planner settings (Table 1 defaults)
   CoordinationConfig coordination;
   virolab::KernelParams kernels;
-  bool use_synthetic_kernels = true;  ///< false: declarative postconditions only
   bool tracing = false;               ///< record every delivered message
   /// >0 caps the message trace at the most recent N records (ring); 0 keeps
   /// everything (the Figure 2/3 harnesses rely on the full trace).

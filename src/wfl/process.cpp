@@ -1,6 +1,7 @@
 #include "wfl/process.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace ig::wfl {
 
@@ -135,6 +136,38 @@ std::vector<std::string> ProcessDescription::successors(std::string_view activit
     if (transition.source == activity_id) out.push_back(transition.destination);
   }
   return out;
+}
+
+std::vector<bool> ProcessDescription::back_edges() const {
+  std::vector<bool> back(transitions_.size(), false);
+  std::set<std::string_view> on_stack;
+  std::set<std::string_view> seen;
+  struct Frame {
+    std::string_view id;
+    std::vector<const Transition*> outgoing;
+    std::size_t next = 0;
+  };
+  std::vector<Frame> stack;
+  const auto visit = [&](std::string_view id) {
+    seen.insert(id);
+    on_stack.insert(id);
+    stack.push_back({id, outgoing(id)});
+  };
+  visit(begin_activity().id);
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next == frame.outgoing.size()) {
+      on_stack.erase(frame.id);
+      stack.pop_back();
+      continue;
+    }
+    const Transition& transition = *frame.outgoing[frame.next++];
+    if (on_stack.count(transition.destination) > 0)
+      back[static_cast<std::size_t>(&transition - transitions_.data())] = true;
+    else if (seen.count(transition.destination) == 0)
+      visit(transition.destination);
+  }
+  return back;
 }
 
 std::vector<const Transition*> ProcessDescription::outgoing(std::string_view activity_id) const {

@@ -91,6 +91,10 @@ class ProcessDescription {
   /// Transitions leaving / entering an activity.
   std::vector<const Transition*> outgoing(std::string_view activity_id) const;
   std::vector<const Transition*> incoming(std::string_view activity_id) const;
+  /// Flags the back edges, indexed like transitions(): the transitions into
+  /// an activity still on the stack of a depth-first search from Begin that
+  /// follows transitions in declaration order. Requires exactly one Begin.
+  std::vector<bool> back_edges() const;
 
   std::size_t activity_count() const noexcept { return activities_.size(); }
   std::size_t transition_count() const noexcept { return transitions_.size(); }

@@ -1,6 +1,5 @@
 #include "wfl/structure.hpp"
 
-#include <map>
 #include <set>
 
 namespace ig::wfl {
@@ -152,10 +151,10 @@ ProcessDescription lower_to_process(const FlowExpr& expr, std::string name,
 
 namespace {
 
-/// Computes the targets of retreating (back) edges via an iterative DFS from
-/// the Begin activity. In well-structured graphs back edges are exactly the
-/// Choice -> Merge loop edges, so a Merge is a loop header iff it is a back
-/// edge target, and a Choice is a loop exit iff it is a back edge source.
+/// The loop structure the back edges reveal. In well-structured graphs back
+/// edges are exactly the Choice -> Merge loop edges, so a Merge is a loop
+/// header iff it is a back edge target, and a Choice is a loop exit iff it
+/// is a back edge source.
 struct BackEdges {
   std::set<std::string> targets;  ///< loop-header Merges
   std::set<std::string> sources;  ///< loop-exit Choices
@@ -163,38 +162,11 @@ struct BackEdges {
 
 BackEdges find_back_edges(const ProcessDescription& process) {
   BackEdges result;
-  enum class Color { White, Gray, Black };
-  std::map<std::string, Color> color;
-  for (const auto& activity : process.activities()) color[activity.id] = Color::White;
-
-  struct Frame {
-    std::string id;
-    std::vector<std::string> successors;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  const std::string start = process.begin_activity().id;
-  stack.push_back({start, process.successors(start)});
-  color[start] = Color::Gray;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next >= frame.successors.size()) {
-      color[frame.id] = Color::Black;
-      stack.pop_back();
-      continue;
-    }
-    const std::string next = frame.successors[frame.next++];
-    auto it = color.find(next);
-    if (it == color.end()) throw ProcessError("lift: transition to unknown activity '" + next + "'");
-    if (it->second == Color::Gray) {
-      result.targets.insert(next);
-      result.sources.insert(frame.id);
-      continue;
-    }
-    if (it->second == Color::White) {
-      it->second = Color::Gray;
-      stack.push_back({next, process.successors(next)});
-    }
+  const std::vector<bool> back = process.back_edges();
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    if (!back[i]) continue;
+    result.targets.insert(process.transitions()[i].destination);
+    result.sources.insert(process.transitions()[i].source);
   }
   return result;
 }

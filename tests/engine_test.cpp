@@ -206,14 +206,16 @@ TEST(Engine, RetriesFailedCasesOnAnotherShard) {
   // recovery budgets cut to one dispatch retry (which also fails instantly
   // at a 100% floor), a case landing on shard 0 fails fast, and the
   // engine's checkpoint/restore retry must complete it on the healthy
-  // shard. The single in-shard retry absorbs the topology's natural
-  // sub-5% dispatch failures there.
+  // shard.
   EngineConfig config = slow_kernel_config(2);
   config.shard_failure_floor = {1.0, 0.0};
   config.max_case_retries = 2;
   config.queue_capacity = 32;
   config.environment.coordination.max_retries = 1;
   config.environment.coordination.max_replans = 0;
+  config.shard_setup = [](svc::Environment& environment, std::size_t) {
+    for (const auto& node : environment.grid().nodes()) node->set_reliability(1.0);
+  };
   EnactmentEngine engine(config);
 
   std::vector<CaseId> ids;
@@ -270,6 +272,7 @@ TEST(Engine, ContainedHandlerFaultsRetryOnHealthyShard) {
   config.environment.coordination.max_retries = 1;
   config.environment.coordination.max_replans = 0;
   config.shard_setup = [](svc::Environment& environment, std::size_t shard) {
+    for (const auto& node : environment.grid().nodes()) node->set_reliability(1.0);
     if (shard == 0) poison_service_hosts(environment, "P3DR");
   };
   EnactmentEngine engine(config);

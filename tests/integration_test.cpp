@@ -104,7 +104,7 @@ TEST(Integration, PlanThenEnactSurvivesMidRunOutages) {
   environment->platform().spawn<ContainerAgent>("spare-ac", grid, environment->sim(),
                                                 environment->injector(), "spare-ac",
                                                 environment->catalogue(),
-                                                &environment->kernels());
+                                                environment->kernels());
   const auto pod_hosts = grid.containers_advertising("POD");
   ASSERT_GE(pod_hosts.size(), 2u);
   environment->injector().schedule_container_outage(environment->sim(), grid,

@@ -102,6 +102,7 @@ TEST(EngineRetention, DrainedShardsHoldNoFinishedEnactments) {
   std::vector<svc::Environment*> environments(config.shards, nullptr);
   config.shard_setup = [&environments](svc::Environment& environment, std::size_t shard) {
     environments[shard] = &environment;
+    for (const auto& node : environment.grid().nodes()) node->set_reliability(1.0);
     if (shard == 0) poison_service_hosts(environment, "POR");
   };
   EnactmentEngine engine(config);
