@@ -9,7 +9,6 @@ const char* to_string(SpanKind kind) noexcept {
     case SpanKind::Barrier: return "barrier";
     case SpanKind::Choice: return "choice";
     case SpanKind::Iteration: return "iteration";
-    case SpanKind::Step: return "step";
   }
   return "?";
 }

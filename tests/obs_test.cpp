@@ -176,7 +176,7 @@ TEST(Spans, LimitDropsOldestClosedButKeepsOpenSpans) {
   tracer.set_limit(4);
   const obs::SpanId open = tracer.begin(obs::SpanKind::Case, "c", "case-1", 0, 0.0);
   for (int i = 0; i < 10; ++i)
-    tracer.instant(obs::SpanKind::Step, "s" + std::to_string(i), "case-1", open,
+    tracer.instant(obs::SpanKind::Choice, "s" + std::to_string(i), "case-1", open,
                    static_cast<double>(i));
   EXPECT_LE(tracer.size(), 4u);
   EXPECT_GT(tracer.dropped(), 0u);
@@ -191,9 +191,9 @@ TEST(Spans, LimitDropsOldestClosedButKeepsOpenSpans) {
 TEST(Spans, CaseSpansFiltersByCase) {
   obs::SpanTracer tracer;
   tracer.set_enabled(true);
-  tracer.instant(obs::SpanKind::Step, "a", "case-1", 0, 0.0);
-  tracer.instant(obs::SpanKind::Step, "b", "case-2", 0, 0.0);
-  tracer.instant(obs::SpanKind::Step, "c", "case-1", 0, 0.0);
+  tracer.instant(obs::SpanKind::Choice, "a", "case-1", 0, 0.0);
+  tracer.instant(obs::SpanKind::Choice, "b", "case-2", 0, 0.0);
+  tracer.instant(obs::SpanKind::Choice, "c", "case-1", 0, 0.0);
   EXPECT_EQ(tracer.case_spans("case-1").size(), 2u);
   EXPECT_EQ(tracer.case_spans("case-2").size(), 1u);
   tracer.clear();
