@@ -19,12 +19,16 @@
 // combinatorics of adversarially nested plans; the cap is recorded in the
 // result so harnesses can report truncation.
 //
-// The simulator is precompiled against the problem. A flow's world state is
-// a vector of item ids from a per-worker ItemTable, which evaluated every
-// input filter and goal on each item once, when it interned it. Checking a
-// precondition then looks up flags and searches for distinct items on ids;
-// only a service whose input condition couples several formals (its
-// residual condition) builds Bindings.
+// The simulator is precompiled against the problem. Each evaluator worker
+// owns an ItemTable that interns items and world states for the whole run
+// (one PlanEvaluator). It evaluates every input filter and goal on an item
+// once, when it interns it. A flow is just a state id plus its validity
+// counters. A state is the set of items a flow holds, so flows that reach
+// the same items by different paths share one id. Executing a service in a
+// state is looked up in a per-table transition memo; the precondition
+// check (flag lookups and a search for distinct items, with Bindings only
+// for a residual condition over several formals) runs once per (state,
+// service) pair, and each state's goal count is computed once.
 #pragma once
 
 #include <array>
@@ -59,6 +63,8 @@ struct EvaluationConfig {
   /// repeats (elites, post-selection clones) from the memo instead of
   /// re-simulating. Evaluation is a pure function of the plan, so the memo
   /// never changes results — disable only to measure raw simulation cost.
+  /// This is the plan-level memo only: raw simulation still goes through
+  /// each worker's state-transition memo, which is always on.
   bool memoize = true;
 };
 
@@ -75,7 +81,8 @@ struct Fitness {
   bool operator<(const Fitness& other) const noexcept { return overall < other.overall; }
 };
 
-/// Per-worker interned item table of the simulator (evaluate.cpp).
+/// Per-worker interned items, world states and transitions of the
+/// simulator (evaluate.cpp).
 class ItemTable;
 
 /// Evaluates plans against one planning problem.
@@ -83,11 +90,12 @@ class ItemTable;
 /// Thread-safe for concurrent `evaluate` calls as long as each concurrently
 /// executing caller passes a distinct `worker` id below the `workers` count
 /// given at construction: every worker owns a private ItemTable (no
-/// locking on the simulation path), the fitness memo is sharded behind
-/// per-shard mutexes, and the counters are atomic. Fitness is a pure
-/// function of the plan, so the memo is transparent: results are identical
-/// with it on, off, or raced (two workers simulating the same plan
-/// concurrently both compute — and store — the same value).
+/// locking on the simulation path; its states and transitions live as long
+/// as the evaluator and never change a result), the fitness memo is
+/// sharded behind per-shard mutexes, and the counters are atomic. Fitness
+/// is a pure function of the plan, so the memo is transparent: results are
+/// identical with it on, off, or raced (two workers simulating the same
+/// plan concurrently both compute — and store — the same value).
 class PlanEvaluator {
  public:
   explicit PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config = {},

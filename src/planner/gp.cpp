@@ -29,6 +29,11 @@ util::Rng stream_rng(const GpConfig& config, std::uint64_t generation, std::uint
 GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
   const std::size_t threads =
       config.threads == 0 ? sched::JobSystem::hardware_threads() : config.threads;
+  GpResult result;
+  result.threads_used = threads;
+  // No individuals: nothing to evaluate and no generation to report.
+  if (config.population_size == 0) return result;
+
   PlanEvaluator evaluator(problem, config.evaluation, threads);
   // The data-parallel loops run on the work-stealing job system; with one
   // thread everything runs inline on the caller (worker id 0).
@@ -49,8 +54,6 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
         random_tree(rng, problem.catalogue, config.evaluation.smax, config.init_style);
   });
 
-  GpResult result;
-  result.threads_used = threads;
   bool have_best = false;
 
   std::vector<Fitness> fitnesses(population.size());
@@ -78,8 +81,7 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
     GenerationStats stats;
     stats.generation = generation;
     stats.best_fitness = fitnesses[generation_best].overall;
-    stats.mean_fitness =
-        population.empty() ? 0.0 : fitness_sum / static_cast<double>(population.size());
+    stats.mean_fitness = fitness_sum / static_cast<double>(population.size());
     stats.best_validity = fitnesses[generation_best].validity;
     stats.best_goal = fitnesses[generation_best].goal;
     stats.best_size = fitnesses[generation_best].size;

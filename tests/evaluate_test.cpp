@@ -303,6 +303,93 @@ TEST(Evaluate, ResidualConditionMatchesBindInputs) {
   EXPECT_GT(failed, 0u);
 }
 
+/// Checks every Fitness field exactly.
+void expect_fitness(const Fitness& got, const Fitness& want) {
+  EXPECT_EQ(got.overall, want.overall);
+  EXPECT_EQ(got.validity, want.validity);
+  EXPECT_EQ(got.goal, want.goal);
+  EXPECT_EQ(got.representation, want.representation);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.flows, want.flows);
+  EXPECT_EQ(got.flows_truncated, want.flows_truncated);
+}
+
+TEST(EvaluateStates, ServiceWithoutOutputsInsideIterative) {
+  // Check consumes an "x" item and produces nothing, Ping needs and makes
+  // nothing, Make produces an "x" item. With no initial data the first
+  // Check of the loop fails; every later one holds.
+  wfl::ServiceType check("Check");
+  check.set_inputs({"X"});
+  check.set_input_condition(wfl::Condition::parse("X.Kind = \"x\""));
+  wfl::ServiceType ping("Ping");
+  wfl::ServiceType make("Make");
+  make.set_outputs({"N"});
+  make.set_output_condition(wfl::Condition::parse("N.Kind = \"x\""));
+  PlanningProblem problem;
+  problem.catalogue.add(check);
+  problem.catalogue.add(ping);
+  problem.catalogue.add(make);
+  wfl::GoalSpec goal;
+  goal.condition = wfl::Condition::parse("G.Kind = \"x\"");
+  problem.goals.push_back(goal);
+  PlanEvaluator evaluator(problem);
+
+  std::vector<PlanNode> top;
+  top.push_back(PlanNode::iterative(
+      {PlanNode::terminal("Ping"), PlanNode::terminal("Check"), PlanNode::terminal("Make")}));
+  top.push_back(PlanNode::terminal("Check"));
+  // One pass: 3 of 4 valid; two passes: 6 of 7 valid. Values recorded
+  // from the simulator that kept each flow's items as a list.
+  Fitness want;
+  want.overall = 0.9186363636363637;
+  want.validity = 0.81818181818181823;
+  want.goal = 1.0;
+  want.representation = 0.84999999999999998;
+  want.size = 6;
+  want.flows = 2;
+  expect_fitness(evaluator.evaluate(PlanNode::sequential(std::move(top))), want);
+}
+
+TEST(EvaluateStates, ConcurrentP3drPairFeedsPsf) {
+  // PSF needs two distinct 3-D models: the two P3DR runs must yield two
+  // items in both serializations of the concurrent block.
+  const PlanningProblem problem = virolab_problem();
+  PlanEvaluator evaluator(problem);
+  std::vector<PlanNode> top;
+  top.push_back(PlanNode::terminal("POD"));
+  top.push_back(
+      PlanNode::concurrent({PlanNode::terminal("P3DR"), PlanNode::terminal("P3DR")}));
+  top.push_back(PlanNode::terminal("PSF"));
+  Fitness want;
+  want.overall = 0.95499999999999996;
+  want.validity = 1.0;
+  want.goal = 1.0;
+  want.representation = 0.84999999999999998;
+  want.size = 6;
+  want.flows = 2;
+  expect_fitness(evaluator.evaluate(PlanNode::sequential(std::move(top))), want);
+}
+
+TEST(EvaluateStates, SelectiveBranchesReachingTheSameItemSet) {
+  // Both branches run POD and P3DR once more, in opposite orders, so they
+  // end holding the same items; one more P3DR then lets PSF run in both.
+  const PlanningProblem problem = virolab_problem();
+  PlanEvaluator evaluator(problem);
+  std::vector<PlanNode> top;
+  top.push_back(PlanNode::terminal("POD"));
+  top.push_back(PlanNode::selective({seq({"P3DR", "POD"}), seq({"POD", "P3DR"})}));
+  top.push_back(PlanNode::terminal("P3DR"));
+  top.push_back(PlanNode::terminal("PSF"));
+  Fitness want;
+  want.overall = 0.91749999999999998;
+  want.validity = 1.0;
+  want.goal = 1.0;
+  want.representation = 0.72499999999999998;
+  want.size = 11;
+  want.flows = 2;
+  expect_fitness(evaluator.evaluate(PlanNode::sequential(std::move(top))), want);
+}
+
 /// FNV-1a over the bit patterns of every Fitness field.
 class FitnessDigest {
  public:
@@ -389,6 +476,88 @@ TEST(EvaluatePin, RandomPlansScoreBitwiseAsPinned) {
   EXPECT_EQ(evaluated, 1800u);
   // A reference value, not derived: change it only with a deliberate change
   // of the fitness semantics.
+  EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
+}
+
+
+/// The problems of the pin test above, in its order.
+std::vector<PlanningProblem> pin_problems() {
+  std::vector<PlanningProblem> problems;
+  problems.push_back(virolab_problem());
+  PlanningProblem no_por = virolab_problem();
+  wfl::ServiceCatalogue reduced;
+  for (const auto& service : no_por.catalogue.services())
+    if (service.name() != "POR") reduced.add(service);
+  no_por.catalogue = std::move(reduced);
+  problems.push_back(std::move(no_por));
+  WorkloadParams chain;
+  chain.depth = 3;
+  problems.push_back(make_layered_problem(chain));
+  WorkloadParams pairs;
+  pairs.depth = 4;
+  pairs.fan_in = 2;
+  pairs.distractor_chains = 1;
+  problems.push_back(make_layered_problem(pairs));
+  WorkloadParams triples;
+  triples.depth = 3;
+  triples.services_per_layer = 1;
+  triples.fan_in = 3;
+  triples.distractor_chains = 2;
+  triples.distractor_depth = 2;
+  problems.push_back(make_layered_problem(triples));
+  return problems;
+}
+
+bool same_bits(const Fitness& a, const Fitness& b) {
+  return std::memcmp(&a.overall, &b.overall, sizeof(double)) == 0 &&
+         std::memcmp(&a.validity, &b.validity, sizeof(double)) == 0 &&
+         std::memcmp(&a.goal, &b.goal, sizeof(double)) == 0 &&
+         std::memcmp(&a.representation, &b.representation, sizeof(double)) == 0 &&
+         a.size == b.size && a.flows == b.flows && a.flows_truncated == b.flows_truncated;
+}
+
+TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
+  // Each evaluator worker interns world states and memoizes transitions
+  // across the plans it scores. Scoring the pin's plans in pin order, in
+  // reverse order, and each on a fresh evaluator must agree bitwise; with
+  // the plan memo off, every call re-simulates through the warm tables.
+  const std::vector<PlanningProblem> problems = pin_problems();
+  std::vector<EvaluationConfig> configs(3);
+  configs[1].max_flows = 8;
+  configs[2].concurrent_orders = 1;
+  for (EvaluationConfig& config : configs) config.memoize = false;
+
+  const wfl::ServiceCatalogue virolab_services = virolab::make_catalogue();
+  FitnessDigest digest;
+  std::size_t evaluated = 0;
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const wfl::ServiceCatalogue& vocabulary =
+        p == 1 ? virolab_services : problems[p].catalogue;
+    for (const EvaluationConfig& config : configs) {
+      std::vector<PlanNode> plans;
+      for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+        for (const InitStyle style : {InitStyle::Grow, InitStyle::Full}) {
+          util::Rng rng(seed * 1000 + p);
+          for (int i = 0; i < 20; ++i) plans.push_back(random_tree(rng, vocabulary, 40, style));
+        }
+      }
+      PlanEvaluator forward(problems[p], config);
+      std::vector<Fitness> in_order;
+      for (const PlanNode& plan : plans) in_order.push_back(forward.evaluate(plan));
+      PlanEvaluator backward(problems[p], config);
+      std::vector<Fitness> reversed(plans.size());
+      for (std::size_t i = plans.size(); i-- > 0;) reversed[i] = backward.evaluate(plans[i]);
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        const Fitness fresh = PlanEvaluator(problems[p], config).evaluate(plans[i]);
+        EXPECT_TRUE(same_bits(in_order[i], reversed[i])) << "problem " << p << " plan " << i;
+        EXPECT_TRUE(same_bits(in_order[i], fresh)) << "problem " << p << " plan " << i;
+        digest.add(in_order[i]);
+        ++evaluated;
+      }
+    }
+  }
+  EXPECT_EQ(evaluated, 1800u);
+  // The plan memo never changes a result, so this is the pin's digest.
   EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
 }
 

@@ -108,5 +108,16 @@ TEST(Gp, PaperParametersReachOptimalFitness) {
   EXPECT_GT(result.best_fitness.overall, 0.9);
 }
 
+
+TEST(Gp, EmptyPopulationReturnsEmptyResult) {
+  const PlanningProblem problem = virolab_problem();
+  GpConfig config = quick_config(9);
+  config.population_size = 0;
+  const GpResult result = run_gp(problem, config);
+  EXPECT_EQ(result.evaluations, 0u);
+  EXPECT_TRUE(result.history.empty());
+  EXPECT_EQ(result.best_fitness.size, 0u);
+}
+
 }  // namespace
 }  // namespace ig::planner
