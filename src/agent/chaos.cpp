@@ -30,19 +30,4 @@ const ChaosRule* ChaosPolicy::first_match(const AclMessage& message) const {
   return nullptr;
 }
 
-void ChaosStats::publish(obs::MetricsRegistry& registry, const obs::Labels& labels) const {
-  const auto set = [&](const char* kind, std::size_t value) {
-    obs::Labels with_kind = labels;
-    with_kind.emplace_back("kind", kind);
-    registry.counter("chaos_faults_total", with_kind).set_to(value);
-  };
-  set("dropped", dropped);
-  set("delayed", delayed);
-  set("duplicated", duplicated);
-  set("reordered", reordered);
-  set("crashed", crashed);
-  set("hung", hung);
-  set("swallowed", swallowed);
-}
-
 }  // namespace ig::agent

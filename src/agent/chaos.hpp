@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "agent/message.hpp"
-#include "obs/metrics.hpp"
 
 namespace ig::agent {
 
@@ -69,9 +68,8 @@ struct ChaosPolicy {
   const ChaosRule* first_match(const AclMessage& message) const;
 };
 
-/// Injected-fault counters (one consistent snapshot; the platform keeps the
-/// live counters atomic so an engine metrics pass may read them while the
-/// shard runs).
+/// Injected-fault counts, a snapshot of the platform's
+/// `chaos_faults_total{kind=...}` counters.
 struct ChaosStats {
   std::size_t dropped = 0;     ///< messages lost (incl. hung/crashed senders)
   std::size_t delayed = 0;
@@ -84,10 +82,6 @@ struct ChaosStats {
   std::size_t total_injected() const noexcept {
     return dropped + delayed + duplicated + reordered + crashed + hung + swallowed;
   }
-
-  /// Publishes the snapshot into `registry` as `chaos_faults_total` counters
-  /// labelled by fault kind (plus `labels`, e.g. the owning shard).
-  void publish(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
 };
 
 }  // namespace ig::agent

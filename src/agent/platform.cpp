@@ -7,6 +7,22 @@
 
 namespace ig::agent {
 
+AgentPlatform::AgentPlatform(grid::Simulation& sim, obs::Scope metrics)
+    : sim_(sim),
+      metrics_(std::move(metrics)),
+      transport_rejects_(metrics_.counter("platform_transport_rejects_total")),
+      trace_dropped_(metrics_.counter("platform_trace_dropped_total")),
+      messages_sent_(metrics_.counter("platform_messages_sent_total")),
+      messages_delivered_(metrics_.counter("platform_messages_delivered_total")),
+      handler_failures_total_(metrics_.counter("platform_handler_failures_total")),
+      chaos_dropped_(metrics_.with("kind", "dropped").counter("chaos_faults_total")),
+      chaos_delayed_(metrics_.with("kind", "delayed").counter("chaos_faults_total")),
+      chaos_duplicated_(metrics_.with("kind", "duplicated").counter("chaos_faults_total")),
+      chaos_reordered_(metrics_.with("kind", "reordered").counter("chaos_faults_total")),
+      chaos_crashed_(metrics_.with("kind", "crashed").counter("chaos_faults_total")),
+      chaos_hung_(metrics_.with("kind", "hung").counter("chaos_faults_total")),
+      chaos_swallowed_(metrics_.with("kind", "swallowed").counter("chaos_faults_total")) {}
+
 Agent& AgentPlatform::register_agent(std::unique_ptr<Agent> agent) {
   if (agent == nullptr) throw std::invalid_argument("register_agent: null agent");
   if (has_agent(agent->name()))
@@ -51,7 +67,7 @@ std::vector<std::string> AgentPlatform::agent_names() const {
 
 void AgentPlatform::send(AclMessage message) {
   const std::uint64_t sequence = send_sequence_++;
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  messages_sent_.inc();
   const grid::SimTime sent_at = sim_.now();
   grid::SimTime latency =
       latency_fn_ ? latency_fn_(message.sender, message.receiver) : 0.001;
@@ -62,7 +78,7 @@ void AgentPlatform::send(AclMessage message) {
   if (!health_.empty()) {
     const AgentHealth sender_health = agent_health(message.sender);
     if (sender_health != AgentHealth::Healthy) {
-      chaos_dropped_.fetch_add(1, std::memory_order_relaxed);
+      chaos_dropped_.inc();
       trace_chaos_loss(message, sent_at,
                        sender_health == AgentHealth::Crashed ? "dropped: sender crashed"
                                                              : "dropped: sender hung");
@@ -78,7 +94,7 @@ void AgentPlatform::send(AclMessage message) {
     std::string error;
     std::optional<AclMessage> decoded = transport_hook_(message, &error);
     if (!decoded.has_value()) {
-      transport_rejects_.fetch_add(1, std::memory_order_relaxed);
+      transport_rejects_.inc();
       trace_chaos_loss(message, sent_at,
                        "wire: " + (error.empty() ? std::string("decode error") : error));
       return;
@@ -93,21 +109,21 @@ void AgentPlatform::send(AclMessage message) {
       // other rules or policies did before it.
       util::Rng rng(util::derive_stream(chaos_->seed, sequence));
       if (rule->drop > 0.0 && rng.next_bool(rule->drop)) {
-        chaos_dropped_.fetch_add(1, std::memory_order_relaxed);
+        chaos_dropped_.inc();
         trace_chaos_loss(message, sent_at, "dropped");
         return;
       }
       if (rule->delay > 0.0 && rng.next_bool(rule->delay)) {
         latency += rng.next_double(rule->delay_min, rule->delay_max);
-        chaos_delayed_.fetch_add(1, std::memory_order_relaxed);
+        chaos_delayed_.inc();
       }
       if (rule->reorder > 0.0 && rng.next_bool(rule->reorder)) {
         // Push this delivery behind sends issued a few transport hops later.
         latency += latency * rng.next_double(1.0, 3.0) + 0.002;
-        chaos_reordered_.fetch_add(1, std::memory_order_relaxed);
+        chaos_reordered_.inc();
       }
       if (rule->duplicate > 0.0 && rng.next_bool(rule->duplicate)) {
-        chaos_duplicated_.fetch_add(1, std::memory_order_relaxed);
+        chaos_duplicated_.inc();
         AclMessage copy = message;
         const grid::SimTime copy_latency = latency + 0.0005 + rng.next_double(0.0, latency);
         sim_.schedule(copy_latency, [this, copy = std::move(copy), sent_at]() mutable {
@@ -139,13 +155,6 @@ void AgentPlatform::set_chaos(ChaosPolicy policy) {
   chaos_seed_ = policy.seed;
   chaos_ = std::move(policy);
   deliveries_by_agent_.clear();
-  chaos_dropped_.store(0, std::memory_order_relaxed);
-  chaos_delayed_.store(0, std::memory_order_relaxed);
-  chaos_duplicated_.store(0, std::memory_order_relaxed);
-  chaos_reordered_.store(0, std::memory_order_relaxed);
-  chaos_crashed_.store(0, std::memory_order_relaxed);
-  chaos_hung_.store(0, std::memory_order_relaxed);
-  chaos_swallowed_.store(0, std::memory_order_relaxed);
 }
 
 void AgentPlatform::clear_chaos() {
@@ -155,24 +164,14 @@ void AgentPlatform::clear_chaos() {
 
 ChaosStats AgentPlatform::chaos_stats() const {
   ChaosStats stats;
-  stats.dropped = chaos_dropped_.load(std::memory_order_relaxed);
-  stats.delayed = chaos_delayed_.load(std::memory_order_relaxed);
-  stats.duplicated = chaos_duplicated_.load(std::memory_order_relaxed);
-  stats.reordered = chaos_reordered_.load(std::memory_order_relaxed);
-  stats.crashed = chaos_crashed_.load(std::memory_order_relaxed);
-  stats.hung = chaos_hung_.load(std::memory_order_relaxed);
-  stats.swallowed = chaos_swallowed_.load(std::memory_order_relaxed);
+  stats.dropped = chaos_dropped_.value();
+  stats.delayed = chaos_delayed_.value();
+  stats.duplicated = chaos_duplicated_.value();
+  stats.reordered = chaos_reordered_.value();
+  stats.crashed = chaos_crashed_.value();
+  stats.hung = chaos_hung_.value();
+  stats.swallowed = chaos_swallowed_.value();
   return stats;
-}
-
-void AgentPlatform::publish_metrics(obs::MetricsRegistry& registry,
-                                    const obs::Labels& labels) const {
-  registry.counter("platform_messages_sent_total", labels).set_to(messages_sent());
-  registry.counter("platform_messages_delivered_total", labels).set_to(messages_delivered());
-  registry.counter("platform_handler_failures_total", labels).set_to(handler_failures_total());
-  registry.counter("platform_trace_dropped_total", labels).set_to(trace_dropped());
-  registry.counter("platform_transport_rejects_total", labels).set_to(transport_rejects());
-  chaos_stats().publish(registry, labels);
 }
 
 void AgentPlatform::crash_agent(const std::string& name) { health_[name] = AgentHealth::Crashed; }
@@ -194,10 +193,10 @@ void AgentPlatform::apply_agent_faults(const std::string& receiver) {
     if (fault.agent != receiver || fault.after_deliveries != count) continue;
     if (fault.kind == AgentFault::Kind::Crash) {
       crash_agent(receiver);
-      chaos_crashed_.fetch_add(1, std::memory_order_relaxed);
+      chaos_crashed_.inc();
     } else {
       hang_agent(receiver);
-      chaos_hung_.fetch_add(1, std::memory_order_relaxed);
+      chaos_hung_.inc();
     }
   }
 }
@@ -207,7 +206,7 @@ void AgentPlatform::set_trace_limit(std::size_t limit) {
   if (limit == 0) return;
   while (trace_.size() > limit) {
     trace_.pop_front();
-    trace_dropped_.fetch_add(1, std::memory_order_relaxed);
+    trace_dropped_.inc();
   }
 }
 
@@ -216,7 +215,7 @@ void AgentPlatform::push_trace(TraceRecord record) {
   const std::size_t limit = trace_limit_.load(std::memory_order_relaxed);
   if (limit > 0 && trace_.size() > limit) {
     trace_.pop_front();
-    trace_dropped_.fetch_add(1, std::memory_order_relaxed);
+    trace_dropped_.inc();
   }
 }
 
@@ -238,7 +237,7 @@ void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
   const AgentHealth receiver_health = agent_health(message.receiver);
   if (receiver_health == AgentHealth::Hung) {
     // Black hole: no bounce, no handler, only timeouts can see this.
-    chaos_swallowed_.fetch_add(1, std::memory_order_relaxed);
+    chaos_swallowed_.inc();
     trace_chaos_loss(message, sent_at, "swallowed: receiver hung");
     return;
   }
@@ -271,7 +270,7 @@ void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
     }
     return;
   }
-  messages_delivered_.fetch_add(1, std::memory_order_relaxed);
+  messages_delivered_.inc();
   try {
     receiver->handle_message(message);
   } catch (const std::exception& error) {
@@ -283,7 +282,7 @@ void AgentPlatform::deliver(AclMessage message, grid::SimTime sent_at) {
 
 void AgentPlatform::note_handler_failure(const AclMessage& message, const std::string& what) {
   handler_failures_[message.receiver] += 1;
-  handler_failures_total_.fetch_add(1, std::memory_order_relaxed);
+  handler_failures_total_.inc();
   if (tracing_ && !trace_.empty()) {
     // Our record is still at the back: pushes happen only in deliver() and
     // the ring drops from the front.

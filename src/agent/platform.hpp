@@ -29,6 +29,7 @@
 #include "agent/chaos.hpp"
 #include "agent/message.hpp"
 #include "grid/sim.hpp"
+#include "obs/metrics.hpp"
 
 namespace ig::agent {
 
@@ -56,12 +57,17 @@ using TransportHook =
 
 class AgentPlatform {
  public:
-  explicit AgentPlatform(grid::Simulation& sim) : sim_(sim) {}
+  /// Counts messages, handler failures, trace drops and chaos faults in
+  /// `metrics` (an engine shard's stack passes the engine's registry,
+  /// labelled {shard="i"}); the default is a private registry.
+  explicit AgentPlatform(grid::Simulation& sim, obs::Scope metrics = {});
 
   AgentPlatform(const AgentPlatform&) = delete;
   AgentPlatform& operator=(const AgentPlatform&) = delete;
 
   grid::Simulation& sim() noexcept { return sim_; }
+  /// Where this platform counts.
+  const obs::Scope& metrics() const noexcept { return metrics_; }
 
   // -- lifecycle --------------------------------------------------------------
   /// Registers an agent; its name must be unique. `on_start` runs
@@ -97,20 +103,13 @@ class AgentPlatform {
   /// Installs (or clears, with nullptr) the transport hook. Runs in send()
   /// after the sender-health check and before any chaos decision.
   void set_transport_hook(TransportHook hook) { transport_hook_ = std::move(hook); }
-  /// Messages the transport hook rejected (decode errors). Atomic, readable
-  /// from a metrics thread.
-  std::size_t transport_rejects() const noexcept {
-    return transport_rejects_.load(std::memory_order_relaxed);
-  }
+  /// Messages the transport hook rejected (decode errors).
+  std::size_t transport_rejects() const noexcept { return transport_rejects_.value(); }
 
-  /// Atomic, so an engine metrics snapshot may read them from another
-  /// thread while the shard's worker is delivering.
-  std::size_t messages_sent() const noexcept {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  std::size_t messages_delivered() const noexcept {
-    return messages_delivered_.load(std::memory_order_relaxed);
-  }
+  // The counters are registry instruments (relaxed atomics), so an engine
+  // metrics snapshot may read them while the shard's worker is delivering.
+  std::size_t messages_sent() const noexcept { return messages_sent_.value(); }
+  std::size_t messages_delivered() const noexcept { return messages_delivered_.value(); }
 
   // -- attempt model ---------------------------------------------------------------
   /// Records the per-attempt transport state — the send sequence that keys
@@ -125,13 +124,13 @@ class AgentPlatform {
   void reset(std::uint64_t attempt_seed);
 
   // -- chaos --------------------------------------------------------------------
-  /// Installs (or replaces) the fault-injection policy. Counters reset.
+  /// Installs (or replaces) the fault-injection policy. The fault counters
+  /// keep counting: like every registry counter they never go down.
   void set_chaos(ChaosPolicy policy);
   void clear_chaos();
   bool chaos_enabled() const noexcept { return chaos_.has_value() && chaos_->enabled(); }
-  /// Consistent snapshot of the injected-fault counters. The live counters
-  /// are atomic, so an engine metrics pass may call this from another thread
-  /// while the shard's worker is running.
+  /// Snapshot of the injected-fault counters (`chaos_faults_total{kind}`),
+  /// safe from another thread while the shard's worker is running.
   ChaosStats chaos_stats() const;
 
   /// Marks an agent crashed: deliveries to it bounce like an unknown agent,
@@ -155,11 +154,8 @@ class AgentPlatform {
   const std::map<std::string, std::size_t>& handler_failures_by_agent() const noexcept {
     return handler_failures_;
   }
-  /// Total caught handler exceptions. Atomic so an engine metrics snapshot
-  /// may read it from another thread while the shard is running.
-  std::size_t handler_failures_total() const noexcept {
-    return handler_failures_total_.load(std::memory_order_relaxed);
-  }
+  /// Total caught handler exceptions.
+  std::size_t handler_failures_total() const noexcept { return handler_failures_total_.value(); }
 
   // -- tracing ------------------------------------------------------------------
   void set_tracing(bool enabled) noexcept { tracing_ = enabled; }
@@ -170,24 +166,16 @@ class AgentPlatform {
   /// which the Figure 2/3 harnesses rely on; long-running shards set a cap
   /// so a traced platform cannot grow without bound.
   void set_trace_limit(std::size_t limit);
-  /// The limit and drop counters are atomic: the trace ring itself is only
+  /// The limit and drop counter are atomic: the trace ring itself is only
   /// mutated on the owning sim thread, but these two are read by engine
   /// metrics snapshots from other threads (see engine_test's TSan case).
   std::size_t trace_limit() const noexcept {
     return trace_limit_.load(std::memory_order_relaxed);
   }
   /// Records discarded so far due to the cap.
-  std::size_t trace_dropped() const noexcept {
-    return trace_dropped_.load(std::memory_order_relaxed);
-  }
+  std::size_t trace_dropped() const noexcept { return trace_dropped_.value(); }
   /// Multi-line "t=0.001 REQUEST cs -> ps [planning-request]" rendering.
   std::string trace_to_string() const;
-
-  // -- metrics ------------------------------------------------------------------
-  /// Pushes the platform's counters (messages, handler failures, trace
-  /// drops, chaos faults) into `registry` under `labels`. Reads only atomic
-  /// state, so it is safe from a metrics thread while the sim runs.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
 
  private:
   void deliver(AclMessage message, grid::SimTime sent_at);
@@ -200,20 +188,28 @@ class AgentPlatform {
   void apply_agent_faults(const std::string& receiver);
 
   grid::Simulation& sim_;
+  obs::Scope metrics_;
+  obs::Counter& transport_rejects_;
+  obs::Counter& trace_dropped_;
+  obs::Counter& messages_sent_;
+  obs::Counter& messages_delivered_;
+  obs::Counter& handler_failures_total_;
+  obs::Counter& chaos_dropped_;  ///< chaos_faults_total{kind=...}, one per kind
+  obs::Counter& chaos_delayed_;
+  obs::Counter& chaos_duplicated_;
+  obs::Counter& chaos_reordered_;
+  obs::Counter& chaos_crashed_;
+  obs::Counter& chaos_hung_;
+  obs::Counter& chaos_swallowed_;
   std::vector<std::unique_ptr<Agent>> agents_;
   /// Keys each send's chaos draws; unlike messages_sent_, reset per attempt.
   std::uint64_t send_sequence_ = 0;
   std::function<grid::SimTime(const std::string&, const std::string&)> latency_fn_;
   TransportHook transport_hook_;
-  std::atomic<std::size_t> transport_rejects_{0};
   bool tracing_ = false;
   std::deque<TraceRecord> trace_;
   std::atomic<std::size_t> trace_limit_{0};  ///< 0 = unlimited
-  std::atomic<std::size_t> trace_dropped_{0};
-  std::atomic<std::size_t> messages_sent_{0};
-  std::atomic<std::size_t> messages_delivered_{0};
   std::map<std::string, std::size_t> handler_failures_;
-  std::atomic<std::size_t> handler_failures_total_{0};
 
   std::optional<ChaosPolicy> chaos_;
   std::uint64_t chaos_seed_ = 0;  ///< the installed policy's own seed
@@ -225,13 +221,6 @@ class AgentPlatform {
     std::map<std::string, std::size_t> deliveries_by_agent;
   };
   Pristine pristine_;
-  std::atomic<std::size_t> chaos_dropped_{0};
-  std::atomic<std::size_t> chaos_delayed_{0};
-  std::atomic<std::size_t> chaos_duplicated_{0};
-  std::atomic<std::size_t> chaos_reordered_{0};
-  std::atomic<std::size_t> chaos_crashed_{0};
-  std::atomic<std::size_t> chaos_hung_{0};
-  std::atomic<std::size_t> chaos_swallowed_{0};
 };
 
 }  // namespace ig::agent

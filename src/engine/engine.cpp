@@ -171,18 +171,18 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
   started_at_ = std::chrono::steady_clock::now();
   // Ring capacity well above any bench's case count, so registry-derived
   // percentiles stay exact (see obs/metrics.hpp).
-  latency_hist_ = &registry_.histogram("engine_case_latency_seconds",
-                                       obs::default_latency_buckets(), {}, 65536);
-  submitted_ = &registry_.counter("engine_cases_submitted_total");
-  rejected_ = &registry_.counter("engine_cases_rejected_total");
-  completed_ = &registry_.counter("engine_cases_completed_total");
-  failed_ = &registry_.counter("engine_cases_failed_total");
-  cancelled_ = &registry_.counter("engine_cases_cancelled_total");
-  retried_ = &registry_.counter("engine_case_retries_total");
-  recovered_ = &registry_.counter("engine_cases_recovered_total");
-  io_errors_ = &registry_.counter("store_io_errors_total");
-  evicted_ = &registry_.counter("engine_cases_evicted_total");
-  retained_ = &registry_.gauge("engine_cases_retained");
+  latency_hist_ = &metrics_.registry().histogram("engine_case_latency_seconds",
+                                                 obs::default_latency_buckets(), {}, 65536);
+  submitted_ = &metrics_.counter("engine_cases_submitted_total");
+  rejected_ = &metrics_.counter("engine_cases_rejected_total");
+  completed_ = &metrics_.counter("engine_cases_completed_total");
+  failed_ = &metrics_.counter("engine_cases_failed_total");
+  cancelled_ = &metrics_.counter("engine_cases_cancelled_total");
+  retried_ = &metrics_.counter("engine_case_retries_total");
+  recovered_ = &metrics_.counter("engine_cases_recovered_total");
+  io_errors_ = &metrics_.counter("store_io_errors_total");
+  evicted_ = &metrics_.counter("engine_cases_evicted_total");
+  retained_ = &metrics_.gauge("engine_cases_retained");
 
   // Durable mode: open the journal and rebuild the case table before any
   // shard exists, so recovered cases are queued by the time pumps start.
@@ -205,7 +205,8 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
     shard->index = i;
     const double floor =
         i < config_.shard_failure_floor.size() ? config_.shard_failure_floor[i] : 0.0;
-    shard->environment = svc::make_shard_stack(config_.environment, config_.seed, 0, floor);
+    shard->environment = svc::make_shard_stack(config_.environment, config_.seed, 0, floor,
+                                               metrics_.with("shard", std::to_string(i)));
     shard->client = &shard->environment->platform().spawn<EngineClient>("engine-client");
     if (config_.shard_setup) config_.shard_setup(*shard->environment, i);
     shard->environment->save_pristine();
@@ -216,7 +217,7 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
   // fewer workers time-slice the streams, and either way an idle worker
   // steals a busy shard's next slice instead of sleeping.
   const std::size_t workers = config_.workers == 0 ? config_.shards : config_.workers;
-  jobs_ = std::make_unique<sched::JobSystem>(workers);
+  jobs_ = std::make_unique<sched::JobSystem>(workers, metrics_);
   // Cold-start resume: cases the journal recovered into the queues have no
   // submit() call coming to kick the pumps — kick them here.
   if (queued_ > 0) {
@@ -528,10 +529,9 @@ EngineMetrics EnactmentEngine::metrics() const {
     sm.cases_completed = shard->cases_completed;
     sm.cases_failed = shard->cases_failed;
     sm.stale_replies = shard->stale_replies;
-    // These counters are all atomic on their owners (platform, request
-    // trackers, monitoring), so reading them here while the shard's worker
-    // is mid-enactment is safe. The stack lives as long as the shard and a
-    // reset never zeroes them.
+    // These are the shard stack's registry counters (relaxed atomics), so
+    // reading them here while the shard's worker is mid-enactment is safe.
+    // The stack lives as long as the shard and a reset never zeroes them.
     svc::Environment& environment = *shard->environment;
     sm.handler_failures = environment.platform().handler_failures_total();
     sm.faults_injected = environment.platform().chaos_stats().total_injected();
@@ -549,19 +549,29 @@ EngineMetrics EnactmentEngine::metrics() const {
     sm.busy_seconds = shard->busy_seconds;
     sm.utilization =
         snapshot.uptime_seconds > 0.0 ? shard->busy_seconds / snapshot.uptime_seconds : 0.0;
-    // The registry view of the same shard, labelled so a scrape can tell
-    // shards apart while the EngineMetrics struct keeps its vector form.
-    environment.publish_metrics(registry_,
-                                {{"shard", std::to_string(shard->index)}});
     snapshot.shards.push_back(sm);
   }
-  registry_.gauge("engine_queue_depth").set(static_cast<double>(snapshot.queue_depth));
-  registry_.gauge("engine_cases_running").set(static_cast<double>(snapshot.running));
-  registry_.gauge("engine_uptime_seconds").set(snapshot.uptime_seconds);
-  registry_.gauge("engine_completed_per_second").set(snapshot.completed_per_second);
-  registry_.gauge("engine_degraded").set(snapshot.degraded ? 1.0 : 0.0);
-  jobs_->publish_metrics(registry_);
-  if (journal_) journal_->publish_metrics(registry_, {{"component", "engine-journal"}});
+  // Only state gauges are set here; every counter is already current.
+  metrics_.gauge("engine_queue_depth").set(static_cast<double>(snapshot.queue_depth));
+  metrics_.gauge("engine_cases_running").set(static_cast<double>(snapshot.running));
+  metrics_.gauge("engine_uptime_seconds").set(snapshot.uptime_seconds);
+  metrics_.gauge("engine_completed_per_second").set(snapshot.completed_per_second);
+  metrics_.gauge("engine_degraded").set(snapshot.degraded ? 1.0 : 0.0);
+  const std::vector<std::size_t> depths = jobs_->queue_depths();
+  for (std::size_t i = 0; i < depths.size(); ++i)
+    metrics_.with("worker", std::to_string(i))
+        .gauge("sched_queue_depth")
+        .set(static_cast<double>(depths[i]));
+  if (journal_) {
+    const store::StoreStats store = journal_->stats();
+    const obs::Scope journal = metrics_.with("component", "engine-journal");
+    journal.gauge("store_poisoned").set(store.wal.poisoned ? 1.0 : 0.0);
+    journal.gauge("store_segments").set(static_cast<double>(store.segments));
+    journal.gauge("store_wal_records").set(static_cast<double>(store.wal.records));
+    journal.gauge("store_keys").set(static_cast<double>(store.keys));
+    journal.gauge("store_last_snapshot_lsn").set(static_cast<double>(store.snapshot_lsn));
+    journal.gauge("store_recovery_ms").set(store.recovery_ms);
+  }
   return snapshot;
 }
 
@@ -957,9 +967,11 @@ void EnactmentEngine::recover_from_journal() {
   // apply them after the snapshot blob, which they must land on top of.
   std::vector<std::string> replayed;
   journal_ = std::make_unique<store::StorageEngine>(
-      config_.storage, [&replayed](std::string_view stream, std::string_view payload) {
+      config_.storage,
+      [&replayed](std::string_view stream, std::string_view payload) {
         if (stream == "engine") replayed.emplace_back(payload);
-      });
+      },
+      metrics_.with("component", "engine-journal"));
   const std::string blob = journal_->recovered_state("engine");
   if (!blob.empty() && !decode_engine_state(blob)) {
     IG_LOG_DEBUG("engine") << "discarding undecodable engine snapshot blob ("

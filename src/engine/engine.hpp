@@ -253,17 +253,20 @@ class EnactmentEngine {
 
   EngineMetrics metrics() const;
 
-  /// The engine's metrics registry, and the only store of the engine's case
-  /// tallies: the `engine_case*_total` and `store_io_errors_total` counters,
-  /// the `engine_cases_retained` gauge and the `engine_case_latency_seconds`
-  /// histogram are updated as cases move, so a scrape sees them current at
-  /// any time. The per-shard (labelled {shard=i}), scheduler and journal
-  /// counters and the other engine gauges are refreshed by metrics(), so
-  /// `registry().snapshot()` after metrics() is the complete exporter feed.
+  /// The engine's metrics registry, the one store of every count in the
+  /// engine: its case tallies (`engine_case*_total`, `store_io_errors_total`,
+  /// the `engine_cases_retained` gauge, the `engine_case_latency_seconds`
+  /// histogram), each shard stack's counters (labelled {shard=i}), the
+  /// scheduler's `sched_*` and the journal's `store_*` counters (labelled
+  /// {component=engine-journal}). Every owner bumps its counters here in
+  /// place, so a scrape sees them current at any time, with or without a
+  /// metrics() call. metrics() only sets the gauges that snapshot state:
+  /// queue depths, running cases, uptime, throughput, degraded, and the
+  /// journal's segments, records, keys, snapshot LSN and recovery time.
   /// EngineMetrics reads the same instruments, so both views agree on the
   /// same run.
-  obs::MetricsRegistry& registry() noexcept { return registry_; }
-  const obs::MetricsRegistry& registry() const noexcept { return registry_; }
+  obs::MetricsRegistry& registry() noexcept { return metrics_.registry(); }
+  const obs::MetricsRegistry& registry() const noexcept { return metrics_.registry(); }
 
   /// Retained enactment spans of one shard (empty when the shard template
   /// did not enable span_tracing, or the index is out of range). Snapshot;
@@ -378,10 +381,10 @@ class EnactmentEngine {
   bool degraded_ = false;
   std::string degraded_reason_;
   std::size_t completion_sequence_ = 0;
-  /// Mutable: metrics() is a const snapshot but refreshes the published
-  /// counters; the registry itself is internally synchronized.
-  mutable obs::MetricsRegistry registry_;
-  // Instruments owned by registry_, resolved once in the constructor. The
+  /// The engine's registry (internally synchronized); the shard stacks, the
+  /// job system and the journal count in labelled copies of this scope.
+  obs::Scope metrics_;
+  // The engine's own instruments, resolved once in the constructor. The
   // case counters are bumped under mutex_, so metrics() reads them as one
   // consistent set.
   obs::Histogram* latency_hist_ = nullptr;

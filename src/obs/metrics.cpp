@@ -176,4 +176,10 @@ const MetricPoint* RegistrySnapshot::find(const std::string& name, const Labels&
   return nullptr;
 }
 
+Scope Scope::with(std::string key, std::string value) const {
+  Scope scope = *this;
+  scope.labels_.emplace_back(std::move(key), std::move(value));
+  return scope;
+}
+
 }  // namespace ig::obs

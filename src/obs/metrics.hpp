@@ -1,5 +1,12 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
+// The registry is the one store of every count: each component resolves its
+// instruments once, when it is constructed, and bumps them in place — there
+// is no second, private copy to push into the registry later. A component
+// learns where to count from an obs::Scope (a registry plus the labels that
+// name the component in it); built on its own it counts in a private
+// registry, and its accessors read the very instruments a scrape would.
+//
 // The hot path is lock-free: Counter::inc, Gauge::set/add and
 // Histogram::observe are relaxed atomic operations on pre-registered
 // instruments, so a shard worker can bump them inside the enactment loop
@@ -34,14 +41,13 @@ namespace ig::obs {
 /// for identity (the registry keys instruments by name + rendered labels).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing event count. `set_to` exists for the publish
-/// pattern: a component that already owns an atomic counter pushes its
-/// current absolute value into the registry at snapshot time instead of
-/// double-counting events on the hot path.
-class Counter {
+/// Monotonically increasing event count, the only copy of it: its owner
+/// bumps it in place and reads it back through its own accessors. Padded to
+/// a cache line, so counters bumped by different threads (one per shard)
+/// never share one.
+class alignas(64) Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  void set_to(std::uint64_t value) noexcept { value_.store(value, std::memory_order_relaxed); }
   std::uint64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -156,6 +162,29 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;  ///< key = name + rendered labels
+};
+
+/// Where a component counts: a registry plus the labels that name the
+/// component in it. A default-constructed scope owns a fresh private
+/// registry, so a component built on its own still counts; the enactment
+/// engine instead hands each shard stack, its job system and its journal a
+/// labelled scope over the engine's registry, so one scrape sees every
+/// count as it happens. Copies share the registry, which lives as long as
+/// any of them.
+class Scope {
+ public:
+  Scope() : registry_(std::make_shared<MetricsRegistry>()) {}
+
+  /// The same registry, with `{key=value}` appended to the labels.
+  Scope with(std::string key, std::string value) const;
+
+  MetricsRegistry& registry() const noexcept { return *registry_; }
+  Counter& counter(const std::string& name) const { return registry_->counter(name, labels_); }
+  Gauge& gauge(const std::string& name) const { return registry_->gauge(name, labels_); }
+
+ private:
+  std::shared_ptr<MetricsRegistry> registry_;
+  Labels labels_;
 };
 
 }  // namespace ig::obs

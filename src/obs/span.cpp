@@ -26,11 +26,6 @@ void SpanTracer::set_limit(std::size_t limit) {
   trim_locked();
 }
 
-std::size_t SpanTracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
 SpanId SpanTracer::begin(SpanKind kind, std::string name, std::string case_id, SpanId parent,
                          double at) {
   if (!enabled()) return 0;
@@ -97,7 +92,6 @@ std::vector<Span> SpanTracer::case_spans(const std::string& case_id) const {
 void SpanTracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
-  dropped_ = 0;
 }
 
 void SpanTracer::trim_locked() {
@@ -106,7 +100,7 @@ void SpanTracer::trim_locked() {
   while (spans_.size() > limit_ && it != spans_.end()) {
     if (it->second.closed) {
       it = spans_.erase(it);
-      ++dropped_;
+      dropped_.inc();
     } else {
       ++it;
     }

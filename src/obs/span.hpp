@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // Labels
+#include "obs/metrics.hpp"
 
 namespace ig::obs {
 
@@ -64,7 +64,10 @@ struct Span {
 
 class SpanTracer {
  public:
-  SpanTracer() = default;
+  /// Counts dropped spans in `metrics` as `tracer_spans_dropped_total`
+  /// (default: a private registry).
+  explicit SpanTracer(Scope metrics = {})
+      : metrics_(std::move(metrics)), dropped_(metrics_.counter("tracer_spans_dropped_total")) {}
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
@@ -76,7 +79,8 @@ class SpanTracer {
   /// Retained-span cap: once exceeded, the oldest *closed* spans are
   /// dropped (open spans survive so their end() still lands). 0 keeps all.
   void set_limit(std::size_t limit);
-  std::size_t dropped() const;
+  /// Spans dropped by the cap so far; clear() does not reset it.
+  std::size_t dropped() const noexcept { return dropped_.value(); }
 
   /// Opens a span; returns 0 when disabled.
   SpanId begin(SpanKind kind, std::string name, std::string case_id, SpanId parent,
@@ -99,12 +103,13 @@ class SpanTracer {
  private:
   void trim_locked();
 
+  Scope metrics_;
+  Counter& dropped_;
   mutable std::mutex mutex_;
   std::atomic<bool> enabled_{false};
   std::map<SpanId, Span> spans_;
   SpanId next_ = 1;
   std::size_t limit_ = 0;
-  std::size_t dropped_ = 0;
 };
 
 }  // namespace ig::obs

@@ -23,8 +23,18 @@ thread_local WorkerIdentity tls_identity;
 
 }  // namespace
 
-JobSystem::JobSystem(std::size_t workers) {
+JobSystem::JobSystem(std::size_t workers, obs::Scope metrics)
+    : metrics_(std::move(metrics)),
+      submitted_(metrics_.counter("sched_jobs_submitted_total")),
+      executed_(metrics_.counter("sched_jobs_executed_total")),
+      stolen_(metrics_.counter("sched_jobs_stolen_total")),
+      steal_attempts_(metrics_.counter("sched_steal_attempts_total")),
+      steal_failures_(metrics_.counter("sched_steal_failures_total")),
+      parks_(metrics_.counter("sched_parks_total")),
+      unparks_(metrics_.counter("sched_unparks_total")),
+      swallowed_(metrics_.counter("sched_jobs_swallowed_total")) {
   if (workers == 0) workers = 1;
+  metrics_.gauge("sched_workers").set(static_cast<double>(workers));
   workers_.reserve(workers);
   for (std::size_t id = 0; id < workers; ++id) workers_.push_back(std::make_unique<Worker>());
   for (std::size_t id = 0; id < workers; ++id)
@@ -52,7 +62,7 @@ std::size_t JobSystem::current_worker() const noexcept {
 }
 
 void JobSystem::post(Job job, std::size_t affinity) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_.inc();
   pending_.fetch_add(1, std::memory_order_acq_rel);
   std::size_t target;
   if (affinity != kAnyWorker) {
@@ -97,7 +107,7 @@ void JobSystem::push_to(std::size_t target, Job job) {
   // posts while the destructor runs (a job posting from inside a worker
   // keeps that worker live). Run inline so the job is not dropped and
   // pending_ still reaches zero.
-  run_job(*workers_[target % n], job);
+  run_job(job);
 }
 
 void JobSystem::wake_one_thief(std::size_t except) {
@@ -129,9 +139,9 @@ bool JobSystem::try_steal(std::size_t thief, Job& job) {
     std::vector<Job> batch;
     {
       std::lock_guard<std::mutex> lock(victim.mutex);
-      self.steal_attempts.fetch_add(1, std::memory_order_relaxed);
+      steal_attempts_.inc();
       if (victim.deque.empty()) {
-        self.steal_failures.fetch_add(1, std::memory_order_relaxed);
+        steal_failures_.inc();
         continue;
       }
       // Steal-half from the FIFO end: the oldest jobs are the coldest on the
@@ -143,7 +153,7 @@ bool JobSystem::try_steal(std::size_t thief, Job& job) {
         victim.deque.pop_front();
       }
     }
-    self.stolen.fetch_add(batch.size(), std::memory_order_relaxed);
+    stolen_.inc(batch.size());
     job = std::move(batch.front());
     if (batch.size() > 1) {
       {
@@ -159,17 +169,17 @@ bool JobSystem::try_steal(std::size_t thief, Job& job) {
   return false;
 }
 
-void JobSystem::run_job(Worker& self, Job& job) {
+void JobSystem::run_job(Job& job) {
   try {
     job();
   } catch (...) {
     // post() jobs are fire-and-forget; a future-bearing submit() never gets
     // here (packaged_task captures). Swallow, count, and keep the worker.
-    swallowed_.fetch_add(1, std::memory_order_relaxed);
+    swallowed_.inc();
     IG_LOG_WARN("sched") << "job exception swallowed (use submit() to propagate)";
   }
   job = nullptr;  // release captures before signalling idle
-  self.executed.fetch_add(1, std::memory_order_relaxed);
+  executed_.inc();
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard<std::mutex> lock(idle_mutex_);
     idle_cv_.notify_all();
@@ -182,7 +192,7 @@ void JobSystem::worker_loop(std::size_t id) {
   for (;;) {
     Job job;
     if (try_pop_local(self, job) || try_steal(id, job)) {
-      run_job(self, job);
+      run_job(job);
       continue;
     }
     std::unique_lock<std::mutex> lock(self.mutex);
@@ -199,14 +209,14 @@ void JobSystem::worker_loop(std::size_t id) {
       return;
     }
     self.parked = true;
-    self.parks.fetch_add(1, std::memory_order_relaxed);
+    parks_.inc();
     self.cv.wait(lock, [&] {
       return !self.deque.empty() || self.poked ||
              stopping_.load(std::memory_order_acquire);
     });
     self.parked = false;
     self.poked = false;
-    self.unparks.fetch_add(1, std::memory_order_relaxed);
+    unparks_.inc();
   }
 }
 
@@ -265,7 +275,7 @@ void JobSystem::parallel_for(std::size_t count,
     while (state->remaining.load(std::memory_order_acquire) > 0) {
       Job job;
       if (try_pop_local(self, job) || try_steal(self_id, job)) {
-        run_job(self, job);
+        run_job(job);
         continue;
       }
       // Nothing left to help with: the final chunks are running on other
@@ -294,16 +304,14 @@ void JobSystem::wait_idle() {
 
 JobStats JobSystem::stats() const {
   JobStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.swallowed = swallowed_.load(std::memory_order_relaxed);
-  for (const auto& worker : workers_) {
-    stats.executed += worker->executed.load(std::memory_order_relaxed);
-    stats.stolen += worker->stolen.load(std::memory_order_relaxed);
-    stats.steal_attempts += worker->steal_attempts.load(std::memory_order_relaxed);
-    stats.steal_failures += worker->steal_failures.load(std::memory_order_relaxed);
-    stats.parks += worker->parks.load(std::memory_order_relaxed);
-    stats.unparks += worker->unparks.load(std::memory_order_relaxed);
-  }
+  stats.submitted = submitted_.value();
+  stats.executed = executed_.value();
+  stats.stolen = stolen_.value();
+  stats.steal_attempts = steal_attempts_.value();
+  stats.steal_failures = steal_failures_.value();
+  stats.parks = parks_.value();
+  stats.unparks = unparks_.value();
+  stats.swallowed = swallowed_.value();
   return stats;
 }
 
@@ -315,27 +323,6 @@ std::vector<std::size_t> JobSystem::queue_depths() const {
     depths.push_back(worker->deque.size());
   }
   return depths;
-}
-
-void JobSystem::publish_metrics(obs::MetricsRegistry& registry,
-                                const obs::Labels& labels) const {
-  const JobStats stats = this->stats();
-  registry.counter("sched_jobs_submitted_total", labels).set_to(stats.submitted);
-  registry.counter("sched_jobs_executed_total", labels).set_to(stats.executed);
-  registry.counter("sched_jobs_stolen_total", labels).set_to(stats.stolen);
-  registry.counter("sched_steal_attempts_total", labels).set_to(stats.steal_attempts);
-  registry.counter("sched_steal_failures_total", labels).set_to(stats.steal_failures);
-  registry.counter("sched_parks_total", labels).set_to(stats.parks);
-  registry.counter("sched_unparks_total", labels).set_to(stats.unparks);
-  registry.counter("sched_jobs_swallowed_total", labels).set_to(stats.swallowed);
-  registry.gauge("sched_workers", labels).set(static_cast<double>(workers_.size()));
-  const std::vector<std::size_t> depths = queue_depths();
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    obs::Labels worker_labels = labels;
-    worker_labels.emplace_back("worker", std::to_string(i));
-    registry.gauge("sched_queue_depth", worker_labels)
-        .set(static_cast<double>(depths[i]));
-  }
 }
 
 }  // namespace ig::sched

@@ -25,12 +25,13 @@
 // streams (util::derive_stream) get bitwise-identical results at any worker
 // count; the planner and the engine both do.
 //
-// Observability: every worker keeps relaxed-atomic counters (executed,
-// stolen, steal probes, parks), plus one system-wide count of swallowed
-// post() exceptions; `stats()` aggregates them and
-// `publish_metrics` pushes the absolute values into an obs::MetricsRegistry
-// (the same publish pattern the platform and request trackers use), plus
-// per-worker queue-depth gauges.
+// Observability: the scheduler counts (submitted, executed, stolen, steal
+// probes, parks, swallowed post() exceptions) as `sched_*` counters in the
+// obs::Scope it is given — the engine's registry, or a private one — and
+// `stats()` reads those same counters. The workers share each counter (one
+// relaxed increment per event), and each counter has a cache line of its
+// own (obs::Counter is padded). `queue_depths()` is a snapshot the engine
+// turns into per-worker `sched_queue_depth` gauges when asked for metrics.
 #pragma once
 
 #include <atomic>
@@ -72,8 +73,9 @@ class JobSystem {
   /// Affinity value meaning "any worker".
   static constexpr std::size_t kAnyWorker = static_cast<std::size_t>(-1);
 
-  /// Spawns `workers` worker threads (at least one).
-  explicit JobSystem(std::size_t workers);
+  /// Spawns `workers` worker threads (at least one), counting in `metrics`
+  /// (default: a private registry).
+  explicit JobSystem(std::size_t workers, obs::Scope metrics = {});
 
   /// Drains every queued job — including jobs posted by running jobs during
   /// the drain — then joins the workers.
@@ -130,16 +132,11 @@ class JobSystem {
   /// Current depth of each worker's deque (snapshot; advisory).
   std::vector<std::size_t> queue_depths() const;
 
-  /// Publishes the scheduler counters into `registry` (absolute values via
-  /// set_to — call again to refresh) plus per-worker `sched_queue_depth`
-  /// gauges labelled {worker=i} merged with `labels`.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
-
  private:
   using Job = std::function<void()>;
 
   /// One worker: a deque behind its own mutex (which doubles as the park
-  /// lock) and padded relaxed-atomic counters.
+  /// lock).
   struct alignas(64) Worker {
     std::mutex mutex;
     std::deque<Job> deque;       ///< back = local LIFO end, front = steal end
@@ -148,26 +145,27 @@ class JobSystem {
     bool poked = false;          ///< "wake up and steal", under mutex
     bool exited = false;         ///< thread returned during drain; under mutex
     std::thread thread;
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> stolen{0};
-    std::atomic<std::uint64_t> steal_attempts{0};
-    std::atomic<std::uint64_t> steal_failures{0};
-    std::atomic<std::uint64_t> parks{0};
-    std::atomic<std::uint64_t> unparks{0};
   };
 
   void worker_loop(std::size_t id);
   bool try_pop_local(Worker& self, Job& job);
   bool try_steal(std::size_t thief, Job& job);
-  void run_job(Worker& self, Job& job);
+  void run_job(Job& job);
   void push_to(std::size_t target, Job job);
   void wake_one_thief(std::size_t except);
 
+  obs::Scope metrics_;
+  obs::Counter& submitted_;
+  obs::Counter& executed_;
+  obs::Counter& stolen_;
+  obs::Counter& steal_attempts_;
+  obs::Counter& steal_failures_;
+  obs::Counter& parks_;
+  obs::Counter& unparks_;
+  obs::Counter& swallowed_;  ///< post() jobs whose exception escaped
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> next_worker_{0};  ///< round-robin for unhinted posts
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> swallowed_{0};  ///< post() jobs whose exception escaped
 
   std::atomic<std::size_t> pending_{0};  ///< accepted jobs not yet finished
   mutable std::mutex idle_mutex_;

@@ -67,8 +67,12 @@ struct CoordinationConfig {
 
 class CoordinationService : public agent::Agent {
  public:
-  explicit CoordinationService(std::string name = "cs", CoordinationConfig config = {})
-      : Agent(std::move(name)), config_(config) {}
+  /// The request tracker counts in `metrics` labelled {owner=coordination}.
+  explicit CoordinationService(std::string name = "cs", CoordinationConfig config = {},
+                               const obs::Scope& metrics = {})
+      : Agent(std::move(name)),
+        config_(config),
+        tracker_(metrics.with("owner", "coordination")) {}
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;

@@ -13,9 +13,10 @@ namespace {
 constexpr std::uint64_t kShardStream = 0x5AD0ULL;
 }  // namespace
 
-Environment::Environment(const EnvironmentOptions& options)
+Environment::Environment(const EnvironmentOptions& options, obs::Scope metrics)
     : injector_(util::Rng(options.seed)),
-      platform_(sim_),
+      platform_(sim_, metrics),
+      tracer_(metrics),
       catalogue_(options.catalogue.empty() ? virolab::make_catalogue() : options.catalogue),
       kernels_(options.kernels) {
   // -- grid topology -----------------------------------------------------------
@@ -30,7 +31,7 @@ Environment::Environment(const EnvironmentOptions& options)
     // Installed before the bootstrap flush so even the service registration
     // traffic crosses the codec: the intern tables warm up on the names and
     // protocols the run will keep using.
-    wire_link_ = std::make_unique<wire::WireLink>();
+    wire_link_ = std::make_unique<wire::WireLink>(metrics);
     platform_.set_transport_hook(wire::make_transport_hook(*wire_link_));
   }
   tracer_.set_enabled(options.span_tracing);
@@ -44,7 +45,7 @@ Environment::Environment(const EnvironmentOptions& options)
   HeartbeatConfig heartbeat = options.heartbeat;
   if (options.heartbeat_period > 0) heartbeat.period = options.heartbeat_period;
   monitoring_ = &platform_.spawn<MonitoringService>(names::kMonitoring, grid_,
-                                                    options.monitor_period, heartbeat);
+                                                    options.monitor_period, heartbeat, metrics);
   matchmaking_ = &platform_.spawn<MatchmakingService>(
       names::kMatchmaking, grid_, brokerage_,
       options.heartbeat_period > 0 ? monitoring_ : nullptr);
@@ -57,9 +58,10 @@ Environment::Environment(const EnvironmentOptions& options)
   scheduling_ = &platform_.spawn<SchedulingService>(names::kScheduling);
   simulation_ =
       &platform_.spawn<SimulationService>(names::kSimulation, catalogue_, options.gp.evaluation);
-  planning_ = &platform_.spawn<PlanningService>(names::kPlanning, catalogue_, options.gp);
-  coordination_ =
-      &platform_.spawn<CoordinationService>(names::kCoordination, options.coordination);
+  planning_ =
+      &platform_.spawn<PlanningService>(names::kPlanning, catalogue_, options.gp, metrics);
+  coordination_ = &platform_.spawn<CoordinationService>(names::kCoordination,
+                                                        options.coordination, metrics);
   // Decorrelate the retry-jitter streams from the environment seed.
   coordination_->set_tracker_seed(
       util::derive_stream(options.seed, CoordinationService::kTrackerStream));
@@ -101,20 +103,6 @@ void Environment::reset(std::uint64_t attempt_seed) {
   platform_.reset(seed);
 }
 
-void Environment::publish_metrics(obs::MetricsRegistry& registry,
-                                  const obs::Labels& labels) const {
-  platform_.publish_metrics(registry, labels);
-  obs::Labels coordination_labels = labels;
-  coordination_labels.emplace_back("owner", "coordination");
-  coordination_->tracker().publish(registry, coordination_labels);
-  obs::Labels planning_labels = labels;
-  planning_labels.emplace_back("owner", "planning");
-  planning_->tracker().publish(registry, planning_labels);
-  monitoring_->publish(registry, labels);
-  registry.counter("tracer_spans_dropped_total", labels).set_to(tracer_.dropped());
-  if (wire_link_ != nullptr) wire_link_->publish_metrics(registry, labels);
-}
-
 std::unique_ptr<Environment> make_environment(EnvironmentOptions options) {
   return std::make_unique<Environment>(options);
 }
@@ -122,7 +110,8 @@ std::unique_ptr<Environment> make_environment(EnvironmentOptions options) {
 std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               std::uint64_t engine_seed,
                                               std::size_t shard_index,
-                                              double failure_floor) {
+                                              double failure_floor,
+                                              obs::Scope metrics) {
   base.seed = util::derive_stream(engine_seed, kShardStream, shard_index);
   base.monitor_period = 0.0;  // the engine slices the calendar and drains it
   // Shard-level parallelism replaces planner-level parallelism: with N
@@ -130,7 +119,7 @@ std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
   // fan out to hardware_concurrency workers oversubscribes the machine.
   // An explicit thread count in the base options still wins.
   if (base.gp.threads == 0) base.gp.threads = 1;
-  auto environment = std::make_unique<Environment>(base);
+  auto environment = std::make_unique<Environment>(base, std::move(metrics));
   if (failure_floor > 0.0) environment->injector().set_failure_floor(failure_floor);
   return environment;
 }

@@ -55,9 +55,9 @@ struct EnvironmentOptions {
   /// Routes every platform send through the binary wire codec (frame,
   /// CRC, intern, zero-copy decode, materialize) over a loopback byte
   /// stream before the chaos layer sees it. Chaos faults then hit frames
-  /// that really crossed the codec; wire_* counters appear in
-  /// publish_metrics. Deterministic: the round trip is bitwise, so chaos
-  /// replays stay seed-stable with the hook on or off.
+  /// that really crossed the codec; the link counts wire_* counters in the
+  /// environment's registry. Deterministic: the round trip is bitwise, so
+  /// chaos replays stay seed-stable with the hook on or off.
   bool wire_transport = false;
   /// Fault-injection policy installed on the platform (empty = no chaos).
   agent::ChaosPolicy chaos;
@@ -73,7 +73,11 @@ struct EnvironmentOptions {
 /// make_environment and keep it alive for the duration of the scenario.
 class Environment {
  public:
-  explicit Environment(const EnvironmentOptions& options);
+  /// Every component of the stack (platform and chaos, request trackers,
+  /// monitoring, span tracer, wire link) counts in `metrics`; the engine
+  /// passes its registry labelled {shard="i"}, and the default is a private
+  /// registry.
+  explicit Environment(const EnvironmentOptions& options, obs::Scope metrics = {});
 
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
@@ -105,11 +109,9 @@ class Environment {
   wire::WireLink* wire_link() noexcept { return wire_link_.get(); }
   const wire::WireLink* wire_link() const noexcept { return wire_link_.get(); }
 
-  /// Pushes every component's counters (platform, chaos, request trackers,
-  /// monitoring liveness) into `registry` under `labels`. Reads only atomic
-  /// state; an engine metrics pass calls this from another thread while the
-  /// shard's worker runs.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
+  /// The registry every component of this stack counts in, current at any
+  /// time; safe to scrape from another thread while the stack runs.
+  obs::MetricsRegistry& registry() const noexcept { return platform_.metrics().registry(); }
 
   /// Drains the event calendar (bounded by `max_events` as a runaway guard).
   std::size_t run(std::size_t max_events = 1'000'000) { return sim_.run(max_events); }
@@ -172,10 +174,11 @@ std::unique_ptr<Environment> make_environment(EnvironmentOptions options = {});
 /// on the shard fails with at least that probability (per-shard fault
 /// injection for retry experiments). Periodic monitoring is disabled: the
 /// engine drives each shard's calendar in slices and needs it to drain
-/// between cases.
+/// between cases. The stack counts in `metrics` (see Environment).
 std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               std::uint64_t engine_seed,
                                               std::size_t shard_index,
-                                              double failure_floor = 0.0);
+                                              double failure_floor = 0.0,
+                                              obs::Scope metrics = {});
 
 }  // namespace ig::svc

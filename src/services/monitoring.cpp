@@ -65,7 +65,7 @@ Liveness MonitoringService::classify(const Beat& beat) {
 
 void MonitoringService::record_heartbeat(const std::string& container_id) {
   if (container_id.empty()) return;
-  heartbeats_received_.fetch_add(1, std::memory_order_relaxed);
+  heartbeats_received_.inc();
   auto it = beats_.find(container_id);
   if (it == beats_.end()) {
     beats_[container_id].last_seen = now();
@@ -73,7 +73,7 @@ void MonitoringService::record_heartbeat(const std::string& container_id) {
   }
   // A beat after a Dead-length silence is a recovery: the breaker closes.
   if (classify(it->second) == Liveness::Dead)
-    containers_recovered_.fetch_add(1, std::memory_order_relaxed);
+    containers_recovered_.inc();
   it->second.last_seen = now();
 }
 

@@ -15,7 +15,6 @@
 // readmits it and counts a recovery.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -43,12 +42,16 @@ struct HeartbeatConfig {
 
 class MonitoringService : public agent::Agent {
  public:
+  /// The liveness counters live in `metrics` (default: a private registry).
   MonitoringService(std::string name, const grid::Grid& grid, grid::SimTime sample_period = 0.0,
-                    HeartbeatConfig heartbeat = {})
+                    HeartbeatConfig heartbeat = {}, obs::Scope metrics = {})
       : Agent(std::move(name)),
         grid_(&grid),
         sample_period_(sample_period),
-        heartbeat_(heartbeat) {}
+        heartbeat_(heartbeat),
+        metrics_(std::move(metrics)),
+        heartbeats_received_(metrics_.counter("monitor_heartbeats_received_total")),
+        containers_recovered_(metrics_.counter("monitor_containers_recovered_total")) {}
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
@@ -76,23 +79,12 @@ class MonitoringService : public agent::Agent {
   /// Containers currently classified Dead.
   std::vector<std::string> dead_containers();
 
-  /// Atomic: engine metrics snapshots read this from another thread.
-  std::size_t heartbeats_received() const noexcept {
-    return heartbeats_received_.load(std::memory_order_relaxed);
-  }
+  /// Registry counter: engine metrics snapshots read it from another thread.
+  std::size_t heartbeats_received() const noexcept { return heartbeats_received_.value(); }
   /// Containers that resumed beating (or answered a probe) after having
-  /// been silent past the Dead threshold. Atomic: engine metrics snapshots
-  /// read this from another thread while the shard runs.
-  std::size_t containers_recovered() const noexcept {
-    return containers_recovered_.load(std::memory_order_relaxed);
-  }
-
-  /// Pushes the liveness counters into `registry` under `labels`. Reads
-  /// only atomic state; safe from a metrics thread while the sim runs.
-  void publish(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const {
-    registry.counter("monitor_heartbeats_received_total", labels).set_to(heartbeats_received());
-    registry.counter("monitor_containers_recovered_total", labels).set_to(containers_recovered());
-  }
+  /// been silent past the Dead threshold. Registry counter: engine metrics
+  /// snapshots read it from another thread while the shard runs.
+  std::size_t containers_recovered() const noexcept { return containers_recovered_.value(); }
 
  private:
   struct Beat {
@@ -110,10 +102,11 @@ class MonitoringService : public agent::Agent {
   std::map<std::string, std::vector<double>> samples_;
 
   HeartbeatConfig heartbeat_;
+  obs::Scope metrics_;
+  obs::Counter& heartbeats_received_;
+  obs::Counter& containers_recovered_;
   std::map<std::string, Beat> beats_;
-  std::atomic<std::size_t> heartbeats_received_{0};
   std::uint64_t next_probe_ = 0;
-  std::atomic<std::size_t> containers_recovered_{0};
   std::map<std::string, Beat> pristine_beats_;
   std::uint64_t pristine_next_probe_ = 0;
 };

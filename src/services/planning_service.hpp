@@ -34,11 +34,13 @@ namespace ig::svc {
 
 class PlanningService : public agent::Agent {
  public:
+  /// The request tracker counts in `metrics` labelled {owner=planning}.
   PlanningService(std::string name, wfl::ServiceCatalogue catalogue,
-                  planner::GpConfig gp_config = {})
+                  planner::GpConfig gp_config = {}, const obs::Scope& metrics = {})
       : Agent(std::move(name)),
         catalogue_(std::move(catalogue)),
-        gp_config_(gp_config) {}
+        gp_config_(gp_config),
+        tracker_(metrics.with("owner", "planning")) {}
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;

@@ -5,6 +5,12 @@
 
 namespace ig::svc {
 
+RequestTracker::RequestTracker(obs::Scope metrics)
+    : metrics_(std::move(metrics)),
+      retries_total_(metrics_.counter("tracker_retries_total")),
+      timeouts_total_(metrics_.counter("tracker_timeouts_total")),
+      dead_letters_total_(metrics_.counter("tracker_dead_letters_total")) {}
+
 RequestTracker::~RequestTracker() {
   // Deadline timers capture `this`; cancel them so a tracker destroyed
   // before the calendar drains leaves no dangling callbacks behind.
@@ -69,7 +75,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
   if (it == pending_.end()) return;
   Pending& pending = it->second;
   pending.timer = 0;
-  timeouts_total_.fetch_add(1, std::memory_order_relaxed);
+  timeouts_total_.inc();
 
   if (pending.attempts >= pending.policy.max_attempts) {
     DeadLetter letter;
@@ -81,7 +87,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
     letter.abandoned_at = sim_->now();
     letter.reason = "no reply after " + std::to_string(pending.attempts) + " attempt(s)";
     pending_.erase(it);
-    dead_letters_total_.fetch_add(1, std::memory_order_relaxed);
+    dead_letters_total_.inc();
     dead_letters_.push_back(letter);
     if (max_dead_letters_ > 0 && dead_letters_.size() > max_dead_letters_)
       dead_letters_.erase(dead_letters_.begin());
@@ -90,7 +96,7 @@ void RequestTracker::on_deadline(const std::string& conversation_id) {
   }
 
   ++pending.attempts;
-  retries_total_.fetch_add(1, std::memory_order_relaxed);
+  retries_total_.inc();
   // Decorrelated jitter: sleep ~ U(base, 3 * previous sleep), clamped. The
   // spread keeps a herd of timed-out requests from resending in lockstep.
   const grid::SimTime previous =

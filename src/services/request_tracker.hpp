@@ -19,7 +19,6 @@
 // a chaotic run retries at bitwise-reproducible times.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -59,7 +58,10 @@ class RequestTracker {
   using SendFn = std::function<void(agent::AclMessage)>;
   using DeadLetterFn = std::function<void(const DeadLetter&)>;
 
-  RequestTracker() = default;
+  /// The retry, timeout and dead-letter counters live in `metrics` (the
+  /// services pass their stack's scope labelled {owner=...}; the default is
+  /// a private registry).
+  explicit RequestTracker(obs::Scope metrics = {});
   ~RequestTracker();
 
   RequestTracker(const RequestTracker&) = delete;
@@ -109,25 +111,11 @@ class RequestTracker {
   const std::vector<DeadLetter>& dead_letters() const noexcept { return dead_letters_; }
   void set_max_dead_letters(std::size_t limit) noexcept { max_dead_letters_ = limit; }
 
-  // Counters are atomic so an engine metrics snapshot may read them from
+  // Registry counters, so an engine metrics snapshot may read them from
   // another thread while the shard runs.
-  std::size_t retries_total() const noexcept {
-    return retries_total_.load(std::memory_order_relaxed);
-  }
-  std::size_t timeouts_total() const noexcept {
-    return timeouts_total_.load(std::memory_order_relaxed);
-  }
-  std::size_t dead_letters_total() const noexcept {
-    return dead_letters_total_.load(std::memory_order_relaxed);
-  }
-
-  /// Pushes the atomic counters into `registry` under `labels`. Safe from a
-  /// metrics thread while the simulation runs.
-  void publish(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const {
-    registry.counter("tracker_retries_total", labels).set_to(retries_total());
-    registry.counter("tracker_timeouts_total", labels).set_to(timeouts_total());
-    registry.counter("tracker_dead_letters_total", labels).set_to(dead_letters_total());
-  }
+  std::size_t retries_total() const noexcept { return retries_total_.value(); }
+  std::size_t timeouts_total() const noexcept { return timeouts_total_.value(); }
+  std::size_t dead_letters_total() const noexcept { return dead_letters_total_.value(); }
 
  private:
   struct Pending {
@@ -143,6 +131,10 @@ class RequestTracker {
   void on_deadline(const std::string& conversation_id);
   void resend(const std::string& conversation_id);
 
+  obs::Scope metrics_;
+  obs::Counter& retries_total_;
+  obs::Counter& timeouts_total_;
+  obs::Counter& dead_letters_total_;
   grid::Simulation* sim_ = nullptr;
   SendFn send_;
   DeadLetterFn on_dead_letter_;
@@ -151,9 +143,6 @@ class RequestTracker {
   std::map<std::string, Pending> pending_;
   std::vector<DeadLetter> dead_letters_;
   std::size_t max_dead_letters_ = 256;
-  std::atomic<std::size_t> retries_total_{0};
-  std::atomic<std::size_t> timeouts_total_{0};
-  std::atomic<std::size_t> dead_letters_total_{0};
 };
 
 }  // namespace ig::svc

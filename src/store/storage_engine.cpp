@@ -83,9 +83,13 @@ std::vector<std::string> list_snapshots(const std::string& dir) {
 
 }  // namespace
 
-StorageEngine::StorageEngine(Options options, EventReplayFn event_replay)
+StorageEngine::StorageEngine(Options options, EventReplayFn event_replay, obs::Scope metrics)
     : options_(std::move(options)),
-      fops_(options_.file_ops != nullptr ? options_.file_ops : &posix_file_ops()) {
+      fops_(options_.file_ops != nullptr ? options_.file_ops : &posix_file_ops()),
+      metrics_(std::move(metrics)),
+      snapshots_written_(metrics_.counter("store_snapshots_total")),
+      segments_compacted_(metrics_.counter("store_segments_compacted_total")),
+      replayed_records_(metrics_.counter("store_wal_records_replayed_total")) {
   if (options_.data_dir.empty()) return;
   const auto started = std::chrono::steady_clock::now();
   WalOptions wal_options;
@@ -94,7 +98,7 @@ StorageEngine::StorageEngine(Options options, EventReplayFn event_replay)
   wal_options.sync = options_.sync;
   wal_options.group_window_us = options_.group_window_us;
   wal_options.file_ops = options_.file_ops;
-  wal_ = std::make_unique<WriteAheadLog>(std::move(wal_options));
+  wal_ = std::make_unique<WriteAheadLog>(std::move(wal_options), metrics_);
   remove_stale_snapshot_tmps();
   load_snapshot();
   wal_->skip_to(snapshot_lsn_);  // no-op unless the log fell behind the snapshot
@@ -122,7 +126,7 @@ StorageEngine::StorageEngine(Options options, EventReplayFn event_replay)
         IG_LOG_WARN("store") << "skipping WAL record of unknown type";
         break;
     }
-    ++replayed_records_;
+    replayed_records_.inc();
   });
   recovery_ms_ =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started)
@@ -259,7 +263,7 @@ bool StorageEngine::snapshot() {
     snapshot_in_progress_ = false;
     if (ok) {
       snapshot_lsn_ = lsn;
-      ++snapshots_written_;
+      snapshots_written_.inc();
     }
   }
   if (ok && options_.auto_compact) compact();
@@ -290,10 +294,7 @@ std::size_t StorageEngine::compact() {
   const std::string keep = snapshot_path(options_.data_dir, lsn);
   for (const std::string& path : list_snapshots(options_.data_dir))
     if (path < keep) fops_->unlink(path);
-  if (removed > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    segments_compacted_ += removed;
-  }
+  segments_compacted_.inc(removed);
   return removed;
 }
 
@@ -309,31 +310,13 @@ StoreStats StorageEngine::stats() const {
   stats.keys = map_.size();
   if (wal_ == nullptr) stats.last_lsn = memory_lsn_;
   stats.snapshot_lsn = snapshot_lsn_;
-  stats.snapshots_written = snapshots_written_;
-  stats.segments_compacted = segments_compacted_;
-  stats.replayed_records = replayed_records_;
+  stats.snapshots_written = snapshots_written_.value();
+  stats.segments_compacted = segments_compacted_.value();
+  stats.replayed_records = replayed_records_.value();
   stats.recovery_ms = recovery_ms_;
   return stats;
 }
 
-void StorageEngine::publish_metrics(obs::MetricsRegistry& registry,
-                                    const obs::Labels& labels) const {
-  const StoreStats stats = this->stats();
-  registry.counter("store_wal_appends_total", labels).set_to(stats.wal.appends);
-  registry.counter("store_fsyncs_total", labels).set_to(stats.wal.fsyncs);
-  registry.counter("store_group_commits_total", labels).set_to(stats.wal.group_commits);
-  registry.counter("store_snapshots_total", labels).set_to(stats.snapshots_written);
-  registry.counter("store_segments_compacted_total", labels).set_to(stats.segments_compacted);
-  registry.counter("store_wal_records_replayed_total", labels).set_to(stats.replayed_records);
-  registry.counter("store_fsync_failures_total", labels).set_to(stats.wal.fsync_failures);
-  registry.gauge("store_poisoned", labels).set(stats.wal.poisoned ? 1.0 : 0.0);
-  registry.gauge("store_segments", labels).set(static_cast<double>(stats.segments));
-  registry.gauge("store_wal_records", labels).set(static_cast<double>(stats.wal.records));
-  registry.gauge("store_keys", labels).set(static_cast<double>(stats.keys));
-  registry.gauge("store_last_snapshot_lsn", labels)
-      .set(static_cast<double>(stats.snapshot_lsn));
-  registry.gauge("store_recovery_ms", labels).set(stats.recovery_ms);
-}
 
 void StorageEngine::remove_stale_snapshot_tmps() {
   // A crash mid-snapshot leaves `snap-*.snap.tmp` behind: never renamed,

@@ -77,8 +77,11 @@ class StorageEngine {
   /// Opens (or creates) the store. When recovering, KV records are applied
   /// internally and every journal event is forwarded to `event_replay`
   /// before the constructor returns — single-threaded, so the consumer
-  /// needs no locking while it rebuilds.
-  explicit StorageEngine(Options options = {}, EventReplayFn event_replay = nullptr);
+  /// needs no locking while it rebuilds. The store and its WAL count as
+  /// `store_*` counters in `metrics` (the engine passes its registry
+  /// labelled {component=engine-journal}; the default is a private one).
+  explicit StorageEngine(Options options = {}, EventReplayFn event_replay = nullptr,
+                         obs::Scope metrics = {});
   ~StorageEngine();
 
   StorageEngine(const StorageEngine&) = delete;
@@ -137,11 +140,6 @@ class StorageEngine {
 
   StoreStats stats() const;
 
-  /// Pushes store_* counters/gauges into `registry` (wal_appends, fsyncs,
-  /// group_commits, segments, segments_compacted, snapshots, recovery_ms,
-  /// wal_records, keys).
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
-
  private:
   void load_snapshot();  ///< newest intact snapshot -> map_ + recovered_
   void remove_stale_snapshot_tmps();  ///< crash-mid-snapshot leftovers
@@ -151,6 +149,10 @@ class StorageEngine {
 
   Options options_;
   FileOps* fops_ = nullptr;
+  obs::Scope metrics_;
+  obs::Counter& snapshots_written_;
+  obs::Counter& segments_compacted_;
+  obs::Counter& replayed_records_;
   mutable std::mutex mutex_;  ///< guards map_, recovered_, snapshot bookkeeping
   std::map<std::string, std::string> map_;
   std::map<std::string, std::string> recovered_;  ///< stream -> blob from snapshot
@@ -159,9 +161,6 @@ class StorageEngine {
 
   Lsn memory_lsn_ = 0;  ///< monotonic counter standing in for the WAL's LSN
   Lsn snapshot_lsn_ = 0;
-  std::uint64_t snapshots_written_ = 0;
-  std::uint64_t segments_compacted_ = 0;
-  std::uint64_t replayed_records_ = 0;
   double recovery_ms_ = 0.0;
   bool snapshot_in_progress_ = false;
 };

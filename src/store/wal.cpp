@@ -39,9 +39,14 @@ std::string segment_path(const std::string& dir, std::uint64_t sequence) {
 
 }  // namespace
 
-WriteAheadLog::WriteAheadLog(WalOptions options)
+WriteAheadLog::WriteAheadLog(WalOptions options, obs::Scope metrics)
     : options_(std::move(options)),
-      fops_(options_.file_ops != nullptr ? options_.file_ops : &posix_file_ops()) {
+      fops_(options_.file_ops != nullptr ? options_.file_ops : &posix_file_ops()),
+      metrics_(std::move(metrics)),
+      appends_(metrics_.counter("store_wal_appends_total")),
+      fsyncs_(metrics_.counter("store_fsyncs_total")),
+      fsync_failures_(metrics_.counter("store_fsync_failures_total")),
+      group_commits_(metrics_.counter("store_group_commits_total")) {
   make_dirs(*fops_, options_.dir);
 
   // Collect and sort existing segments by their header sequence number.
@@ -139,16 +144,16 @@ Lsn WriteAheadLog::append(std::string_view payload) {
     throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
   if (!active_locked().fits(payload.size())) roll_locked(payload.size());
   active_locked().append(payload);
-  ++appends_;
+  appends_.inc();
   const Lsn lsn = ++last_lsn_;
   if (options_.sync == SyncMode::kAlways) {
     if (!active_locked().sync()) {
       const int err = errno;
-      ++fsync_failures_;
+      fsync_failures_.inc();
       poison_locked(std::string("append fsync failed: ") + std::strerror(err));
       throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
     }
-    ++fsyncs_;
+    fsyncs_.inc();
     std::lock_guard<std::mutex> commit_lock(commit_mutex_);
     if (durable_lsn_ < lsn) durable_lsn_ = lsn;
   }
@@ -161,7 +166,7 @@ void WriteAheadLog::commit(Lsn upto) {
   while (durable_lsn_ < upto && sync_in_flight_) commit_cv_.wait(lock);
   if (durable_lsn_ >= upto) {
     // Another thread's barrier already covered our records: group commit.
-    ++group_commits_;
+    group_commits_.inc();
     return;
   }
   // Fail-stop: once a barrier failed, no later barrier may ack anything.
@@ -191,10 +196,10 @@ void WriteAheadLog::commit(Lsn upto) {
     target = last_lsn_;
     ok = active_locked().sync();
     if (ok) {
-      ++fsyncs_;
+      fsyncs_.inc();
     } else {
       err = errno;
-      ++fsync_failures_;
+      fsync_failures_.inc();
       poison_locked(std::string("commit fsync failed: ") + std::strerror(err));
     }
   }
@@ -259,14 +264,11 @@ std::size_t WriteAheadLog::segment_count() const {
 
 WalStats WriteAheadLog::stats() const {
   WalStats stats;
-  {
-    std::lock_guard<std::mutex> lock(commit_mutex_);
-    stats.group_commits = group_commits_;
-  }
+  stats.group_commits = group_commits_.value();
   std::lock_guard<std::mutex> lock(mutex_);
-  stats.appends = appends_;
-  stats.fsyncs = fsyncs_;
-  stats.fsync_failures = fsync_failures_;
+  stats.appends = appends_.value();
+  stats.fsyncs = fsyncs_.value();
+  stats.fsync_failures = fsync_failures_.value();
   stats.segments_created = segments_created_;
   stats.segments_removed = segments_removed_;
   stats.recovered_records = recovered_records_;
@@ -299,11 +301,11 @@ void WriteAheadLog::roll_locked(std::size_t payload_size) {
     // sealed segment must already be durable when it stops being active.
     if (!active_locked().sync()) {
       const int err = errno;
-      ++fsync_failures_;
+      fsync_failures_.inc();
       poison_locked(std::string("seal fsync failed: ") + std::strerror(err));
       throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
     }
-    ++fsyncs_;
+    fsyncs_.inc();
     // Every earlier segment was sealed the same way, so the whole log is
     // now durable: a commit waiting on these records must not sync again
     // (and fail, on a dying disk) for records already on it.

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "store/error.hpp"
 #include "store/file_ops.hpp"
 #include "store/segment.hpp"
@@ -83,8 +84,10 @@ class WriteAheadLog {
  public:
   /// Opens (creating the directory if needed) and recovers the log.
   /// Throws store::Error when the directory cannot be created or a
-  /// segment cannot be mapped.
-  explicit WriteAheadLog(WalOptions options);
+  /// segment cannot be mapped. Appends, fsyncs, group commits and fsync
+  /// failures are counted as `store_*` counters in `metrics` (default: a
+  /// private registry).
+  explicit WriteAheadLog(WalOptions options, obs::Scope metrics = {});
   ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
@@ -157,11 +160,13 @@ class WriteAheadLog {
   std::atomic<bool> poisoned_{false};
   std::string poison_reason_;
 
-  // Stats counters (under mutex_ except the commit-side ones).
-  std::uint64_t appends_ = 0;
-  std::uint64_t fsyncs_ = 0;
-  std::uint64_t fsync_failures_ = 0;
-  std::uint64_t group_commits_ = 0;
+  // Registry counters (relaxed atomics, bumped under mutex_ or, for group
+  // commits, commit_mutex_), then plain stats under mutex_.
+  obs::Scope metrics_;
+  obs::Counter& appends_;
+  obs::Counter& fsyncs_;
+  obs::Counter& fsync_failures_;
+  obs::Counter& group_commits_;
   std::uint64_t segments_created_ = 0;
   std::uint64_t segments_removed_ = 0;
   std::uint64_t recovered_records_ = 0;

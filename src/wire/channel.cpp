@@ -65,23 +65,30 @@ std::vector<agent::AclMessage> FramedChannel::Endpoint::drain() {
 
 // -- WireLink -------------------------------------------------------------------
 
+WireLink::WireLink(obs::Scope metrics)
+    : metrics_(std::move(metrics)),
+      frames_(metrics_.counter("wire_frames_total")),
+      bytes_(metrics_.counter("wire_bytes_total")),
+      intern_hits_(metrics_.counter("wire_intern_hits_total")),
+      intern_misses_(metrics_.counter("wire_intern_misses_total")),
+      decode_errors_(metrics_.counter("wire_decode_errors_total")) {}
+
 std::optional<agent::AclMessage> WireLink::round_trip(const agent::AclMessage& message,
                                                       std::string* error) {
   Stream& out = channel_.a().outgoing();
   const EncoderStats before = out.encoder_stats();
   channel_.a().send(message);
   const EncoderStats& after = out.encoder_stats();
-  frames_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(after.frame_bytes - before.frame_bytes, std::memory_order_relaxed);
-  intern_hits_.fetch_add(after.intern_hits - before.intern_hits, std::memory_order_relaxed);
-  intern_misses_.fetch_add(after.intern_misses - before.intern_misses,
-                           std::memory_order_relaxed);
+  frames_.inc();
+  bytes_.inc(after.frame_bytes - before.frame_bytes);
+  intern_hits_.inc(after.intern_hits - before.intern_hits);
+  intern_misses_.inc(after.intern_misses - before.intern_misses);
 
   std::optional<agent::AclMessage> decoded;
   channel_.b().receive(
       [&](const WireMessageView& view) { decoded = view.materialize(); });
   if (!decoded.has_value()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    decode_errors_.inc();
     // The loopback delivers synchronously, so the failure reason sits on
     // the stream endpoint b just received from.
     if (error != nullptr) {
@@ -94,22 +101,12 @@ std::optional<agent::AclMessage> WireLink::round_trip(const agent::AclMessage& m
 
 LinkStats WireLink::stats() const {
   LinkStats stats;
-  stats.frames = frames_.load(std::memory_order_relaxed);
-  stats.bytes = bytes_.load(std::memory_order_relaxed);
-  stats.intern_hits = intern_hits_.load(std::memory_order_relaxed);
-  stats.intern_misses = intern_misses_.load(std::memory_order_relaxed);
-  stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
+  stats.frames = frames_.value();
+  stats.bytes = bytes_.value();
+  stats.intern_hits = intern_hits_.value();
+  stats.intern_misses = intern_misses_.value();
+  stats.decode_errors = decode_errors_.value();
   return stats;
-}
-
-void WireLink::publish_metrics(obs::MetricsRegistry& registry,
-                               const obs::Labels& labels) const {
-  const LinkStats snapshot = stats();
-  registry.counter("wire_frames_total", labels).set_to(snapshot.frames);
-  registry.counter("wire_bytes_total", labels).set_to(snapshot.bytes);
-  registry.counter("wire_intern_hits_total", labels).set_to(snapshot.intern_hits);
-  registry.counter("wire_intern_misses_total", labels).set_to(snapshot.intern_misses);
-  registry.counter("wire_decode_errors_total", labels).set_to(snapshot.decode_errors);
 }
 
 agent::TransportHook make_transport_hook(WireLink& link) {

@@ -15,11 +15,10 @@
 // delivery calendar see it. The chaos policy therefore drops/delays/
 // duplicates messages that really crossed the wire, and a decode failure
 // (counted, traced) vanishes the message like a transport loss. Counters
-// are atomics: an engine metrics snapshot reads them from another thread
-// while the shard's sim is running.
+// are registry instruments: an engine metrics snapshot reads them from
+// another thread while the shard's sim is running.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,9 +105,9 @@ class FramedChannel {
   Endpoint b_;
 };
 
-/// Aggregated wire counters, mirrored into obs::MetricsRegistry as
-/// wire_frames_total / wire_bytes_total / wire_intern_hits_total /
-/// wire_intern_misses_total / wire_decode_errors_total.
+/// Aggregated wire counters: a snapshot of the link's wire_frames_total /
+/// wire_bytes_total / wire_intern_hits_total / wire_intern_misses_total /
+/// wire_decode_errors_total registry counters.
 struct LinkStats {
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;  ///< frame bytes including headers
@@ -121,9 +120,13 @@ struct LinkStats {
 /// process sending" and whose b-side is the receiving end of the loopback.
 /// `round_trip` is the hook body; `make_transport_hook` packages it for
 /// AgentPlatform::set_transport_hook. Single sim thread drives round_trip;
-/// the counters are atomics so metrics threads may read concurrently.
+/// the counters are registry instruments, so metrics threads may read them
+/// concurrently.
 class WireLink {
  public:
+  /// Counts in `metrics` (default: a private registry).
+  explicit WireLink(obs::Scope metrics = {});
+
   /// Encode -> channel -> decode -> materialize. nullopt on decode failure
   /// (reason in `error`), after counting it.
   std::optional<agent::AclMessage> round_trip(const agent::AclMessage& message,
@@ -131,19 +134,16 @@ class WireLink {
 
   LinkStats stats() const;
 
-  /// Pushes the wire_* counters into `registry` under `labels`. Safe from
-  /// a metrics thread while the sim thread is inside round_trip.
-  void publish_metrics(obs::MetricsRegistry& registry, const obs::Labels& labels = {}) const;
-
   FramedChannel& channel() noexcept { return channel_; }
 
  private:
   FramedChannel channel_;
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> intern_hits_{0};
-  std::atomic<std::uint64_t> intern_misses_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
+  obs::Scope metrics_;
+  obs::Counter& frames_;
+  obs::Counter& bytes_;
+  obs::Counter& intern_hits_;
+  obs::Counter& intern_misses_;
+  obs::Counter& decode_errors_;
 };
 
 /// Adapter: a transport hook closed over `link` (which must outlive the

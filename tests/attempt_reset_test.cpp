@@ -552,5 +552,63 @@ TEST(AttemptReset, ShardCountersMatchTheRegistryAndNeverDecrease) {
   EXPECT_EQ(previous.failed, failed);
 }
 
+/// Every counter a stack's registry holds, keyed by name and labels.
+std::map<std::string, double> counter_values(const svc::Environment& environment) {
+  std::map<std::string, double> values;
+  for (const obs::MetricPoint& point : environment.registry().snapshot().points) {
+    if (point.kind != obs::MetricKind::Counter) continue;
+    std::string key = point.name;
+    for (const auto& [name, value] : point.labels) key += "," + name + "=" + value;
+    values[key] = point.value;
+  }
+  return values;
+}
+
+TEST(AttemptReset, StandaloneStacksCountSeparatelyAndResetKeepsTheCounts) {
+  const StackConfig config{/*chaos=*/true, /*wire=*/true};
+  Stack busy = build_pristine(config);
+  Stack idle = build_pristine(config);
+  // Built on their own, the two stacks count in registries of their own.
+  EXPECT_NE(&busy.environment->registry(), &idle.environment->registry());
+  const std::map<std::string, double> idle_counts = counter_values(*idle.environment);
+
+  std::vector<Attempt> attempts;
+  add(attempts, short_process());
+  add(attempts, looping_process());
+  std::map<std::string, double> previous = counter_values(*busy.environment);
+  for (const Attempt& attempt : attempts) {
+    run_attempt(busy, attempt);  // resets the stack before it runs
+    const std::map<std::string, double> now = counter_values(*busy.environment);
+    EXPECT_EQ(now.size(), previous.size());
+    for (const auto& [series, value] : previous) EXPECT_GE(now.at(series), value) << series;
+    previous = now;
+  }
+  EXPECT_GT(previous.at("platform_messages_delivered_total"),
+            idle_counts.at("platform_messages_delivered_total"));
+  EXPECT_GT(previous.at("wire_frames_total"), idle_counts.at("wire_frames_total"));
+  EXPECT_GT(previous.at("chaos_faults_total,kind=dropped"), 0.0);
+  // Work on one stack moves none of the other's counts.
+  EXPECT_EQ(counter_values(*idle.environment), idle_counts);
+
+  // A reset leaves every count in place, and the accessors read the very
+  // counters the registry shows.
+  svc::Environment& environment = *busy.environment;
+  environment.reset(attempts.front().seed);
+  const std::map<std::string, double> after_reset = counter_values(environment);
+  EXPECT_EQ(after_reset, previous);
+  EXPECT_EQ(after_reset.at("platform_messages_delivered_total"),
+            static_cast<double>(environment.platform().messages_delivered()));
+  EXPECT_EQ(after_reset.at("platform_messages_sent_total"),
+            static_cast<double>(environment.platform().messages_sent()));
+  EXPECT_EQ(after_reset.at("chaos_faults_total,kind=dropped"),
+            static_cast<double>(environment.platform().chaos_stats().dropped));
+  EXPECT_EQ(after_reset.at("wire_frames_total"),
+            static_cast<double>(environment.wire_link()->stats().frames));
+  EXPECT_EQ(after_reset.at("tracker_retries_total,owner=coordination"),
+            static_cast<double>(environment.coordination().tracker().retries_total()));
+  EXPECT_EQ(after_reset.at("monitor_heartbeats_received_total"),
+            static_cast<double>(environment.monitoring().heartbeats_received()));
+}
+
 }  // namespace
 }  // namespace ig

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -424,6 +425,112 @@ TEST(Engine, RegistryCaseCountersAreCurrentWithoutAMetricsCall) {
   EXPECT_EQ(metrics.completed, 2u);
   EXPECT_EQ(submitted, static_cast<double>(metrics.submitted));
   EXPECT_EQ(completed, static_cast<double>(metrics.completed));
+}
+
+/// Value of one labelled series in a snapshot, or -1 when it is absent.
+double point_value(const obs::RegistrySnapshot& snapshot, const std::string& name,
+                   const obs::Labels& labels) {
+  const obs::MetricPoint* point = snapshot.find(name, labels);
+  return point != nullptr ? point->value : -1.0;
+}
+
+TEST(Engine, RegistryShardCountersAreCurrentWithoutAMetricsCall) {
+  // A durable, wire-on, chaos-on shard: every component that counts (the
+  // platform and its chaos layer, the wire link, the request trackers, the
+  // job system, the journal) counts in the engine's registry in place, so a
+  // scrape sees each series current with no metrics() call at all.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("igrid-engine-scrape-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  EngineConfig config = slow_kernel_config(1);  // the mid-run scrape finds a case running
+  config.storage.data_dir = dir.string();
+  config.environment.wire_transport = true;
+  config.environment.coordination.exec_policy = {300.0, 3, 0.5, 10.0};
+  config.environment.coordination.replan_policy = {300.0, 2, 0.5, 10.0};
+  agent::ChaosRule rule;
+  rule.match.receiver = "ac-*";
+  rule.drop = 0.2;
+  rule.delay = 0.1;
+  config.environment.chaos.rules.push_back(rule);
+  config.environment.chaos.seed = 2004;
+  svc::Environment* environment = nullptr;
+  config.shard_setup = [&](svc::Environment& shard, std::size_t) { environment = &shard; };
+  {
+    EnactmentEngine engine(config);
+    ASSERT_NE(environment, nullptr);
+    std::vector<CaseId> ids;
+    for (int i = 0; i < 4; ++i)
+      ids.push_back(
+          engine.submit(virolab::make_fig10_process(), virolab::make_case_description()));
+    ASSERT_NE(ids.front(), kInvalidCase);
+
+    const obs::Labels shard{{"shard", "0"}};
+    const auto with = [](obs::Labels labels, const char* key, const char* value) {
+      labels.emplace_back(key, value);
+      return labels;
+    };
+    struct Series {
+      std::string name;
+      obs::Labels labels;
+      std::function<std::uint64_t()> owner;  ///< the owner's own accessor
+    };
+    const svc::Environment& stack = *environment;
+    std::vector<Series> series = {
+        {"platform_messages_delivered_total", shard,
+         [&] { return environment->platform().messages_delivered(); }},
+        {"wire_frames_total", shard, [&] { return stack.wire_link()->stats().frames; }},
+        {"tracker_retries_total", with(shard, "owner", "coordination"),
+         [&] { return environment->coordination().tracker().retries_total(); }},
+        {"tracker_retries_total", with(shard, "owner", "planning"),
+         [&] { return environment->planning().tracker().retries_total(); }},
+        {"store_wal_appends_total", {{"component", "engine-journal"}},
+         [&] { return engine.journal()->stats().wal.appends; }},
+    };
+    const auto chaos = [&](const char* kind, std::size_t agent::ChaosStats::*field) {
+      series.push_back({"chaos_faults_total", with(shard, "kind", kind),
+                        [&, field] { return environment->platform().chaos_stats().*field; }});
+    };
+    chaos("dropped", &agent::ChaosStats::dropped);
+    chaos("delayed", &agent::ChaosStats::delayed);
+    chaos("duplicated", &agent::ChaosStats::duplicated);
+    chaos("reordered", &agent::ChaosStats::reordered);
+    chaos("crashed", &agent::ChaosStats::crashed);
+    chaos("hung", &agent::ChaosStats::hung);
+    chaos("swallowed", &agent::ChaosStats::swallowed);
+
+    // Mid-run: every series is there, and none is ahead of its owner.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (engine.status(ids.front()) != CaseState::Running &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const obs::RegistrySnapshot running = engine.registry().snapshot();
+    for (const Series& s : series) {
+      const double scraped = point_value(running, s.name, s.labels);
+      EXPECT_GE(scraped, 0.0) << s.name << " missing mid-run";
+      EXPECT_LE(scraped, static_cast<double>(s.owner())) << s.name;
+    }
+    EXPECT_GE(point_value(running, "sched_jobs_executed_total", {}), 0.0);
+
+    // After the drain (and the pump jobs' tail), each equals its owner.
+    engine.drain();
+    engine.shutdown();
+    const obs::RegistrySnapshot drained = engine.registry().snapshot();
+    for (const Series& s : series)
+      EXPECT_EQ(point_value(drained, s.name, s.labels), static_cast<double>(s.owner()))
+          << s.name;
+    EXPECT_GT(point_value(drained, "platform_messages_delivered_total", shard), 0.0);
+    EXPECT_GT(point_value(drained, "wire_frames_total", shard), 0.0);
+    EXPECT_GT(point_value(drained, "store_wal_appends_total", {{"component", "engine-journal"}}),
+              0.0);
+    EXPECT_GT(environment->platform().chaos_stats().total_injected(), 0u);
+    const double executed = point_value(drained, "sched_jobs_executed_total", {});
+    const EngineMetrics metrics = engine.metrics();  // the first call, after both scrapes
+    EXPECT_GT(executed, 0.0);
+    EXPECT_EQ(executed, static_cast<double>(metrics.jobs_executed));
+    EXPECT_EQ(metrics.completed + metrics.failed, ids.size());
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Engine, FailedDurableCommitCountsOneRejectionAndNoSubmission) {

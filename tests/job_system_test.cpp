@@ -231,14 +231,14 @@ TEST(JobSystem, HintedPostDuringDrainRedirectsOffExitedWorkers) {
 }
 
 TEST(JobSystem, PublishMetricsExportsSchedulerCounters) {
-  sched::JobSystem jobs(2);
+  // The job system counts in the registry of the scope it is given.
+  obs::Scope metrics;
+  sched::JobSystem jobs(2, metrics);
   jobs.parallel_for(100, [](std::size_t, std::size_t) {});
   jobs.post([] { throw std::runtime_error("lost in a fire-and-forget job"); });
   jobs.wait_idle();
   EXPECT_EQ(jobs.stats().swallowed, 1u);
-  obs::MetricsRegistry registry;
-  jobs.publish_metrics(registry);
-  const obs::RegistrySnapshot snapshot = registry.snapshot();
+  const obs::RegistrySnapshot snapshot = metrics.registry().snapshot();
   const obs::MetricPoint* executed = snapshot.find("sched_jobs_executed_total");
   ASSERT_NE(executed, nullptr);
   EXPECT_GT(executed->value, 0.0);
@@ -246,6 +246,7 @@ TEST(JobSystem, PublishMetricsExportsSchedulerCounters) {
   ASSERT_NE(swallowed, nullptr);
   EXPECT_EQ(swallowed->value, 1.0);
   EXPECT_NE(snapshot.find("sched_workers"), nullptr);
+  EXPECT_EQ(executed->value, static_cast<double>(jobs.stats().executed));
 }
 
 // -- the determinism contract the callers rely on --
