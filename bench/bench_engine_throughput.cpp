@@ -64,8 +64,7 @@ Point run_point(std::size_t shards, std::size_t cases, std::size_t tenants,
   engine::EnactmentEngine engine(config);
 
   // Each case targets a slightly different resolution, so every submission
-  // is a distinct planning problem: the plan memo (PR 1) cannot collapse
-  // the sweep into one GP run per shard, and the bench measures real
+  // is a distinct planning problem and the bench measures real
   // plan-and-enact work per case — the load profile of a multi-user portal.
   util::Stopwatch watch;
   for (std::size_t i = 0; i < cases; ++i) {

@@ -1,11 +1,10 @@
-// Parallel planning engine: serial-vs-parallel speedup, fitness-memo hit
-// rate, a thread-count grid on the work-stealing job system, and a bitwise
-// determinism check across thread counts.
+// Parallel planning engine: serial-vs-parallel speedup, a thread-count grid
+// on the work-stealing job system, and a bitwise determinism check across
+// thread counts.
 //
 // Headline configurations of the Table 1 virolab experiment:
 //
-//   serial/no-memo   threads=1, memoize=false  (the pre-engine baseline)
-//   serial           threads=1, memoize=true
+//   serial           threads=1
 //   parallel         threads=4 on the job system (the production path)
 //
 // Then a grid: threads in {2, 4, 8} on the job system (threads=1 is the
@@ -13,9 +12,9 @@
 // reporting per-point speedup over serial and the job system's steal rate.
 //
 // Pass criteria: every parallel point is bitwise-identical to serial for
-// every seed, and the memo reports hits (elites/clones are being skipped).
-// The >= 2x speedup claim is asserted only when the machine actually has
-// >= 4 hardware threads; on smaller machines the ratio is informational.
+// every seed. The >= 2x speedup claim is asserted only when the machine
+// actually has >= 4 hardware threads; on smaller machines the ratio is
+// informational.
 #include <cstdio>
 
 #include "bench_json.hpp"
@@ -31,27 +30,23 @@ struct Measurement {
   double seconds = 0.0;
   double mean_fitness = 0.0;
   std::size_t evaluations = 0;
-  std::size_t memo_hits = 0;
   sched::JobStats sched_stats;  ///< summed across runs; zero when serial
   std::vector<planner::GpResult> results;
 };
 
-Measurement measure(const planner::PlanningProblem& problem, std::size_t threads, bool memoize,
-                    int runs) {
+Measurement measure(const planner::PlanningProblem& problem, std::size_t threads, int runs) {
   Measurement m;
   util::Stopwatch watch;
   for (int run = 0; run < runs; ++run) {
     planner::GpConfig config;  // Table 1 defaults: pop 200, 20 generations
     config.seed = 100 + static_cast<std::uint64_t>(run);
     config.threads = threads;
-    config.evaluation.memoize = memoize;
     m.results.push_back(planner::run_gp(problem, config));
   }
   m.seconds = watch.elapsed_seconds();
   for (const planner::GpResult& result : m.results) {
     m.mean_fitness += result.best_fitness.overall / runs;
     m.evaluations += result.evaluations;
-    m.memo_hits += result.memo_hits;
     m.sched_stats.executed += result.scheduler_stats.executed;
     m.sched_stats.stolen += result.scheduler_stats.stolen;
     m.sched_stats.steal_attempts += result.scheduler_stats.steal_attempts;
@@ -85,29 +80,18 @@ int main() {
               kRuns);
   std::printf("hardware threads: %zu\n\n", hardware);
 
-  const Measurement baseline = measure(problem, 1, false, kRuns);
-  const Measurement serial = measure(problem, 1, true, kRuns);
-  const Measurement parallel = measure(problem, parallel_threads, true, kRuns);
+  const Measurement serial = measure(problem, 1, kRuns);
+  const Measurement parallel = measure(problem, parallel_threads, kRuns);
 
-  const double memo_speedup = baseline.seconds / serial.seconds;
   const double thread_speedup = serial.seconds / parallel.seconds;
-  const double hit_rate =
-      serial.evaluations > 0
-          ? static_cast<double>(serial.memo_hits) / static_cast<double>(serial.evaluations)
-          : 0.0;
 
-  std::printf("%-22s %-9s %-12s %-12s %s\n", "configuration", "time(s)", "evals", "memo-hits",
-              "mean-fitness");
-  std::printf("%-22s %-9.2f %-12zu %-12zu %.4f\n", "serial, no memo", baseline.seconds,
-              baseline.evaluations, baseline.memo_hits, baseline.mean_fitness);
-  std::printf("%-22s %-9.2f %-12zu %-12zu %.4f\n", "serial (threads=1)", serial.seconds,
-              serial.evaluations, serial.memo_hits, serial.mean_fitness);
-  std::printf("threads=%-14zu %-9.2f %-12zu %-12zu %.4f\n", parallel_threads, parallel.seconds,
-              parallel.evaluations, parallel.memo_hits, parallel.mean_fitness);
+  std::printf("%-22s %-9s %-12s %s\n", "configuration", "time(s)", "evals", "mean-fitness");
+  std::printf("%-22s %-9.2f %-12zu %.4f\n", "serial (threads=1)", serial.seconds,
+              serial.evaluations, serial.mean_fitness);
+  std::printf("threads=%-14zu %-9.2f %-12zu %.4f\n", parallel_threads, parallel.seconds,
+              parallel.evaluations, parallel.mean_fitness);
 
-  std::printf("\nmemo speedup (serial vs no-memo):    %.2fx\n", memo_speedup);
-  std::printf("thread speedup (%zu threads vs 1):    %.2fx\n", parallel_threads, thread_speedup);
-  std::printf("memo hit rate (serial):              %.1f%%\n", 100.0 * hit_rate);
+  std::printf("\nthread speedup (%zu threads vs 1):    %.2fx\n", parallel_threads, thread_speedup);
 
   bool deterministic = true;
   for (int run = 0; run < kRuns; ++run)
@@ -120,7 +104,7 @@ int main() {
               "identical");
   std::printf("%-8d %-9.2f %-9s %-11s %s\n", 1, serial.seconds, "1.00x", "-", "yes");
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const Measurement point = measure(problem, threads, true, kRuns);
+    const Measurement point = measure(problem, threads, kRuns);
     bool point_identical = true;
     for (int run = 0; run < kRuns; ++run)
       if (!identical(serial.results[run], point.results[run])) point_identical = false;
@@ -149,12 +133,9 @@ int main() {
   record.add("runs", static_cast<std::size_t>(kRuns))
       .add("hardware_threads", hardware)
       .add("parallel_threads", parallel_threads)
-      .add("serial_no_memo_s", baseline.seconds)
       .add("serial_s", serial.seconds)
       .add("parallel_s", parallel.seconds)
-      .add("memo_speedup", memo_speedup)
       .add("thread_speedup", thread_speedup)
-      .add("memo_hit_rate", hit_rate)
       .add("mean_fitness", serial.mean_fitness)
       .add("steal_rate", parallel.sched_stats.steal_rate())
       .add("evals_per_sec_serial",
@@ -164,7 +145,7 @@ int main() {
       .add("deterministic", std::string(deterministic ? "true" : "false"));
   record.append_to();
 
-  bool ok = deterministic && hit_rate > 0.0;
+  bool ok = deterministic;
   if (hardware >= parallel_threads) {
     const bool fast_enough = thread_speedup >= 2.0;
     std::printf("speedup target (>= 2x at %zu threads): %s\n", parallel_threads,

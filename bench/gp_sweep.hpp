@@ -23,13 +23,7 @@ struct SweepPoint {
   util::SampleSet size;
   int optimal_runs = 0;  ///< runs with fv = fg = 1
   int runs = 0;
-  std::size_t evaluations = 0;  ///< total across runs, memo hits included
-  std::size_t memo_hits = 0;    ///< evaluations served from the fitness memo
-
-  double memo_hit_rate() const {
-    return evaluations > 0 ? static_cast<double>(memo_hits) / static_cast<double>(evaluations)
-                           : 0.0;
-  }
+  std::size_t evaluations = 0;  ///< total across runs
 };
 
 inline planner::PlanningProblem virolab_problem() {
@@ -74,7 +68,6 @@ inline SweepPoint run_sweep_point(const planner::PlanningProblem& problem,
     if (result.best_fitness.validity == 1.0 && result.best_fitness.goal == 1.0)
       ++point.optimal_runs;
     point.evaluations += result.evaluations;
-    point.memo_hits += result.memo_hits;
   }
   return point;
 }

@@ -13,7 +13,7 @@
 //   igrid_cli metrics [cases] [shards]       engine workload -> Prometheus text
 //   igrid_cli trace <workflow.txt|demo> [--out file]  enact -> Chrome trace JSON
 //   igrid_cli store <dir> [--populate N] [--compact]  inspect a durable data dir
-//   igrid_cli wire [messages]                binary vs XML ACL encoding comparison
+//   igrid_cli wire [messages]                binary ACL encoding: bytes, interning, decode
 //   igrid_cli demo                           plan + enact the paper's case study
 //
 // Workflow files contain the concrete syntax, e.g.
@@ -40,7 +40,6 @@
 #include "services/protocol.hpp"
 #include "store/storage_engine.hpp"
 #include "util/strings.hpp"
-#include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
 #include "wire/codec.hpp"
 #include "virolab/catalogue.hpp"
@@ -69,7 +68,7 @@ int usage() {
                "  metrics  [cases] [shards]    engine workload, Prometheus text on stdout\n"
                "  trace    <workflow.txt|demo> [--out file]  enacted spans as Chrome trace\n"
                "  store    <dir> [--populate N] [--compact]  inspect a durable data dir\n"
-               "  wire     [messages]          binary vs XML ACL encoding comparison\n"
+               "  wire     [messages]          binary ACL encoding: bytes, interning, decode\n"
                "  demo                         plan + enact the paper's case study\n");
   return 2;
 }
@@ -482,12 +481,10 @@ int cmd_store(const std::string& dir, std::uint64_t populate, bool compact) {
 }
 
 int cmd_wire(std::size_t messages) {
-  // Side-by-side of the two ACL encodings on a representative exchange:
-  // the binary codec sends the protocol vocabulary once and ids after,
-  // XML re-spells it per message.
+  // The binary ACL encoding of a representative exchange: the codec sends
+  // the protocol vocabulary once and ids after.
   wire::Encoder encoder;
   std::string frames;
-  std::size_t xml_bytes = 0;
   agent::AclMessage message;
   message.performative = agent::Performative::Request;
   message.sender = "coordination";
@@ -499,18 +496,14 @@ int cmd_wire(std::size_t messages) {
     message.params["activity"] = "mc-gen-" + std::to_string(i);
     message.params["deadline"] = "12.5";
     encoder.encode(message, frames);
-    xml_bytes += wire::acl_to_xml(message).size();
   }
   wire::Stream stream;
   stream.feed_bytes(frames);
   const std::size_t delivered = stream.receive([](const wire::WireMessageView&) {});
   const wire::EncoderStats stats = encoder.stats();
-  std::printf("%zu messages: binary %llu bytes (%.1f/msg), XML %zu bytes (%.1f/msg), "
-              "%.1fx smaller\n",
-              messages, static_cast<unsigned long long>(stats.frame_bytes),
-              static_cast<double>(stats.frame_bytes) / static_cast<double>(messages),
-              xml_bytes, static_cast<double>(xml_bytes) / static_cast<double>(messages),
-              static_cast<double>(xml_bytes) / static_cast<double>(stats.frame_bytes));
+  std::printf("%zu messages: binary %llu bytes (%.1f/msg)\n", messages,
+              static_cast<unsigned long long>(stats.frame_bytes),
+              static_cast<double>(stats.frame_bytes) / static_cast<double>(messages));
   std::printf("intern table: %zu entries, %llu hits, %llu definitions\n",
               encoder.intern_size(), static_cast<unsigned long long>(stats.intern_hits),
               static_cast<unsigned long long>(stats.intern_misses));

@@ -63,7 +63,7 @@ class LabUser : public agent::Agent {
                   message.param("makespan").c_str(),
                   message.param("activities-executed").c_str(),
                   message.param("dispatch-failures").c_str(), message.param("replans").c_str());
-      const wfl::DataSet final_state = wfl::dataset_from_xml_string(message.content);
+      const wfl::DataSet final_state = message.data != nullptr ? *message.data : wfl::DataSet();
       std::printf("[user] final data state (%zu items):\n", final_state.size());
       for (const auto& item : final_state.items())
         std::printf("  %s\n", item.to_display_string().c_str());

@@ -1,6 +1,7 @@
 #include "planner/evaluate.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -514,42 +515,6 @@ PlanEvaluator::~PlanEvaluator() = default;
 
 Fitness PlanEvaluator::evaluate(const PlanNode& plan, std::size_t worker) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (!config_.memoize) return simulate(plan, worker);
-
-  const std::uint64_t key = plan.hash();
-  MemoShard& shard = memo_[key % kMemoShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto chain = shard.entries.find(key);
-    if (chain != shard.entries.end()) {
-      for (const auto& [known, fitness] : chain->second) {
-        if (known == plan) {
-          memo_hits_.fetch_add(1, std::memory_order_relaxed);
-          return fitness;
-        }
-      }
-    }
-  }
-
-  const Fitness fitness = simulate(plan, worker);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto& chain = shard.entries[key];
-    // A concurrent worker may have simulated the same plan meanwhile; both
-    // computed the same pure value, so keeping one copy suffices.
-    bool present = false;
-    for (const auto& [known, cached] : chain) {
-      if (known == plan) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) chain.emplace_back(plan, fitness);
-  }
-  return fitness;
-}
-
-Fitness PlanEvaluator::simulate(const PlanNode& plan, std::size_t worker) const {
   Fitness fitness;
   fitness.size = plan.size();
 

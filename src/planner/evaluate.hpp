@@ -31,14 +31,9 @@
 // service) pair, and each state's goal count is computed once.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "planner/plan_tree.hpp"
@@ -59,13 +54,6 @@ struct EvaluationConfig {
   /// reverse order, which catches order-dependent children without paying
   /// for all n! interleavings).
   std::size_t concurrent_orders = 2;
-  /// Remember the fitness of every structurally distinct plan and serve
-  /// repeats (elites, post-selection clones) from the memo instead of
-  /// re-simulating. Evaluation is a pure function of the plan, so the memo
-  /// never changes results — disable only to measure raw simulation cost.
-  /// This is the plan-level memo only: raw simulation still goes through
-  /// each worker's state-transition memo, which is always on.
-  bool memoize = true;
 };
 
 struct Fitness {
@@ -91,11 +79,9 @@ class ItemTable;
 /// executing caller passes a distinct `worker` id below the `workers` count
 /// given at construction: every worker owns a private ItemTable (no
 /// locking on the simulation path; its states and transitions live as long
-/// as the evaluator and never change a result), the fitness memo is
-/// sharded behind per-shard mutexes, and the counters are atomic. Fitness
-/// is a pure function of the plan, so the memo is transparent: results are
-/// identical with it on, off, or raced (two workers simulating the same
-/// plan concurrently both compute — and store — the same value).
+/// as the evaluator and never change a result), and the evaluation counter
+/// is atomic. Fitness is a pure function of the plan, so every call
+/// simulates it and any worker computes the same value.
 class PlanEvaluator {
  public:
   explicit PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config = {},
@@ -111,34 +97,16 @@ class PlanEvaluator {
   /// Single-threaded convenience: evaluates as worker 0.
   Fitness evaluate(const PlanNode& plan) const { return evaluate(plan, 0); }
 
-  /// Number of evaluations requested so far, memo hits included (for effort
-  /// accounting).
+  /// Number of evaluations requested so far (for effort accounting).
   std::size_t evaluations() const noexcept {
     return evaluations_.load(std::memory_order_relaxed);
   }
-  /// Evaluations served from the fitness memo without re-simulating. Under
-  /// concurrency this is scheduling-dependent (a plan raced by two workers
-  /// counts as two misses), so treat it as advisory.
-  std::size_t memo_hits() const noexcept { return memo_hits_.load(std::memory_order_relaxed); }
-  /// Evaluations that actually ran the simulator.
-  std::size_t simulations() const noexcept { return evaluations() - memo_hits(); }
 
  private:
-  struct MemoShard {
-    std::mutex mutex;
-    /// hash -> structurally distinct plans with that hash (collision chain).
-    std::unordered_map<std::uint64_t, std::vector<std::pair<PlanNode, Fitness>>> entries;
-  };
-  static constexpr std::size_t kMemoShards = 16;
-
-  Fitness simulate(const PlanNode& plan, std::size_t worker) const;
-
   const PlanningProblem* problem_;
   EvaluationConfig config_;
   mutable std::atomic<std::size_t> evaluations_{0};
-  mutable std::atomic<std::size_t> memo_hits_{0};
   mutable std::vector<std::unique_ptr<ItemTable>> tables_;  ///< one per worker
-  mutable std::array<MemoShard, kMemoShards> memo_;
 };
 
 }  // namespace ig::planner

@@ -132,7 +132,6 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
   }
 
   result.evaluations = evaluator.evaluations();
-  result.memo_hits = evaluator.memo_hits();
   if (jobs) result.scheduler_stats = jobs->stats();
   return result;
 }

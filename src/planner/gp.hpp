@@ -63,9 +63,9 @@ struct GpResult {
   Fitness best_fitness;
   std::vector<GenerationStats> history;
   std::size_t evaluations = 0;
-  /// Evaluations served from the fitness memo (elites and post-selection
-  /// clones). Advisory: unlike every other field, this can vary with thread
-  /// count, because two workers racing the same new plan both count a miss.
+  /// Always 0: the evaluator keeps no plan-level fitness memo any more.
+  /// Kept only because the engine benchmark still reads it; remove it with
+  /// that read.
   std::size_t memo_hits = 0;
   /// Worker threads actually used (resolves the config's 0 = auto).
   std::size_t threads_used = 1;

@@ -125,32 +125,6 @@ bool PlanNode::operator==(const PlanNode& other) const {
 
 namespace {
 
-// FNV-1a over bytes, with a 64-bit avalanche finisher for word-sized mixes.
-constexpr std::uint64_t kHashSeed = 0xCBF29CE484222325ULL;
-
-constexpr std::uint64_t hash_mix(std::uint64_t h, std::uint64_t word) noexcept {
-  h ^= word;
-  h *= 0x100000001B3ULL;
-  h ^= h >> 29;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  return h ^ (h >> 32);
-}
-
-std::uint64_t hash_bytes(std::uint64_t h, std::string_view bytes) noexcept {
-  for (const char byte : bytes) {
-    h ^= static_cast<unsigned char>(byte);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-std::uint64_t hash_condition(std::uint64_t h, const wfl::Condition& condition) {
-  // GP-evolved trees carry trivially-true conditions everywhere; skip the
-  // textual rendering (an allocation) for that common case.
-  if (condition.is_trivially_true()) return hash_mix(h, 0x7472756555555555ULL);
-  return hash_bytes(hash_mix(h, 1), condition.to_string());
-}
-
 void render(const PlanNode& node, std::string& out, int depth) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
   if (node.is_terminal()) {
@@ -171,15 +145,6 @@ std::string PlanNode::to_tree_string() const {
   std::string out;
   render(*this, out, 0);
   return out;
-}
-
-std::uint64_t PlanNode::hash() const noexcept {
-  std::uint64_t h = hash_mix(kHashSeed, static_cast<std::uint64_t>(kind) + 1);
-  h = hash_bytes(h, service);
-  h = hash_mix(h, children.size());
-  for (const auto& child : children) h = hash_mix(h, child.hash());
-  for (const auto& guard : guards) h = hash_condition(h, guard);
-  return hash_condition(h, continue_condition);
 }
 
 std::string check_structure(const PlanNode& tree) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,14 +64,6 @@ struct PlanNode {
 
   /// Structural equality (guards compared by canonical text).
   bool operator==(const PlanNode& other) const;
-
-  /// Canonical structural hash, consistent with operator==: equal trees hash
-  /// equal. Keys the evaluator's fitness memo, so elites and post-selection
-  /// clones are recognized across generations. Covers kind, service name,
-  /// child structure (order-sensitive), guards and the continue condition
-  /// (by canonical text; the trivially-true condition hashes as a constant
-  /// without rendering).
-  std::uint64_t hash() const noexcept;
 
   /// Indented rendering in the style of Figure 11.
   std::string to_tree_string() const;

@@ -18,7 +18,7 @@
 //     deepening backlog one parked neighbour is poked to come steal.
 //   * `parallel_for` submits *chunked* ranges — contiguous index blocks —
 //     rather than handing out one index at a time, so data-parallel loops
-//     over cheap items (fitness-memo hits) pay for their scheduling.
+//     over cheap items (re-scored elites and clones) pay for their scheduling.
 //
 // Determinism: the job system moves *where* work runs, never *what* it
 // computes. Callers that key results by index and derive per-item RNG

@@ -1,6 +1,7 @@
 #include "services/coordination.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "services/protocol.hpp"
 #include "util/log.hpp"
@@ -489,7 +490,9 @@ void CoordinationService::finish(Enactment& enactment, bool success, const std::
   // Goal check against the final state.
   reply.params["goal-satisfaction"] = util::format_number(
       enactment.case_description.goal_satisfaction(enactment.data), 4);
-  reply.content = wfl::dataset_to_xml_string(enactment.data);
+  // The final data set travels typed, as a shared snapshot (the enactment
+  // itself may still be checkpointed before it is released).
+  reply.data = std::make_shared<const wfl::DataSet>(enactment.data);
   send(std::move(reply));
 }
 

@@ -1,5 +1,7 @@
 #include "services/simulation_service.hpp"
 
+#include <memory>
+
 #include "planner/convert.hpp"
 #include "services/protocol.hpp"
 #include "util/strings.hpp"
@@ -33,7 +35,7 @@ void SimulationService::handle_message(const AclMessage& message) {
     if (message.protocol == protocols::kSimulateCase) {
       // Full dry-run: walk the abstract ATN machine with the declarative
       // (catalogue-backed) executor — no grid resources consumed.
-      const wfl::EnactmentResult result =
+      wfl::EnactmentResult result =
           wfl::enact(process, case_description, wfl::make_catalogue_executor(catalogue_));
       ++simulations_;
       reply.params["success"] = result.success ? "true" : "false";
@@ -41,7 +43,7 @@ void SimulationService::handle_message(const AclMessage& message) {
       reply.params["activities-executed"] = std::to_string(result.activities_executed);
       reply.params["goal-satisfaction"] =
           util::format_number(result.goal_satisfaction, 4);
-      reply.content = wfl::dataset_to_xml_string(result.final_data);
+      reply.data = std::make_shared<const wfl::DataSet>(std::move(result.final_data));
       send(std::move(reply));
       return;
     }

@@ -73,14 +73,7 @@ void UserInterfaceAgent::handle_message(const AclMessage& message) {
     outcome.replans = message.param_int("replans", 0);
     outcome.goal_satisfaction = message.param_double("goal-satisfaction", 0.0);
     outcome.total_cost = message.param_double("total-cost", 0.0);
-    if (!message.content.empty()) {
-      try {
-        outcome.final_data = wfl::dataset_from_xml_string(message.content);
-      } catch (const std::exception&) {
-        // Final data is informative only; a bad payload does not void the
-        // outcome.
-      }
-    }
+    if (message.data != nullptr) outcome.final_data = *message.data;
     outcome_ = std::move(outcome);
     if (outcome_callback_) outcome_callback_(*outcome_);
   }

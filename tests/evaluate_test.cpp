@@ -193,44 +193,40 @@ TEST(Evaluate, ConcurrentExecutesAllChildren) {
   EXPECT_DOUBLE_EQ(fitness.goal, 1.0);
 }
 
+// The EvaluateMemo tests keep the names they had when the evaluator also
+// held a plan-level fitness memo. A repeat is now served by the worker's
+// interned states and transition memo, and must score as the first call did.
 TEST(EvaluateMemo, RepeatEvaluationIsServedFromTheMemo) {
   const PlanningProblem problem = virolab_problem();
   PlanEvaluator evaluator(problem);
   const PlanNode plan = seq({"POD", "P3DR", "P3DR", "PSF"});
   const Fitness first = evaluator.evaluate(plan);
   EXPECT_EQ(evaluator.evaluations(), 1u);
-  EXPECT_EQ(evaluator.memo_hits(), 0u);
-  EXPECT_EQ(evaluator.simulations(), 1u);
-
   const Fitness second = evaluator.evaluate(plan);
   EXPECT_EQ(evaluator.evaluations(), 2u);
-  EXPECT_EQ(evaluator.memo_hits(), 1u);
-  EXPECT_EQ(evaluator.simulations(), 1u);
   EXPECT_EQ(first.overall, second.overall);
   EXPECT_EQ(first.flows, second.flows);
 
-  // A structurally equal copy hits too; a different plan misses.
-  evaluator.evaluate(PlanNode(plan));
-  EXPECT_EQ(evaluator.memo_hits(), 2u);
-  evaluator.evaluate(seq({"POD", "P3DR"}));
-  EXPECT_EQ(evaluator.memo_hits(), 2u);
-  EXPECT_EQ(evaluator.simulations(), 2u);
+  // A structurally equal copy scores the same; a different plan differs.
+  EXPECT_EQ(evaluator.evaluate(PlanNode(plan)).overall, first.overall);
+  EXPECT_NE(evaluator.evaluate(seq({"POD", "P3DR"})).overall, first.overall);
+  EXPECT_EQ(evaluator.evaluations(), 4u);
 }
 
 TEST(EvaluateMemo, DisabledMemoStillCountsEvaluations) {
-  EvaluationConfig config;
-  config.memoize = false;
+  // Fitness is a pure function of the plan: the same plan evaluated twice
+  // gives equal fitness, and every call counts as one evaluation.
   const PlanningProblem problem = virolab_problem();
-  PlanEvaluator evaluator(problem, config);
+  PlanEvaluator evaluator(problem);
   const PlanNode plan = seq({"POD", "P3DR"});
   const Fitness first = evaluator.evaluate(plan);
   const Fitness second = evaluator.evaluate(plan);
   EXPECT_EQ(evaluator.evaluations(), 2u);
-  EXPECT_EQ(evaluator.memo_hits(), 0u);
-  EXPECT_EQ(first.overall, second.overall);  // still a pure function
+  EXPECT_EQ(first.overall, second.overall);
+  EXPECT_EQ(first.flows, second.flows);
 }
 
-TEST(EvaluateMemo, WorkersEvaluateIndependentlyWithSharedMemo) {
+TEST(Evaluate, WorkersAgreeOnTheSamePlan) {
   const PlanningProblem problem = virolab_problem();
   PlanEvaluator evaluator(problem, {}, 4);
   EXPECT_EQ(evaluator.workers(), 4u);
@@ -241,14 +237,11 @@ TEST(EvaluateMemo, WorkersEvaluateIndependentlyWithSharedMemo) {
     EXPECT_EQ(fitness.overall, reference.overall);
     EXPECT_EQ(fitness.flows, reference.flows);
   }
-  // Worker 0 simulated once; the other three were memo hits.
-  EXPECT_EQ(evaluator.memo_hits(), 3u);
+  EXPECT_EQ(evaluator.evaluations(), 4u);
 
-  // Per-worker output caches mean a fresh worker re-simulating (memo off)
-  // still matches — the caches hold identical immutable specifications.
-  EvaluationConfig no_memo;
-  no_memo.memoize = false;
-  PlanEvaluator independent(problem, no_memo, 2);
+  // Each worker owns its tables, so a fresh evaluator's second worker
+  // matches too.
+  PlanEvaluator independent(problem, {}, 2);
   EXPECT_EQ(independent.evaluate(plan, 1).overall, reference.overall);
 }
 
@@ -519,13 +512,12 @@ bool same_bits(const Fitness& a, const Fitness& b) {
 TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
   // Each evaluator worker interns world states and memoizes transitions
   // across the plans it scores. Scoring the pin's plans in pin order, in
-  // reverse order, and each on a fresh evaluator must agree bitwise; with
-  // the plan memo off, every call re-simulates through the warm tables.
+  // reverse order, and each on a fresh evaluator must agree bitwise; every
+  // call simulates through that evaluator's warm tables.
   const std::vector<PlanningProblem> problems = pin_problems();
   std::vector<EvaluationConfig> configs(3);
   configs[1].max_flows = 8;
   configs[2].concurrent_orders = 1;
-  for (EvaluationConfig& config : configs) config.memoize = false;
 
   const wfl::ServiceCatalogue virolab_services = virolab::make_catalogue();
   FitnessDigest digest;
@@ -557,7 +549,6 @@ TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
     }
   }
   EXPECT_EQ(evaluated, 1800u);
-  // The plan memo never changes a result, so this is the pin's digest.
   EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
 }
 

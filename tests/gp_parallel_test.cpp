@@ -25,7 +25,6 @@ GpConfig small_config(std::uint64_t seed) {
 
 /// Bitwise comparison of everything run_gp promises to keep thread-count
 /// invariant: best plan, best fitness, full history, evaluation count.
-/// (memo_hits is explicitly excluded — it is scheduling-dependent.)
 void expect_identical(const GpResult& a, const GpResult& b) {
   EXPECT_EQ(a.best_plan, b.best_plan);
   EXPECT_EQ(a.best_fitness.overall, b.best_fitness.overall);
@@ -74,7 +73,6 @@ TEST(GpParallel, MatchesSerialUnderConfigVariations) {
   variants[0].selection = SelectionScheme::Roulette;
   variants[1].elitism = 0;
   variants[2].init_style = InitStyle::Ramped;
-  variants[2].evaluation.memoize = false;
   for (GpConfig& config : variants) {
     config.threads = 1;
     const GpResult serial = run_gp(problem, config);
@@ -84,19 +82,18 @@ TEST(GpParallel, MatchesSerialUnderConfigVariations) {
 }
 
 TEST(GpParallel, MemoSkipsElitesAndClones) {
+  // The name is from the removed plan-level fitness memo. Elites and clones
+  // are now scored again through the worker's warm transition memo: each
+  // individual of the initial population and of every generation counts as
+  // one evaluation, memo_hits stays 0, and a second run on fresh tables
+  // gives the same result.
   const PlanningProblem problem = virolab_problem();
   GpConfig config = small_config(23);
   config.threads = 1;
   const GpResult result = run_gp(problem, config);
-  // Elitism re-injects the best plan every generation and tournament
-  // selection clones strong individuals, so a memoized run must report hits.
-  EXPECT_GT(result.memo_hits, 0u);
   EXPECT_EQ(result.evaluations, config.population_size * (config.generations + 1));
-
-  config.evaluation.memoize = false;
-  const GpResult unmemoized = run_gp(problem, config);
-  EXPECT_EQ(unmemoized.memo_hits, 0u);
-  expect_identical(result, unmemoized);  // memo never changes results
+  EXPECT_EQ(result.memo_hits, 0u);
+  expect_identical(result, run_gp(problem, config));
 }
 
 TEST(GpParallel, ReportsThreadsUsed) {

@@ -83,7 +83,8 @@ TEST(Integration, PlanThenEnactReachesGoal) {
   EXPECT_EQ(user.case_reply.param("goal-satisfaction"), "1");
 
   // The produced resolution file is in the final state.
-  const wfl::DataSet final_state = wfl::dataset_from_xml_string(user.case_reply.content);
+  ASSERT_NE(user.case_reply.data, nullptr);
+  const wfl::DataSet& final_state = *user.case_reply.data;
   bool has_resolution = false;
   for (const auto& item : final_state.items()) {
     if (item.classification() == "Resolution File") has_resolution = true;

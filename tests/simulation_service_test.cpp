@@ -60,7 +60,8 @@ TEST(SimulateCase, DryRunsTheFigure10Workflow) {
   // Declarative outputs carry no resolution Value, so the loop runs once:
   // 7 end-user executions.
   EXPECT_EQ(reply.param("activities-executed"), "7");
-  const wfl::DataSet predicted = wfl::dataset_from_xml_string(reply.content);
+  ASSERT_NE(reply.data, nullptr);
+  const wfl::DataSet& predicted = *reply.data;
   EXPECT_FALSE(predicted.with_classification("Resolution File").empty());
 }
 

@@ -2,13 +2,14 @@
 // loopback channel, and the platform transport hook.
 //
 // The contract under test: encode -> decode -> materialize round-trips
-// every AclMessage bitwise (arbitrary binary content included — the very
-// bytes the XML path must reject), interning shrinks repeat frames without
+// every AclMessage bitwise (arbitrary binary content and typed data sets
+// included), interning shrinks repeat frames without
 // ever desyncing across duplicated definitions, and a platform with the
 // wire hook installed behaves exactly like one without it, chaos replay
 // included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -25,7 +26,6 @@
 #include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 #include "wfl/xml_io.hpp"
-#include "wire/acl_xml.hpp"
 #include "wire/channel.hpp"
 #include "wire/codec.hpp"
 #include "xml/xml.hpp"
@@ -182,8 +182,8 @@ TEST(WireCodec, RoundTripsEveryPerformative) {
 }
 
 TEST(WireCodec, RoundTripsArbitraryBinaryContent) {
-  // Every byte value, twice over, including embedded NULs — the payload the
-  // XML path cannot carry (satellite: XML rejects, binary round-trips).
+  // Every byte value, twice over, including embedded NULs and the control
+  // characters and whitespace that XML text cannot carry verbatim.
   std::string blob;
   for (int pass = 0; pass < 2; ++pass)
     for (int byte = 0; byte < 256; ++byte) blob.push_back(static_cast<char>(byte));
@@ -688,9 +688,7 @@ TEST(WireChaosDifferential, EnvironmentDataSetsAndTranscriptsMatchWithTheWireOnA
     for (const AclMessage& reply : client.replies) {
       run.outcomes.push_back(reply.param("case") + " " + reply.param("success") + " " +
                              reply.param("makespan") + " " + reply.param("error"));
-      run.final_data.push_back(reply.content.empty()
-                                   ? wfl::DataSet()
-                                   : wfl::dataset_from_xml_string(reply.content));
+      run.final_data.push_back(reply.data != nullptr ? *reply.data : wfl::DataSet());
     }
     for (const auto& record : environment->platform().trace()) {
       run.transcript += record.message.protocol + " " + record.message.conversation_id + " " +
@@ -709,12 +707,15 @@ TEST(WireChaosDifferential, EnvironmentDataSetsAndTranscriptsMatchWithTheWireOnA
   ASSERT_EQ(bare.outcomes.size(), static_cast<std::size_t>(kChaosCases));
   EXPECT_EQ(bare.outcomes, wired.outcomes);
   EXPECT_EQ(bare.final_data, wired.final_data);
+  EXPECT_TRUE(std::any_of(bare.final_data.begin(), bare.final_data.end(),
+                          [](const wfl::DataSet& data) { return !data.empty(); }));
   EXPECT_EQ(bare.transcript, wired.transcript);
   EXPECT_EQ(bare.faults, wired.faults);
   EXPECT_GT(bare.faults, 0u);
   EXPECT_GT(wired.frames, 0u);
-  // Every typed payload the run carried (each execute request's case data
-  // and each reply's produced items) arrived with the same bits.
+  // Every typed payload the run carried (each execute request's case data,
+  // each reply's produced items and each case's final data set) arrived
+  // with the same bits.
   ASSERT_EQ(bare.payloads.size(), wired.payloads.size());
   std::size_t carried = 0;
   for (std::size_t i = 0; i < bare.payloads.size(); ++i) {
@@ -722,53 +723,6 @@ TEST(WireChaosDifferential, EnvironmentDataSetsAndTranscriptsMatchWithTheWireOnA
     if (bare.payloads[i] != nullptr) ++carried;
   }
   EXPECT_GT(carried, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// XML path: reject-with-reason vs binary round trip (the bugfix)
-// ---------------------------------------------------------------------------
-
-TEST(WireAclXml, RoundTripsCleanMessages) {
-  const AclMessage original = make_message();
-  const AclMessage decoded = acl_from_xml(acl_to_xml(original));
-  EXPECT_TRUE(same_message(original, decoded));
-}
-
-TEST(WireAclXml, RejectsControlCharactersWithFieldAndOffset) {
-  AclMessage message = make_message();
-  message.params["payload"] = std::string("ab\x01z", 4);
-  try {
-    acl_to_xml(message);
-    FAIL() << "control character silently accepted";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("payload"), std::string::npos) << what;
-    EXPECT_NE(what.find("0x01"), std::string::npos) << what;
-    EXPECT_NE(what.find("offset 2"), std::string::npos) << what;
-  }
-  // The binary codec carries the same message bitwise.
-  EXPECT_TRUE(same_message(message, round_trip_once(message)));
-}
-
-TEST(WireAclXml, RejectsATypedDataPayloadInsteadOfDroppingIt) {
-  AclMessage message = make_message();
-  message.data = std::make_shared<const wfl::DataSet>(virolab::make_initial_data());
-  try {
-    acl_to_xml(message);
-    FAIL() << "typed payload silently dropped";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("data"), std::string::npos) << error.what();
-  }
-  // Even an empty set is a payload the XML form cannot say it carries.
-  message.data = std::make_shared<const wfl::DataSet>();
-  EXPECT_THROW(acl_to_xml(message), std::invalid_argument);
-  EXPECT_TRUE(same_message(message, round_trip_once(message)));
-}
-
-TEST(WireAclXml, KeepsXmlWhitespaceControls) {
-  AclMessage message = make_message();
-  message.content = "line one\n\tline two\r\n";
-  EXPECT_TRUE(same_message(message, acl_from_xml(acl_to_xml(message))));
 }
 
 }  // namespace
