@@ -1,8 +1,8 @@
 #include "planner/evaluate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <string_view>
 
@@ -84,22 +84,25 @@ struct Candidates {
 /// binding never reuses one item for two formals, and a service like PSF
 /// genuinely needs two different 3-D models.
 ///
-/// Interning an item also evaluates, once, every condition the simulator
-/// asks of single items: each (service, formal) input filter and each goal.
-/// The answers sit in flat byte tables, so checking a precondition or a goal
-/// is a lookup per item instead of a condition-tree walk.
+/// Every set of items is a bit row: `width_` 64-bit words, bit `id` set
+/// when item `id` is in the set. Interning an item evaluates, once, every
+/// condition the simulator asks of single items, and records the answers as
+/// bits in the same kind of rows: one per (service, formal) input filter,
+/// one per goal, and one per service marking its outputs. When the item
+/// count outgrows the rows, every row is doubled in width (zero-padded).
 ///
-/// A world state is the *set* of item ids a flow holds; two flows holding
-/// the same items share one state id, whatever order produced them. That is
-/// exact: a precondition is an exhaustive search for distinct items, a goal
-/// asks whether any item meets it, and a service's next occurrence index is
-/// the number of its output groups already in the set. State 0 holds the
-/// initial data; every other state is its parent plus one output group. An
-/// index keyed by an order-free hash of the items finds a state again (a
-/// hash match is confirmed item by item). Executing service s in state x
-/// gives the same answer every time, so transition(x, s) runs the
-/// precondition check once per table and serves every repeat from a memo;
-/// each state's goal count is memoized the same way.
+/// A world state is the *set* of item ids a flow holds, kept as one row;
+/// two flows holding the same items share one state id, whatever order
+/// produced them. That is exact: a precondition is an exhaustive search for
+/// distinct items among `state & filter`, a goal holds when `state & goal`
+/// is non-zero, and a service's next occurrence index is the popcount of
+/// `state & outputs` over its output count. State 0 holds the initial data;
+/// every other state is its parent plus one output group. An index keyed by
+/// an order-free hash of the items finds a state again, and a word compare
+/// of the rows confirms a hash match. Executing service s in state x gives
+/// the same answer every time, so transition(x, s) runs the precondition
+/// check once per table and serves every repeat from a dense (state,
+/// service) table; each state's goal count is memoized the same way.
 ///
 /// Not thread-safe: each worker owns one.
 class ItemTable {
@@ -114,7 +117,10 @@ class ItemTable {
 
   /// The state a valid execution of `service` leads to from `state`, or
   /// kInvalid when its precondition is unmet there.
-  std::uint32_t transition(std::uint32_t state, std::size_t service);
+  std::uint32_t transition(std::uint32_t state, std::size_t service) {
+    const std::uint32_t next = memoized(state, service);
+    return next != kUnknown ? next : first_transition(state, service);
+  }
 
   /// Number of the problem's goals that `state` satisfies.
   std::size_t satisfied_goals(std::uint32_t state);
@@ -123,61 +129,64 @@ class ItemTable {
   static constexpr std::uint32_t kUnknown = UINT32_MAX;
 
   struct State {
-    std::uint64_t hash;          ///< sum of mix(id) over the items: order-free
-    std::uint32_t parent;        ///< the state this one extends by one output group
-    std::uint32_t first_output;  ///< the group's first item id
-    std::uint32_t size;          ///< items held
-    std::uint32_t goals;         ///< satisfied goals, kUnknown until asked
+    std::uint64_t hash;    ///< sum of mix(id) over the items: order-free
+    std::uint32_t parent;  ///< the state this one extends by one output group
+    std::uint32_t goals;   ///< satisfied goals, kUnknown until asked
   };
 
+  /// Row `index` of the bit-row table `rows`.
+  const std::uint64_t* row(const std::vector<std::uint64_t>& rows, std::size_t index) const {
+    return rows.data() + index * width_;
+  }
+  /// Sets bit `id` of row `index` of `rows`.
+  void set_bit(std::vector<std::uint64_t>& rows, std::size_t index, std::size_t id) const {
+    rows[index * width_ + id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+
   void intern(wfl::DataSpec item, std::int32_t owner);
+  /// Doubles the width of every row.
+  void widen();
   /// Id of the first output of the `occurrence`-th execution of service
   /// `service`; its outputs().size() outputs have consecutive ids.
   std::uint32_t outputs(std::size_t service, std::size_t occurrence);
-  static std::uint64_t key(std::uint32_t state, std::size_t service) noexcept {
-    return (std::uint64_t{state} << 32) | service;
+  /// transition(state, service) if already computed, else kUnknown.
+  std::uint32_t& memoized(std::uint32_t state, std::size_t service) {
+    return transitions_[state * services_->size() + service];
   }
-  /// transition(state, service) if already computed, else FlatIndex::kEmpty.
-  std::uint32_t memoized(std::uint32_t state, std::size_t service) const {
-    return transitions_.find(key(state, service), [](std::uint32_t) { return true; });
-  }
-  /// Writes the item ids of `state` to `ids` (unsorted).
-  void collect(std::uint32_t state, std::vector<std::uint32_t>& ids) const;
-  /// The state holding the items of `parent` (in `ids_` on entry; the new
-  /// output group is appended there) plus the next output group of
+  /// transition() the first time it is asked for (state, service).
+  std::uint32_t first_transition(std::uint32_t state, std::size_t service);
+  /// The state holding the items of `parent` plus the next output group of
   /// `service`, interned.
   std::uint32_t extend(std::uint32_t parent, std::size_t service);
+  /// Adds the state holding the items of `row_`; returns its id.
+  std::uint32_t add_state(std::uint64_t hash, std::uint32_t parent);
 
-  /// True when item `id` passes input formal `formal`'s filter of service
-  /// `service` (ServiceType::input_filter).
-  bool accepts(std::uint32_t id, std::size_t service, std::size_t formal) const noexcept {
-    return filter_flags_[id * formal_count_ + formal_offsets_[service] + formal] != 0;
-  }
-  bool can_bind(std::size_t service, const std::vector<std::uint32_t>& ids);
+  bool can_bind(std::size_t service, std::uint32_t state);
   bool search(std::size_t depth);
 
   const PlanningProblem* problem_;
   const std::vector<wfl::ServiceType>* services_;
-  std::size_t initial_count_ = 0;
   std::vector<std::size_t> formal_offsets_;  ///< per service: first formal's column
   std::size_t formal_count_ = 0;             ///< input formals over all services
   std::vector<std::string> goal_variables_;  ///< per goal; empty for closed goals
   std::vector<std::uint8_t> closed_goal_met_;
   std::vector<wfl::DataSpec> items_;
-  std::vector<std::int32_t> owners_;        ///< per item: producing service, -1 initial
-  std::vector<std::uint8_t> filter_flags_;  ///< [id][formal column]
-  std::vector<std::uint8_t> goal_flags_;    ///< [id][goal]
   /// [service][occurrence] -> first output id.
   std::vector<std::vector<std::uint32_t>> first_outputs_;
 
+  std::size_t width_ = 1;                   ///< 64-bit words per row
+  std::vector<std::uint64_t> filter_rows_;  ///< [formal column]: items passing its filter
+  std::vector<std::uint64_t> goal_rows_;    ///< [goal]: items meeting it
+  std::vector<std::uint64_t> owner_rows_;   ///< [service]: items it produces
+  std::vector<std::uint64_t> state_rows_;   ///< [state]: items held
+
   std::vector<State> states_;
   FlatIndex states_by_hash_;  ///< State::hash -> state id
-  FlatIndex transitions_;     ///< state << 32 | service -> next state or kInvalid
+  /// [state][service]: next state, kInvalid, or kUnknown until computed.
+  std::vector<std::uint32_t> transitions_;
 
   // Working buffers, reused across calls.
-  std::vector<std::uint32_t> ids_;
-  std::vector<std::uint32_t> other_;
-  std::vector<std::uint8_t> marks_;  ///< per item: set while ids_ is compared
+  std::vector<std::uint64_t> row_;  ///< the row of the state being built
   std::vector<std::uint32_t> candidates_;
   std::vector<Candidates> order_;
   std::vector<std::uint32_t> chosen_;
@@ -205,33 +214,53 @@ struct Step {
   std::uint32_t child_count = 0;
 };
 
+/// Simulates plans against one ItemTable. Its steps, flows and per-depth
+/// scratch lists are reused from one plan to the next.
 class Simulator {
  public:
   Simulator(const EvaluationConfig& config, ItemTable& table) : config_(config), table_(table) {}
 
-  std::vector<Flow> run(const PlanNode& plan) {
-    steps_.emplace_back();
-    compile(plan, 0);
-    std::vector<Flow> flows(1);  // the initial state
-    simulate(steps_[0], flows);
-    return flows;
+  /// Simulates `plan` from the initial state. The flows stay valid until
+  /// the next call.
+  const std::vector<Flow>& run(const PlanNode& plan) {
+    steps_.assign(1, Step{});
+    truncated_ = false;
+    const std::size_t depth = compile(plan, 0);
+    // Sized before recursing: a frame holds references to its own depth's
+    // lists while deeper frames run, so the outer vector must not grow.
+    if (scratch_.size() < depth) scratch_.resize(depth);
+    flows_.assign(1, Flow{});  // the initial state
+    simulate(steps_[0], flows_, 0);
+    return flows_;
   }
 
   bool truncated() const noexcept { return truncated_; }
+  /// Node count of the plan last run.
+  std::size_t nodes() const noexcept { return steps_.size(); }
 
  private:
-  /// Lays out `node` at steps_[at] and its subtree after it.
-  void compile(const PlanNode& node, std::size_t at) {
+  /// A controller's flow lists at one depth of the recursion.
+  struct Scratch {
+    std::vector<Flow> combined;
+    std::vector<Flow> branch;
+  };
+
+  /// Lays out `node` at steps_[at] and its subtree after it; returns the
+  /// subtree's depth.
+  std::size_t compile(const PlanNode& node, std::size_t at) {
     steps_[at].kind = node.kind;
     if (node.is_terminal()) {
       steps_[at].service = table_.service_index(node.service);
-      return;
+      return 1;
     }
     const std::size_t first = steps_.size();
     steps_[at].first_child = static_cast<std::uint32_t>(first);
     steps_[at].child_count = static_cast<std::uint32_t>(node.children.size());
     steps_.resize(first + node.children.size());
-    for (std::size_t i = 0; i < node.children.size(); ++i) compile(node.children[i], first + i);
+    std::size_t deepest = 0;
+    for (std::size_t i = 0; i < node.children.size(); ++i)
+      deepest = std::max(deepest, compile(node.children[i], first + i));
+    return deepest + 1;
   }
 
   /// Executes one terminal activity on one flow.
@@ -252,7 +281,8 @@ class Simulator {
     }
   }
 
-  void simulate(const Step& step, std::vector<Flow>& flows) {
+  /// Simulates `step`, a node at `depth` of the plan, on `flows`.
+  void simulate(const Step& step, std::vector<Flow>& flows, std::size_t depth) {
     const std::size_t first = step.first_child;
     const std::size_t last = first + step.child_count;  // one past the last child
     switch (step.kind) {
@@ -261,7 +291,8 @@ class Simulator {
         return;
       case PlanNode::Kind::Sequential:
         // Children execute strictly left to right.
-        for (std::size_t child = first; child < last; ++child) simulate(steps_[child], flows);
+        for (std::size_t child = first; child < last; ++child)
+          simulate(steps_[child], flows, depth + 1);
         return;
       case PlanNode::Kind::Concurrent: {
         // "All activities ... can be executed either sequentially or
@@ -270,22 +301,27 @@ class Simulator {
         // valid under every serialization; checking the forward and reverse
         // orders catches order-dependent children at 2x cost instead of n!.
         if (step.child_count <= 1 || config_.concurrent_orders <= 1) {
-          for (std::size_t child = first; child < last; ++child) simulate(steps_[child], flows);
+          for (std::size_t child = first; child < last; ++child)
+            simulate(steps_[child], flows, depth + 1);
           return;
         }
-        std::vector<Flow> reversed_flows = flows;
-        for (std::size_t child = first; child < last; ++child) simulate(steps_[child], flows);
-        for (std::size_t child = last; child-- > first;) simulate(steps_[child], reversed_flows);
+        std::vector<Flow>& reversed_flows = scratch_[depth].branch;
+        reversed_flows = flows;
+        for (std::size_t child = first; child < last; ++child)
+          simulate(steps_[child], flows, depth + 1);
+        for (std::size_t child = last; child-- > first;)
+          simulate(steps_[child], reversed_flows, depth + 1);
         flows.insert(flows.end(), reversed_flows.begin(), reversed_flows.end());
         cap_flows(flows);
         return;
       }
       case PlanNode::Kind::Selective: {
         // Enumerate: each branch spawns an alternative flow set.
-        std::vector<Flow> combined;
+        auto& [combined, branch_flows] = scratch_[depth];
+        combined.clear();
         for (std::size_t child = first; child < last; ++child) {
-          std::vector<Flow> branch_flows = flows;
-          simulate(steps_[child], branch_flows);
+          branch_flows = flows;
+          simulate(steps_[child], branch_flows, depth + 1);
           combined.insert(combined.end(), branch_flows.begin(), branch_flows.end());
           cap_flows(combined);
           if (combined.size() >= config_.max_flows) {
@@ -294,15 +330,17 @@ class Simulator {
             break;
           }
         }
-        flows = std::move(combined);
+        flows.swap(combined);
         return;
       }
       case PlanNode::Kind::Iterative: {
         // Enumerate 1..max_unroll passes over the body.
-        std::vector<Flow> combined;
-        std::vector<Flow> current = flows;
+        auto& [combined, current] = scratch_[depth];
+        combined.clear();
+        current = flows;
         for (std::size_t pass = 1; pass <= config_.max_unroll; ++pass) {
-          for (std::size_t child = first; child < last; ++child) simulate(steps_[child], current);
+          for (std::size_t child = first; child < last; ++child)
+            simulate(steps_[child], current, depth + 1);
           combined.insert(combined.end(), current.begin(), current.end());
           cap_flows(combined);
           if (combined.size() >= config_.max_flows) {
@@ -310,19 +348,30 @@ class Simulator {
             break;
           }
         }
-        flows = std::move(combined);
+        flows.swap(combined);
         return;
       }
     }
   }
 
-  const EvaluationConfig& config_;
+  const EvaluationConfig config_;
   ItemTable& table_;
   std::vector<Step> steps_;
+  std::vector<Flow> flows_;
+  std::vector<Scratch> scratch_;  ///< [depth]: lists of the controller there
   bool truncated_ = false;
 };
 
 }  // namespace
+
+/// One evaluator worker: its interned tables and the simulator over them.
+struct EvaluatorWorker {
+  EvaluatorWorker(const PlanningProblem& problem, const EvaluationConfig& config)
+      : table(problem), simulator(config, table) {}
+
+  ItemTable table;
+  Simulator simulator;
+};
 
 ItemTable::ItemTable(const PlanningProblem& problem)
     : problem_(&problem), services_(&problem.catalogue.services()) {
@@ -337,12 +386,17 @@ ItemTable::ItemTable(const PlanningProblem& problem)
     goal_variables_.push_back(variables.empty() ? std::string() : variables.front());
     closed_goal_met_.push_back(variables.empty() && goal.condition.evaluate({}) ? 1 : 0);
   }
+  filter_rows_.assign(formal_count_ * width_, 0);
+  goal_rows_.assign(goal_variables_.size() * width_, 0);
+  owner_rows_.assign(services_->size() * width_, 0);
   for (const auto& item : problem.initial_state.items()) intern(item, -1);
-  initial_count_ = items_.size();
   std::uint64_t hash = 0;
-  for (std::uint32_t id = 0; id < initial_count_; ++id) hash += mix(id);
-  states_.push_back({hash, 0, 0, static_cast<std::uint32_t>(initial_count_), kUnknown});
-  states_by_hash_.insert(hash, 0);
+  row_.assign(width_, 0);
+  for (std::uint32_t id = 0; id < items_.size(); ++id) {
+    hash += mix(id);
+    set_bit(row_, 0, id);
+  }
+  add_state(hash, 0);
 }
 
 std::int32_t ItemTable::service_index(std::string_view name) const noexcept {
@@ -351,46 +405,32 @@ std::int32_t ItemTable::service_index(std::string_view name) const noexcept {
   return -1;
 }
 
-std::uint32_t ItemTable::transition(std::uint32_t state, std::size_t service) {
-  std::uint32_t next = memoized(state, service);
-  if (next != FlatIndex::kEmpty) return next;
-  collect(state, ids_);
+std::uint32_t ItemTable::first_transition(std::uint32_t state, std::size_t service) {
   // A precondition that holds in the parent state holds here too: this
   // state only adds items, so the parent's binding is still available.
   // (State 0 is its own parent, and not memoized yet.)
   const std::uint32_t from_parent = memoized(states_[state].parent, service);
-  const bool valid = (from_parent != FlatIndex::kEmpty && from_parent != kInvalid) ||
-                     can_bind(service, ids_);
-  next = valid ? extend(state, service) : kInvalid;
-  transitions_.insert(key(state, service), next);
+  const bool valid = (from_parent != kUnknown && from_parent != kInvalid) ||
+                     can_bind(service, state);
+  const std::uint32_t next = valid ? extend(state, service) : kInvalid;
+  memoized(state, service) = next;  // extend() may have grown the table
   return next;
 }
 
 std::size_t ItemTable::satisfied_goals(std::uint32_t state) {
   if (states_[state].goals == kUnknown) {
-    collect(state, ids_);
+    const std::uint64_t* held = row(state_rows_, state);
     std::uint32_t satisfied = 0;
     for (std::size_t goal = 0; goal < goal_variables_.size(); ++goal) {
-      if (closed_goal_met_[goal] != 0 ||
-          std::any_of(ids_.begin(), ids_.end(), [&](std::uint32_t id) {
-            return goal_flags_[id * goal_variables_.size() + goal] != 0;
-          }))
-        ++satisfied;
+      const std::uint64_t* meets = row(goal_rows_, goal);
+      bool met = closed_goal_met_[goal] != 0;
+      for (std::size_t word = 0; word < width_ && !met; ++word)
+        met = (held[word] & meets[word]) != 0;
+      if (met) ++satisfied;
     }
     states_[state].goals = satisfied;
   }
   return states_[state].goals;
-}
-
-void ItemTable::collect(std::uint32_t state, std::vector<std::uint32_t>& ids) const {
-  ids.resize(initial_count_);
-  std::iota(ids.begin(), ids.end(), 0u);
-  for (; state != 0; state = states_[state].parent) {
-    const State& added = states_[state];
-    for (std::uint32_t id = added.first_output;
-         id < added.first_output + added.size - states_[added.parent].size; ++id)
-      ids.push_back(id);
-  }
 }
 
 std::uint32_t ItemTable::extend(std::uint32_t parent, std::size_t service) {
@@ -398,32 +438,30 @@ std::uint32_t ItemTable::extend(std::uint32_t parent, std::size_t service) {
   if (count == 0) return parent;  // nothing produced: the state is unchanged
   // The next occurrence index is the number of the service's output groups
   // already held.
-  const auto held = std::count_if(ids_.begin(), ids_.end(), [&](std::uint32_t id) {
-    return owners_[id] == static_cast<std::int32_t>(service);
-  });
-  const std::uint32_t first = outputs(service, static_cast<std::size_t>(held) / count);
-  const std::uint32_t size = states_[parent].size + count;
+  std::size_t held = 0;
+  for (std::size_t word = 0; word < width_; ++word)
+    held += static_cast<std::size_t>(
+        std::popcount(row(state_rows_, parent)[word] & row(owner_rows_, service)[word]));
+  const std::uint32_t first = outputs(service, held / count);  // may widen the rows
+
+  row_.assign(row(state_rows_, parent), row(state_rows_, parent) + width_);
   std::uint64_t hash = states_[parent].hash;
-  for (std::uint32_t k = 0; k < count; ++k) {
-    ids_.push_back(first + k);
-    hash += mix(first + k);
+  for (std::uint32_t id = first; id < first + count; ++id) {
+    set_bit(row_, 0, id);
+    hash += mix(id);
   }
-
-  // Another path may have reached the same items already. A state of the
-  // same size holding only marked items holds exactly ids_.
-  marks_.resize(items_.size());
-  for (const std::uint32_t id : ids_) marks_[id] = 1;
+  // Another path may have reached the same items already.
   const std::uint32_t known = states_by_hash_.find(hash, [&](std::uint32_t candidate) {
-    if (states_[candidate].size != size) return false;
-    collect(candidate, other_);
-    return std::all_of(other_.begin(), other_.end(),
-                       [&](std::uint32_t id) { return marks_[id] != 0; });
+    return std::equal(row_.begin(), row_.end(), row(state_rows_, candidate));
   });
-  for (const std::uint32_t id : ids_) marks_[id] = 0;
-  if (known != FlatIndex::kEmpty) return known;
+  return known != FlatIndex::kEmpty ? known : add_state(hash, parent);
+}
 
+std::uint32_t ItemTable::add_state(std::uint64_t hash, std::uint32_t parent) {
   const auto id = static_cast<std::uint32_t>(states_.size());
-  states_.push_back({hash, parent, first, size, kUnknown});
+  states_.push_back({hash, parent, kUnknown});
+  state_rows_.insert(state_rows_.end(), row_.begin(), row_.end());
+  transitions_.resize(transitions_.size() + services_->size(), kUnknown);
   states_by_hash_.insert(hash, id);
   return id;
 }
@@ -440,18 +478,24 @@ std::uint32_t ItemTable::outputs(std::size_t service, std::size_t occurrence) {
   return firsts[occurrence];
 }
 
-/// True when distinct items of `ids` can bind to the service's input
+/// True when distinct items of `state` can bind to the service's input
 /// formals so that its input condition holds: the question
-/// ServiceType::bind_inputs answers, without building the binding.
-bool ItemTable::can_bind(std::size_t service, const std::vector<std::uint32_t>& ids) {
+/// ServiceType::bind_inputs answers, without building the binding. Only
+/// whether a binding exists matters, so candidates are gathered in id
+/// order.
+bool ItemTable::can_bind(std::size_t service, std::uint32_t state) {
   const wfl::ServiceType& type = (*services_)[service];
   const std::size_t arity = type.inputs().size();
+  const std::uint64_t* held = row(state_rows_, state);
   candidates_.clear();
   order_.clear();
   for (std::size_t formal = 0; formal < arity; ++formal) {
     const std::size_t begin = candidates_.size();
-    for (const std::uint32_t id : ids)
-      if (accepts(id, service, formal)) candidates_.push_back(id);
+    const std::uint64_t* passes = row(filter_rows_, formal_offsets_[service] + formal);
+    for (std::size_t word = 0; word < width_; ++word)
+      for (std::uint64_t bits = held[word] & passes[word]; bits != 0; bits &= bits - 1)
+        candidates_.push_back(static_cast<std::uint32_t>(64 * word) +
+                              static_cast<std::uint32_t>(std::countr_zero(bits)));
     if (candidates_.size() == begin) return false;  // precondition cannot be met
     order_.push_back({formal, begin, candidates_.size()});
   }
@@ -485,30 +529,45 @@ bool ItemTable::search(std::size_t depth) {
 }
 
 void ItemTable::intern(wfl::DataSpec item, std::int32_t owner) {
+  const std::size_t id = items_.size();
+  if (id == 64 * width_) widen();
+  std::size_t column = 0;
   for (const auto& service : *services_) {
-    for (std::size_t formal = 0; formal < service.inputs().size(); ++formal) {
+    for (std::size_t formal = 0; formal < service.inputs().size(); ++formal, ++column) {
       const wfl::Condition& filter = service.input_filter(formal);
-      const bool pass = filter.is_trivially_true() ||
-                        filter.evaluate_single(service.inputs()[formal], item);
-      filter_flags_.push_back(pass ? 1 : 0);
+      if (filter.is_trivially_true() || filter.evaluate_single(service.inputs()[formal], item))
+        set_bit(filter_rows_, column, id);
     }
   }
   // Goals bind their single variable existentially over a flow's items.
   for (std::size_t goal = 0; goal < goal_variables_.size(); ++goal) {
     wfl::Bindings bindings;
     bindings[goal_variables_[goal]] = &item;
-    goal_flags_.push_back(problem_->goals[goal].condition.evaluate(bindings) ? 1 : 0);
+    if (problem_->goals[goal].condition.evaluate(bindings)) set_bit(goal_rows_, goal, id);
   }
+  if (owner >= 0) set_bit(owner_rows_, static_cast<std::size_t>(owner), id);
   items_.push_back(std::move(item));
-  owners_.push_back(owner);
+}
+
+void ItemTable::widen() {
+  const std::size_t wider = 2 * width_;
+  for (auto* rows : {&filter_rows_, &goal_rows_, &owner_rows_, &state_rows_}) {
+    std::vector<std::uint64_t> widened(rows->size() / width_ * wider, 0);
+    for (std::size_t r = 0; r < rows->size() / width_; ++r)
+      std::copy_n(rows->begin() + static_cast<std::ptrdiff_t>(r * width_), width_,
+                  widened.begin() + static_cast<std::ptrdiff_t>(r * wider));
+    *rows = std::move(widened);
+  }
+  width_ = wider;
 }
 
 PlanEvaluator::PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config,
                              std::size_t workers)
     : problem_(&problem), config_(config) {
   if (workers == 0) workers = 1;
-  tables_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) tables_.push_back(std::make_unique<ItemTable>(problem));
+  workers_.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
+    workers_.push_back(std::make_unique<EvaluatorWorker>(problem, config_));
 }
 
 PlanEvaluator::~PlanEvaluator() = default;
@@ -516,13 +575,12 @@ PlanEvaluator::~PlanEvaluator() = default;
 Fitness PlanEvaluator::evaluate(const PlanNode& plan, std::size_t worker) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   Fitness fitness;
-  fitness.size = plan.size();
 
-  ItemTable& table = *tables_.at(worker);
-  Simulator simulator(config_, table);
-  const std::vector<Flow> flows = simulator.run(plan);
+  EvaluatorWorker& state = *workers_.at(worker);
+  const std::vector<Flow>& flows = state.simulator.run(plan);
+  fitness.size = state.simulator.nodes();
   fitness.flows = flows.size();
-  fitness.flows_truncated = simulator.truncated();
+  fitness.flows_truncated = state.simulator.truncated();
 
   // Eq. 1 — validity: totals across all enumerated executions.
   std::size_t total_valid = 0;
@@ -541,7 +599,7 @@ Fitness PlanEvaluator::evaluate(const PlanNode& plan, std::size_t worker) const 
   const std::size_t goal_count = problem_->goals.size();
   double goal_sum = 0.0;
   for (const auto& flow : flows) {
-    const std::size_t satisfied = table.satisfied_goals(flow.state);
+    const std::size_t satisfied = state.table.satisfied_goals(flow.state);
     goal_sum += goal_count == 0
                     ? 1.0
                     : static_cast<double>(satisfied) / static_cast<double>(goal_count);

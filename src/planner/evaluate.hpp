@@ -19,16 +19,21 @@
 // combinatorics of adversarially nested plans; the cap is recorded in the
 // result so harnesses can report truncation.
 //
-// The simulator is precompiled against the problem. Each evaluator worker
-// owns an ItemTable that interns items and world states for the whole run
-// (one PlanEvaluator). It evaluates every input filter and goal on an item
-// once, when it interns it. A flow is just a state id plus its validity
-// counters. A state is the set of items a flow holds, so flows that reach
-// the same items by different paths share one id. Executing a service in a
-// state is looked up in a per-table transition memo; the precondition
-// check (flag lookups and a search for distinct items, with Bindings only
-// for a residual condition over several formals) runs once per (state,
-// service) pair, and each state's goal count is computed once.
+// Each evaluator worker owns an ItemTable that interns items and world
+// states for the whole run (one PlanEvaluator), and a simulator whose step
+// and flow buffers it reuses from plan to plan. The table evaluates every
+// input filter and goal on an item once, when it interns it, and keeps the
+// answers as bit rows: a row of 64-bit words with one bit per item. A flow
+// is just a state id plus its validity counters. A state is the set of
+// items a flow holds, kept as one such row, so flows that reach the same
+// items by different paths share one id; comparing two states, testing a
+// goal and counting a service's earlier outputs are word operations, and
+// nothing walks a chain of parent states. Executing a service in a state is
+// looked up in a per-table transition memo; the precondition check (a
+// search for distinct items among the state's bits that pass each input
+// filter, with Bindings only for a residual condition over several
+// formals) runs once per (state, service) pair, and each state's goal count
+// is computed once.
 #pragma once
 
 #include <atomic>
@@ -69,19 +74,19 @@ struct Fitness {
   bool operator<(const Fitness& other) const noexcept { return overall < other.overall; }
 };
 
-/// Per-worker interned items, world states and transitions of the
-/// simulator (evaluate.cpp).
-class ItemTable;
+/// One evaluator worker's interned items, world states and transitions,
+/// and its simulator (evaluate.cpp).
+struct EvaluatorWorker;
 
 /// Evaluates plans against one planning problem.
 ///
 /// Thread-safe for concurrent `evaluate` calls as long as each concurrently
 /// executing caller passes a distinct `worker` id below the `workers` count
-/// given at construction: every worker owns a private ItemTable (no
-/// locking on the simulation path; its states and transitions live as long
-/// as the evaluator and never change a result), and the evaluation counter
-/// is atomic. Fitness is a pure function of the plan, so every call
-/// simulates it and any worker computes the same value.
+/// given at construction: every worker owns a private ItemTable and
+/// simulator (no locking on the simulation path; its states and transitions
+/// live as long as the evaluator and never change a result), and the
+/// evaluation counter is atomic. Fitness is a pure function of the plan, so
+/// every call simulates it and any worker computes the same value.
 class PlanEvaluator {
  public:
   explicit PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config = {},
@@ -90,7 +95,7 @@ class PlanEvaluator {
 
   const EvaluationConfig& config() const noexcept { return config_; }
   const PlanningProblem& problem() const noexcept { return *problem_; }
-  std::size_t workers() const noexcept { return tables_.size(); }
+  std::size_t workers() const noexcept { return workers_.size(); }
 
   /// Evaluates on behalf of `worker` (must be < workers()).
   Fitness evaluate(const PlanNode& plan, std::size_t worker) const;
@@ -106,7 +111,7 @@ class PlanEvaluator {
   const PlanningProblem* problem_;
   EvaluationConfig config_;
   mutable std::atomic<std::size_t> evaluations_{0};
-  mutable std::vector<std::unique_ptr<ItemTable>> tables_;  ///< one per worker
+  mutable std::vector<std::unique_ptr<EvaluatorWorker>> workers_;
 };
 
 }  // namespace ig::planner

@@ -1,6 +1,7 @@
 #include "planner/gp.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 namespace ig::planner {
@@ -46,24 +47,22 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
       for (std::size_t index = 0; index < count; ++index) fn(index, 0);
   };
 
-  // 1. Initialize population (stream per individual).
+  // 1. Initialize and evaluate the population (stream per individual).
   std::vector<PlanNode> population(config.population_size);
-  for_each(population.size(), [&](std::size_t i, std::size_t) {
+  std::vector<Fitness> fitnesses(population.size());
+  for_each(population.size(), [&](std::size_t i, std::size_t worker) {
     util::Rng rng = stream_rng(config, 0, i, kInitStream);
     population[i] =
         random_tree(rng, problem.catalogue, config.evaluation.smax, config.init_style);
+    fitnesses[i] = evaluator.evaluate(population[i], worker);
   });
 
   bool have_best = false;
-
-  std::vector<Fitness> fitnesses(population.size());
-  for (std::size_t generation = 0; generation <= config.generations; ++generation) {
-    // 2a. Evaluate — the hot loop; individuals are independent, results land
-    // by index, and the evaluator is thread-safe per worker.
-    for_each(population.size(), [&](std::size_t i, std::size_t worker) {
-      fitnesses[i] = evaluator.evaluate(population[i], worker);
-    });
-
+  std::vector<PlanNode> next(population.size());
+  std::vector<Fitness> next_fitnesses(population.size());
+  std::vector<std::size_t> last_use(population.size());
+  std::vector<std::uint8_t> simulated(population.size());
+  for (std::size_t generation = 0;; ++generation) {
     // Track the best-so-far individual (serial reduction in index order, so
     // floating-point sums do not depend on scheduling).
     std::size_t generation_best = 0;
@@ -92,46 +91,64 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
       break;
     if (generation == config.generations) break;  // final evaluation only
 
-    // 2b. Select (one stream per generation; cheap, stays serial).
+    // 2b. Select (one stream per generation; cheap, stays serial). Elites,
+    // copies of the best-so-far, take the head of the new population and
+    // keep its fitness; the selections they displace are never built.
     util::Rng select_rng = stream_rng(config, generation, 0, kSelectStream);
     const std::vector<std::size_t> selected = select(
         fitnesses, population.size(), config.selection, select_rng, config.tournament_size);
-    std::vector<PlanNode> next;
-    next.reserve(population.size());
-    for (const std::size_t index : selected) next.push_back(population[index]);
-
-    // Elitism: overwrite the head of the new population with the best-so-far.
-    for (std::size_t e = 0; e < config.elitism && e < next.size(); ++e)
-      next[e] = result.best_plan;
-
-    // 2c. Crossover over consecutive pairs (elites excluded); each pair is
-    // independent and draws from the stream of its left index.
     const std::size_t first_variable = std::min(config.elitism, next.size());
-    const std::size_t pair_count =
-        next.size() > first_variable ? (next.size() - first_variable) / 2 : 0;
-    for_each(pair_count, [&](std::size_t pair, std::size_t) {
-      const std::size_t i = first_variable + 2 * pair;
-      util::Rng rng = stream_rng(config, generation, i, kCrossoverStream);
-      CrossoverResult crossed =
-          crossover(next[i], next[i + 1], rng, config.crossover_rate, config.evaluation.smax);
-      if (crossed.applied) {
-        next[i] = std::move(crossed.first);
-        next[i + 1] = std::move(crossed.second);
+    for (std::size_t e = 0; e < first_variable; ++e) {
+      next[e] = result.best_plan;
+      next_fitnesses[e] = result.best_fitness;
+    }
+    // Each chosen plan moves to its last position and is copied to earlier
+    // ones.
+    for (std::size_t i = first_variable; i < next.size(); ++i) last_use[selected[i]] = i;
+    for (std::size_t i = first_variable; i < next.size(); ++i) {
+      PlanNode& chosen = population[selected[i]];
+      if (last_use[selected[i]] == i)
+        next[i] = std::move(chosen);
+      else
+        next[i] = chosen;
+    }
+
+    // 2c/2d. One job per consecutive pair after the elites: crossover (the
+    // stream of its left index), mutation of both children (a stream per
+    // individual), then evaluation of each child that either operator
+    // changed; an unchanged child keeps the fitness of the plan it copies.
+    // An odd last plan is only mutated.
+    const std::size_t pair_count = (next.size() - first_variable) / 2;
+    const std::size_t job_count = (next.size() - first_variable + 1) / 2;
+    for_each(job_count, [&](std::size_t job, std::size_t worker) {
+      const std::size_t i = first_variable + 2 * job;
+      bool crossed = false;
+      if (job < pair_count) {
+        util::Rng rng = stream_rng(config, generation, i, kCrossoverStream);
+        CrossoverResult children = crossover(std::move(next[i]), std::move(next[i + 1]), rng,
+                                             config.crossover_rate, config.evaluation.smax);
+        next[i] = std::move(children.first);
+        next[i + 1] = std::move(children.second);
+        crossed = children.applied;
+      }
+      for (std::size_t k = i; k < std::min(i + 2, next.size()); ++k) {
+        util::Rng rng = stream_rng(config, generation, k, kMutationStream);
+        const bool mutated = mutate(next[k], rng, problem.catalogue, config.mutation_rate,
+                                    config.evaluation.smax, config.init_style);
+        simulated[k] = crossed || mutated ? 1 : 0;
+        next_fitnesses[k] =
+            simulated[k] != 0 ? evaluator.evaluate(next[k], worker) : fitnesses[selected[k]];
       }
     });
+    result.memo_hits += first_variable;
+    for (std::size_t i = first_variable; i < next.size(); ++i)
+      if (simulated[i] == 0) ++result.memo_hits;
 
-    // 2d. Mutate (elites excluded; stream per individual).
-    for_each(next.size() - first_variable, [&](std::size_t offset, std::size_t) {
-      const std::size_t i = first_variable + offset;
-      util::Rng rng = stream_rng(config, generation, i, kMutationStream);
-      mutate(next[i], rng, problem.catalogue, config.mutation_rate, config.evaluation.smax,
-             config.init_style);
-    });
-
-    population = std::move(next);
+    population.swap(next);
+    fitnesses.swap(next_fitnesses);
   }
 
-  result.evaluations = evaluator.evaluations();
+  result.evaluations = population.size() * result.history.size();
   if (jobs) result.scheduler_stats = jobs->stats();
   return result;
 }

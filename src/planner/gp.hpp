@@ -62,10 +62,14 @@ struct GpResult {
   PlanNode best_plan;
   Fitness best_fitness;
   std::vector<GenerationStats> history;
+  /// Plans scored: population size times the generations evaluated
+  /// (history.size()), whether simulated or carried.
   std::size_t evaluations = 0;
-  /// Always 0: the evaluator keeps no plan-level fitness memo any more.
-  /// Kept only because the engine benchmark still reads it; remove it with
-  /// that read.
+  /// Of those, the plans that kept a fitness instead of being simulated:
+  /// elites (they keep the best-so-far fitness) and selected copies that
+  /// neither crossover nor mutation changed (they keep their parent's).
+  /// Fitness is a pure function of the plan, so carrying it changes no
+  /// result.
   std::size_t memo_hits = 0;
   /// Worker threads actually used (resolves the config's 0 = auto).
   std::size_t threads_used = 1;

@@ -93,28 +93,24 @@ PlanNode random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
   return random_subtree(rng, catalogue, target);
 }
 
-CrossoverResult crossover(const PlanNode& parent_a, const PlanNode& parent_b, util::Rng& rng,
+CrossoverResult crossover(PlanNode parent_a, PlanNode parent_b, util::Rng& rng,
                           double crossover_rate, std::size_t smax) {
   CrossoverResult result;
-  if (!rng.next_bool(crossover_rate)) return result;
-
-  const std::size_t index_a = rng.next_below(parent_a.size());
-  const std::size_t index_b = rng.next_below(parent_b.size());
-  const PlanNode& subtree_a = parent_a.at_preorder(index_a);
-  const PlanNode& subtree_b = parent_b.at_preorder(index_b);
-
-  // Size check before copying the trees: new_a = a - |sa| + |sb|.
-  const std::size_t new_size_a = parent_a.size() - subtree_a.size() + subtree_b.size();
-  const std::size_t new_size_b = parent_b.size() - subtree_b.size() + subtree_a.size();
-  if (new_size_a > smax || new_size_b > smax) return result;
-
-  result.first = parent_a;
-  result.second = parent_b;
-  PlanNode detached_a = subtree_a;  // copy before mutation invalidates refs
-  PlanNode detached_b = subtree_b;
-  result.first.replace_at_preorder(index_a, std::move(detached_b));
-  result.second.replace_at_preorder(index_b, std::move(detached_a));
-  result.applied = true;
+  if (rng.next_bool(crossover_rate)) {
+    const std::size_t size_a = parent_a.size();
+    const std::size_t size_b = parent_b.size();
+    PlanNode& subtree_a = parent_a.at_preorder(rng.next_below(size_a));
+    PlanNode& subtree_b = parent_b.at_preorder(rng.next_below(size_b));
+    // new_a = a - |sa| + |sb|, and the same for b.
+    const std::size_t swapped_a = subtree_a.size();
+    const std::size_t swapped_b = subtree_b.size();
+    if (size_a - swapped_a + swapped_b <= smax && size_b - swapped_b + swapped_a <= smax) {
+      std::swap(subtree_a, subtree_b);
+      result.applied = true;
+    }
+  }
+  result.first = std::move(parent_a);
+  result.second = std::move(parent_b);
   return result;
 }
 
@@ -122,28 +118,29 @@ bool mutate(PlanNode& tree, util::Rng& rng, const wfl::ServiceCatalogue& catalog
             double mutation_rate, std::size_t smax, InitStyle style) {
   bool changed = false;
   // Per-node selection. Node indices are re-derived after each applied
-  // mutation because the tree's shape changes.
+  // mutation because the tree's shape changes; `size` follows the tree.
+  std::size_t size = tree.size();
   std::size_t index = 0;
-  while (index < tree.size()) {
+  while (index < size) {
     if (!rng.next_bool(mutation_rate)) {
       ++index;
       continue;
     }
-    const std::size_t subtree_size = tree.at_preorder(index).size();
-    const std::size_t rest = tree.size() - subtree_size;
+    const std::size_t rest = size - tree.at_preorder(index).size();
     if (rest >= smax) {
       ++index;
       continue;
     }
     PlanNode replacement = random_tree(rng, catalogue, smax - rest, style);
-    if (rest + replacement.size() > smax) {
+    const std::size_t inserted = replacement.size();
+    if (rest + inserted > smax) {
       // "mutation fails and we keep the original tree"
       ++index;
       continue;
     }
     // Skip over the freshly inserted subtree so one pass cannot cascade.
-    const std::size_t inserted = replacement.size();
     tree.replace_at_preorder(index, std::move(replacement));
+    size = rest + inserted;
     index += inserted;
     changed = true;
   }

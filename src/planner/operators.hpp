@@ -31,14 +31,16 @@ PlanNode random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
 /// Result of a crossover attempt.
 struct CrossoverResult {
   bool applied = false;  ///< false: rate said no, or a child exceeded Smax
-  PlanNode first;
-  PlanNode second;
+  PlanNode first;        ///< the first child, or parent_a unchanged when !applied
+  PlanNode second;       ///< the second child, or parent_b unchanged when !applied
 };
 
 /// Subtree crossover: picks a random node in each parent and swaps the
-/// subtrees. "In case the size of a new tree exceeds Smax, crossover fails
-/// and both parents are kept." The crossover_rate gate is applied inside.
-CrossoverResult crossover(const PlanNode& parent_a, const PlanNode& parent_b, util::Rng& rng,
+/// subtrees in place. "In case the size of a new tree exceeds Smax,
+/// crossover fails and both parents are kept." The crossover_rate gate is
+/// applied inside. Takes the parents by value, so a caller done with them
+/// moves them in; when crossover does not apply they come back unchanged.
+CrossoverResult crossover(PlanNode parent_a, PlanNode parent_b, util::Rng& rng,
                           double crossover_rate, std::size_t smax);
 
 /// Subtree-replacement mutation: every node is independently selected with

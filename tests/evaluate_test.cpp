@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "planner/evaluate.hpp"
 #include "planner/operators.hpp"
@@ -550,6 +552,125 @@ TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
   }
   EXPECT_EQ(evaluated, 1800u);
   EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
+}
+
+TEST(EvaluateStates, RowsWidenPast128And256Items) {
+  // 70 initial "s" items; every execution of Spawn adds eight "x" items, so
+  // one evaluator's run interns more than 128 and then more than 256 items
+  // as the plans below run more Spawns. Pair needs two distinct "x" items,
+  // one with Level > 5 (a condition over both formals); Final needs three
+  // distinct Pair outputs; Late turns a Pair output into the only kind of
+  // item that meets the third goal. Plans scored before a widening are scored again
+  // after it, and every result must match a fresh evaluator's and the
+  // values recorded from the simulator that kept each flow's items as a
+  // list.
+  wfl::ServiceType spawn("Spawn");
+  spawn.set_inputs({"S"});
+  spawn.set_input_condition(wfl::Condition::parse("S.Kind = \"s\""));
+  std::vector<std::string> outputs;
+  std::string made;
+  for (int i = 1; i <= 8; ++i) {
+    const std::string formal = "O" + std::to_string(i);
+    outputs.push_back(formal);
+    if (!made.empty()) made += " and ";
+    made += formal + ".Kind = \"x\" and " + formal + ".Level = " + (i <= 2 ? "9" : "1");
+  }
+  spawn.set_outputs(outputs);
+  spawn.set_output_condition(wfl::Condition::parse(made));
+  wfl::ServiceType pair("Pair");
+  pair.set_inputs({"A", "B"});
+  pair.set_input_condition(wfl::Condition::parse(
+      "A.Kind = \"x\" and B.Kind = \"x\" and (A.Level > 5 or B.Level > 5)"));
+  pair.set_outputs({"P"});
+  pair.set_output_condition(wfl::Condition::parse("P.Kind = \"p\""));
+  wfl::ServiceType final_step("Final");
+  final_step.set_inputs({"P1", "P2", "P3"});
+  final_step.set_input_condition(
+      wfl::Condition::parse("P1.Kind = \"p\" and P2.Kind = \"p\" and P3.Kind = \"p\""));
+  final_step.set_outputs({"Z"});
+  final_step.set_output_condition(wfl::Condition::parse("Z.Kind = \"z\""));
+  wfl::ServiceType late("Late");
+  late.set_inputs({"P"});
+  late.set_input_condition(wfl::Condition::parse("P.Kind = \"p\""));
+  late.set_outputs({"L"});
+  late.set_output_condition(wfl::Condition::parse("L.Kind = \"late\""));
+
+  PlanningProblem problem;
+  for (int i = 0; i < 70; ++i)
+    problem.initial_state.put(wfl::DataSpec("s" + std::to_string(i))
+                                  .with("Kind", meta::Value("s"))
+                                  .with("Level", meta::Value(static_cast<double>(i))));
+  problem.catalogue.add(spawn);
+  problem.catalogue.add(pair);
+  problem.catalogue.add(final_step);
+  problem.catalogue.add(late);
+  for (const char* goal_text :
+       {"G.Kind = \"z\"", "H.Kind = \"x\" and H.Level > 5", "L.Kind = \"late\""}) {
+    wfl::GoalSpec goal;
+    goal.condition = wfl::Condition::parse(goal_text);
+    problem.goals.push_back(goal);
+  }
+
+  const auto spawns = [](std::size_t count) {
+    std::vector<PlanNode> children;
+    for (std::size_t i = 0; i < count; ++i) children.push_back(PlanNode::terminal("Spawn"));
+    return PlanNode::sequential(std::move(children));
+  };
+  const auto then = [](PlanNode first, std::vector<const char*> rest) {
+    std::vector<PlanNode> children;
+    children.push_back(std::move(first));
+    for (const char* service : rest) children.push_back(PlanNode::terminal(service));
+    return PlanNode::sequential(std::move(children));
+  };
+  std::vector<PlanNode> plans;
+  // 82 items: one Spawn, three Pairs, Final.
+  plans.push_back(then(spawns(1), {"Pair", "Pair", "Pair", "Final"}));
+  // Eight Spawns: past 128 items.
+  plans.push_back(then(spawns(8), {"Pair", "Pair", "Pair", "Final"}));
+  // Final before enough Pairs: partly invalid.
+  plans.push_back(then(spawns(2), {"Pair", "Final", "Pair", "Pair", "Final"}));
+  plans.push_back(plans[0]);
+  // Up to 24 Spawns through the loop: past 256 items.
+  plans.push_back(then(PlanNode::iterative({spawns(12), PlanNode::terminal("Pair")}),
+                       {"Pair", "Pair", "Final"}));
+  // Branches and both orders of a concurrent block over the widened rows.
+  {
+    std::vector<PlanNode> top;
+    top.push_back(PlanNode::selective({spawns(20), seq({"Spawn", "Pair", "Pair"})}));
+    top.push_back(PlanNode::concurrent({seq({"Pair", "Pair"}), spawns(3)}));
+    top.push_back(PlanNode::terminal("Pair"));
+    top.push_back(PlanNode::terminal("Final"));
+    plans.push_back(PlanNode::sequential(std::move(top)));
+  }
+  plans.push_back(plans[1]);
+  plans.push_back(plans[2]);
+  plans.push_back(then(spawns(30), {"Final"}));
+  // Late runs first here, so its outputs (the only items meeting the third
+  // goal) get ids past 256.
+  plans.push_back(then(spawns(1), {"Pair", "Late", "Late"}));
+  plans.push_back(plans[0]);
+
+  // {overall, validity, goal, representation, size, flows}
+  const Fitness wants[] = {
+      {0.78083333333333327, 1, 0.66666666666666663, 0.82499999999999996, 7, 1},
+      {0.72833333333333328, 1, 0.66666666666666663, 0.65000000000000002, 14, 1},
+      {0.73726190476190467, 0.8571428571428571, 0.66666666666666663, 0.77500000000000002, 9, 1},
+      {0.78083333333333327, 1, 0.66666666666666663, 0.82499999999999996, 7, 1},
+      {0.6908333333333333, 1, 0.66666666666666663, 0.52500000000000002, 19, 2},
+      {0.55583333333333329, 1, 0.66666666666666663, 0.074999999999999956, 37, 4},
+      {0.72833333333333328, 1, 0.66666666666666663, 0.65000000000000002, 14, 1},
+      {0.73726190476190467, 0.8571428571428571, 0.66666666666666663, 0.77500000000000002, 9, 1},
+      {0.41271505376344086, 0.967741935483871, 0.33333333333333331, 0.17500000000000004, 33, 1},
+      {0.78833333333333333, 1, 0.66666666666666663, 0.84999999999999998, 6, 1},
+      {0.78083333333333327, 1, 0.66666666666666663, 0.82499999999999996, 7, 1},
+  };
+  ASSERT_EQ(plans.size(), std::size(wants));
+  PlanEvaluator warm(problem);
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const Fitness got = warm.evaluate(plans[i]);
+    EXPECT_TRUE(same_bits(got, PlanEvaluator(problem).evaluate(plans[i]))) << "plan " << i;
+    expect_fitness(got, wants[i]);
+  }
 }
 
 }  // namespace

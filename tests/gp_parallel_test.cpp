@@ -82,18 +82,25 @@ TEST(GpParallel, MatchesSerialUnderConfigVariations) {
 }
 
 TEST(GpParallel, MemoSkipsElitesAndClones) {
-  // The name is from the removed plan-level fitness memo. Elites and clones
-  // are now scored again through the worker's warm transition memo: each
-  // individual of the initial population and of every generation counts as
-  // one evaluation, memo_hits stays 0, and a second run on fresh tables
-  // gives the same result.
+  // Elites and selected copies that neither crossover nor mutation changed
+  // keep their fitness instead of being simulated again (memo_hits counts
+  // them). Every individual of the initial population and of every
+  // generation still counts as one evaluation, the carried count does not
+  // depend on the thread count, and a second run gives the same result.
   const PlanningProblem problem = virolab_problem();
   GpConfig config = small_config(23);
   config.threads = 1;
   const GpResult result = run_gp(problem, config);
   EXPECT_EQ(result.evaluations, config.population_size * (config.generations + 1));
-  EXPECT_EQ(result.memo_hits, 0u);
+  EXPECT_GE(result.memo_hits, config.elitism * config.generations);
+  EXPECT_LT(result.memo_hits, result.evaluations);
   expect_identical(result, run_gp(problem, config));
+  for (const std::size_t threads : {2ULL, 4ULL}) {
+    config.threads = threads;
+    const GpResult parallel = run_gp(problem, config);
+    EXPECT_EQ(parallel.memo_hits, result.memo_hits) << threads << " threads";
+    expect_identical(result, parallel);
+  }
 }
 
 TEST(GpParallel, ReportsThreadsUsed) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "planner/gp.hpp"
 #include "virolab/catalogue.hpp"
 
@@ -117,6 +121,97 @@ TEST(Gp, EmptyPopulationReturnsEmptyResult) {
   EXPECT_EQ(result.evaluations, 0u);
   EXPECT_TRUE(result.history.empty());
   EXPECT_EQ(result.best_fitness.size, 0u);
+}
+
+/// FNV-1a over 64-bit words and strings.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) step((word >> (8 * byte)) & 0xFFu);
+  }
+  void add(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    add(bits);
+  }
+  void add(const std::string& text) {
+    for (const char c : text) step(static_cast<unsigned char>(c));
+    add(std::uint64_t{text.size()});
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void step(std::uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 1099511628211ULL;
+  }
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+TEST(GpPin, RunsReproduceBitwiseAsPinned) {
+  // Several seeds and settings on the virus problem and on the replanning
+  // problem without POR: every generation's best and mean fitness, the best
+  // plan and the evaluation count. Covers an odd count of variable plans
+  // (a leftover that is only mutated), more than one elite, no elitism,
+  // roulette selection and a mutation rate high enough to change plans
+  // often. Any change to what the planner computes, or to the order its
+  // floating-point sums run in, changes the digest.
+  std::vector<PlanningProblem> problems;
+  problems.push_back(virolab_problem());
+  {
+    PlanningProblem no_por = virolab_problem();
+    wfl::ServiceCatalogue reduced;
+    for (const auto& service : no_por.catalogue.services())
+      if (service.name() != "POR") reduced.add(service);
+    no_por.catalogue = std::move(reduced);
+    problems.push_back(std::move(no_por));
+  }
+  std::vector<GpConfig> configs;
+  for (const std::uint64_t seed : {3ULL, 17ULL, 2004ULL}) {
+    GpConfig config;
+    config.population_size = 60;
+    config.generations = 10;
+    config.seed = seed;
+    configs.push_back(config);
+  }
+  GpConfig busy;
+  busy.population_size = 51;
+  busy.generations = 8;
+  busy.elitism = 2;
+  busy.mutation_rate = 0.05;
+  busy.selection = SelectionScheme::Roulette;
+  busy.init_style = InitStyle::Ramped;
+  busy.seed = 5;
+  configs.push_back(busy);
+  GpConfig plain;
+  plain.population_size = 40;
+  plain.generations = 6;
+  plain.elitism = 0;
+  plain.crossover_rate = 0.9;
+  plain.seed = 9;
+  configs.push_back(plain);
+
+  Digest digest;
+  std::size_t runs = 0;
+  for (const PlanningProblem& problem : problems) {
+    for (GpConfig config : configs) {
+      config.threads = 1;
+      const GpResult result = run_gp(problem, config);
+      for (const GenerationStats& stats : result.history) {
+        digest.add(std::uint64_t{stats.generation});
+        digest.add(stats.best_fitness);
+        digest.add(stats.mean_fitness);
+      }
+      digest.add(result.best_plan.to_tree_string());
+      digest.add(result.best_fitness.overall);
+      digest.add(std::uint64_t{result.evaluations});
+      ++runs;
+    }
+  }
+  EXPECT_EQ(runs, 10u);
+  // A reference value, not derived: change it only with a deliberate change
+  // of what the planner computes.
+  EXPECT_EQ(digest.value(), 0xa5833295292431e8ULL);
 }
 
 }  // namespace

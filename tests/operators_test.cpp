@@ -161,6 +161,40 @@ TEST(Crossover, FailsWhenChildWouldExceedSmax) {
   }
 }
 
+TEST(Crossover, RefusedCrossoverReturnsParentsUnchanged) {
+  util::Rng rng(31);
+  const auto services = catalogue();
+  // The rate says no: both parents come back as they went in.
+  const PlanNode a = random_tree(rng, services, 20);
+  const PlanNode b = random_tree(rng, services, 20);
+  for (int i = 0; i < 20; ++i) {
+    const CrossoverResult result = crossover(a, b, rng, 0.0, 40);
+    EXPECT_FALSE(result.applied);
+    EXPECT_EQ(result.first, a);
+    EXPECT_EQ(result.second, b);
+  }
+  // Smax refuses: two six-node sequences at Smax 6 can only swap subtrees
+  // of equal size, so picking a leaf in one and the root in the other fails.
+  const auto sequence = [](std::vector<const char*> services) {
+    std::vector<PlanNode> children;
+    for (const char* service : services) children.push_back(PlanNode::terminal(service));
+    return PlanNode::sequential(std::move(children));
+  };
+  const PlanNode left = sequence({"POD", "P3DR", "P3DR", "PSF", "POR"});
+  const PlanNode right = sequence({"PSF", "POR", "POD", "P3DR", "P3DR"});
+  int refused = 0;
+  for (int i = 0; i < 50; ++i) {
+    const CrossoverResult result = crossover(left, right, rng, 1.0, 6);
+    EXPECT_LE(result.first.size(), 6u);
+    EXPECT_LE(result.second.size(), 6u);
+    if (result.applied) continue;
+    ++refused;
+    EXPECT_EQ(result.first, left);
+    EXPECT_EQ(result.second, right);
+  }
+  EXPECT_GT(refused, 0);
+}
+
 TEST(Mutation, RateZeroNeverChanges) {
   util::Rng rng(9);
   const auto services = catalogue();
