@@ -1,15 +1,16 @@
-// Parallel planning engine: serial-vs-parallel speedup, a thread-count grid
-// on the work-stealing job system, and a bitwise determinism check across
-// thread counts.
+// Parallel planning engine: inline-vs-pool speedup, a pool-size grid on the
+// work-stealing job system, and a bitwise determinism check across pool
+// sizes.
 //
 // Headline configurations of the Table 1 virolab experiment:
 //
-//   serial           threads=1
-//   parallel         threads=4 on the job system (the production path)
+//   serial           run_gp with no pool (every loop inline on the caller)
+//   parallel         run_gp on a 4-worker job system
 //
-// Then a grid: threads in {2, 4, 8} on the job system (threads=1 is the
-// serial row — the planner bypasses the job system at one thread),
-// reporting per-point speedup over serial and the job system's steal rate.
+// Then a grid: pools of {2, 4, 8} workers, reporting per-point speedup over
+// serial and the pool's steal rate. Each point builds its pool once, before
+// the clock starts, and reuses it for all of its runs, as a caller that owns
+// a pool would.
 //
 // Pass criteria: every parallel point is bitwise-identical to serial for
 // every seed. The >= 2x speedup claim is asserted only when the machine
@@ -30,26 +31,26 @@ struct Measurement {
   double seconds = 0.0;
   double mean_fitness = 0.0;
   std::size_t evaluations = 0;
-  sched::JobStats sched_stats;  ///< summed across runs; zero when serial
+  sched::JobStats sched_stats;  ///< the pool's counters; zero when serial
   std::vector<planner::GpResult> results;
 };
 
-Measurement measure(const planner::PlanningProblem& problem, std::size_t threads, int runs) {
+/// `runs` seeded GP runs on `pool` (null: inline). The pool's counters are
+/// the measurement's, so each measurement gets a fresh pool.
+Measurement measure(const planner::PlanningProblem& problem, sched::JobSystem* pool,
+                    int runs) {
   Measurement m;
   util::Stopwatch watch;
   for (int run = 0; run < runs; ++run) {
     planner::GpConfig config;  // Table 1 defaults: pop 200, 20 generations
     config.seed = 100 + static_cast<std::uint64_t>(run);
-    config.threads = threads;
-    m.results.push_back(planner::run_gp(problem, config));
+    m.results.push_back(planner::run_gp(problem, config, pool));
   }
   m.seconds = watch.elapsed_seconds();
+  if (pool) m.sched_stats = pool->stats();
   for (const planner::GpResult& result : m.results) {
     m.mean_fitness += result.best_fitness.overall / runs;
     m.evaluations += result.evaluations;
-    m.sched_stats.executed += result.scheduler_stats.executed;
-    m.sched_stats.stolen += result.scheduler_stats.stolen;
-    m.sched_stats.steal_attempts += result.scheduler_stats.steal_attempts;
   }
   return m;
 }
@@ -80,31 +81,33 @@ int main() {
               kRuns);
   std::printf("hardware threads: %zu\n\n", hardware);
 
-  const Measurement serial = measure(problem, 1, kRuns);
-  const Measurement parallel = measure(problem, parallel_threads, kRuns);
+  const Measurement serial = measure(problem, nullptr, kRuns);
+  sched::JobSystem parallel_pool(parallel_threads);
+  const Measurement parallel = measure(problem, &parallel_pool, kRuns);
 
   const double thread_speedup = serial.seconds / parallel.seconds;
 
   std::printf("%-22s %-9s %-12s %s\n", "configuration", "time(s)", "evals", "mean-fitness");
-  std::printf("%-22s %-9.2f %-12zu %.4f\n", "serial (threads=1)", serial.seconds,
+  std::printf("%-22s %-9.2f %-12zu %.4f\n", "serial (no pool)", serial.seconds,
               serial.evaluations, serial.mean_fitness);
   std::printf("threads=%-14zu %-9.2f %-12zu %.4f\n", parallel_threads, parallel.seconds,
               parallel.evaluations, parallel.mean_fitness);
 
-  std::printf("\nthread speedup (%zu threads vs 1):    %.2fx\n", parallel_threads, thread_speedup);
+  std::printf("\npool speedup (%zu workers vs inline):  %.2fx\n", parallel_threads, thread_speedup);
 
   bool deterministic = true;
   for (int run = 0; run < kRuns; ++run)
     if (!identical(serial.results[run], parallel.results[run])) deterministic = false;
-  std::printf("threads=%zu bitwise-identical to threads=1: %s\n", parallel_threads,
+  std::printf("threads=%zu bitwise-identical to serial: %s\n", parallel_threads,
               deterministic ? "yes" : "NO");
 
-  // -- thread-count grid on the job system --
+  // -- pool-size grid on the job system --
   std::printf("\n%-8s %-9s %-9s %-11s %s\n", "threads", "time(s)", "speedup", "steal-rate",
               "identical");
-  std::printf("%-8d %-9.2f %-9s %-11s %s\n", 1, serial.seconds, "1.00x", "-", "yes");
+  std::printf("%-8s %-9.2f %-9s %-11s %s\n", "inline", serial.seconds, "1.00x", "-", "yes");
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const Measurement point = measure(problem, threads, kRuns);
+    sched::JobSystem pool(threads);
+    const Measurement point = measure(problem, &pool, kRuns);
     bool point_identical = true;
     for (int run = 0; run < kRuns; ++run)
       if (!identical(serial.results[run], point.results[run])) point_identical = false;

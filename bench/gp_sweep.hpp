@@ -1,11 +1,11 @@
 // Shared helper for the GP ablation benches: run N seeded GP runs for a
 // configuration and aggregate the best-of-run statistics. The seeded runs
 // are independent, so they execute on the work-stealing job system (one run
-// per job, each run itself single-threaded to avoid oversubscription);
-// run_gp is thread-count-deterministic and results are aggregated in seed
-// order, so the numbers match the serial sweep exactly.
+// per job, each run inline on its worker); results are aggregated in seed
+// order, so the numbers do not depend on the pool size.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -31,32 +31,20 @@ inline planner::PlanningProblem virolab_problem() {
                                              virolab::make_catalogue());
 }
 
-/// Runs `runs` seeded GP runs. `outer_threads`: 0 = one task per hardware
-/// thread (capped at `runs`), 1 = serial, N = that many concurrent runs.
+/// Runs `runs` seeded GP runs (seeds 1000, 1001, ...) on a pool of one
+/// worker per hardware thread, capped at `runs`.
 inline SweepPoint run_sweep_point(const planner::PlanningProblem& problem,
-                                  planner::GpConfig config, int runs,
-                                  std::uint64_t seed_base = 1000,
-                                  std::size_t outer_threads = 0) {
-  if (outer_threads == 0)
-    outer_threads = std::min<std::size_t>(sched::JobSystem::hardware_threads(),
-                                          runs > 0 ? static_cast<std::size_t>(runs) : 1);
-
+                                  const planner::GpConfig& config, int runs) {
   std::vector<planner::GpResult> results(static_cast<std::size_t>(runs > 0 ? runs : 0));
-  const auto run_one = [&](std::size_t run) {
-    planner::GpConfig run_config = config;
-    run_config.seed = seed_base + run;
-    // The job system supplies the parallelism; each run stays single-threaded.
-    if (outer_threads > 1) run_config.threads = 1;
-    results[run] = planner::run_gp(problem, run_config);
-  };
-  if (outer_threads > 1) {
-    sched::JobSystem jobs(outer_threads);
-    jobs.parallel_for(
-        results.size(), [&](std::size_t run, std::size_t) { run_one(run); },
-        /*min_chunk=*/1);
-  } else {
-    for (std::size_t run = 0; run < results.size(); ++run) run_one(run);
-  }
+  sched::JobSystem jobs(std::min(sched::JobSystem::hardware_threads(), results.size()));
+  jobs.parallel_for(
+      results.size(),
+      [&](std::size_t run, std::size_t) {
+        planner::GpConfig run_config = config;
+        run_config.seed = 1000 + run;
+        results[run] = planner::run_gp(problem, run_config);
+      },
+      /*min_chunk=*/1);
 
   SweepPoint point;
   point.runs = runs;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+
+#include "sched/job_system.hpp"
 
 namespace ig::planner {
 
@@ -10,7 +11,7 @@ namespace {
 
 /// Phase tags for util::derive_stream — every random decision in a run is
 /// addressed by (seed, generation, index, phase), never by a shared stream,
-/// so the work can be scheduled on any number of threads without changing
+/// so the work can be scheduled on any number of workers without changing
 /// which numbers any individual draws. The values are arbitrary distinct
 /// labels; changing them re-randomizes every run (like changing the seed).
 enum StreamPhase : std::uint64_t {
@@ -27,19 +28,15 @@ util::Rng stream_rng(const GpConfig& config, std::uint64_t generation, std::uint
 
 }  // namespace
 
-GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
-  const std::size_t threads =
-      config.threads == 0 ? sched::JobSystem::hardware_threads() : config.threads;
+GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
+                sched::JobSystem* jobs) {
   GpResult result;
-  result.threads_used = threads;
   // No individuals: nothing to evaluate and no generation to report.
   if (config.population_size == 0) return result;
 
-  PlanEvaluator evaluator(problem, config.evaluation, threads);
-  // The data-parallel loops run on the work-stealing job system; with one
-  // thread everything runs inline on the caller (worker id 0).
-  std::optional<sched::JobSystem> jobs;
-  if (threads > 1) jobs.emplace(threads);
+  PlanEvaluator evaluator(problem, config.evaluation, jobs ? jobs->size() : 1);
+  // The data-parallel loops run on the caller's job system; without one
+  // everything runs inline on the caller (worker id 0).
   const auto for_each = [&](std::size_t count, auto&& fn) {
     if (jobs)
       jobs->parallel_for(count, fn);
@@ -149,7 +146,6 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config) {
   }
 
   result.evaluations = population.size() * result.history.size();
-  if (jobs) result.scheduler_stats = jobs->stats();
   return result;
 }
 

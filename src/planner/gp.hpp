@@ -16,8 +16,11 @@
 #include "planner/operators.hpp"
 #include "planner/plan_tree.hpp"
 #include "planner/problem.hpp"
-#include "sched/job_system.hpp"
 #include "util/rng.hpp"
+
+namespace ig::sched {
+class JobSystem;
+}
 
 namespace ig::planner {
 
@@ -39,12 +42,6 @@ struct GpConfig {
   /// generations). The paper runs a fixed generation budget.
   std::optional<double> target_fitness;
   std::uint64_t seed = 1;
-  /// Worker threads for population evaluation and variation. 0 means
-  /// hardware_concurrency; 1 runs everything inline on the caller. Every
-  /// individual draws from its own RNG stream derived from
-  /// (seed, generation, index), so the result is bitwise-identical at any
-  /// thread count — `threads` is purely a wall-clock knob.
-  std::size_t threads = 0;
 };
 
 /// Per-generation progress sample.
@@ -71,18 +68,16 @@ struct GpResult {
   /// Fitness is a pure function of the plan, so carrying it changes no
   /// result.
   std::size_t memo_hits = 0;
-  /// Worker threads actually used (resolves the config's 0 = auto).
-  std::size_t threads_used = 1;
-  /// Job-system counters for the run (all zero on the serial path, which
-  /// builds no job system). Scheduling-dependent — how much was stolen
-  /// varies with timing — unlike every result field above.
-  sched::JobStats scheduler_stats;
 };
 
-/// Runs the GP planner on one problem. Deterministic given config.seed:
-/// best plan, fitness, history and evaluation count are bitwise-identical
-/// for every value of config.threads (see DESIGN.md, "Concurrency model &
+/// Runs the GP planner on one problem. With a `jobs` pool, population
+/// evaluation and variation run as parallel loops on it (safe to call from
+/// inside one of its jobs); null runs every loop inline on the caller.
+/// Every individual draws from its own RNG stream derived from
+/// (seed, generation, index), so the result is bitwise-identical at any
+/// pool size, null = inline (see DESIGN.md, "Concurrency model &
 /// determinism").
-GpResult run_gp(const PlanningProblem& problem, const GpConfig& config);
+GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
+                sched::JobSystem* jobs = nullptr);
 
 }  // namespace ig::planner

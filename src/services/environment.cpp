@@ -114,11 +114,6 @@ std::unique_ptr<Environment> make_shard_stack(EnvironmentOptions base,
                                               obs::Scope metrics) {
   base.seed = util::derive_stream(engine_seed, kShardStream, shard_index);
   base.monitor_period = 0.0;  // the engine slices the calendar and drains it
-  // Shard-level parallelism replaces planner-level parallelism: with N
-  // shards each running its own GP episodes, letting every episode also
-  // fan out to hardware_concurrency workers oversubscribes the machine.
-  // An explicit thread count in the base options still wins.
-  if (base.gp.threads == 0) base.gp.threads = 1;
   auto environment = std::make_unique<Environment>(base, std::move(metrics));
   if (failure_floor > 0.0) environment->injector().set_failure_floor(failure_floor);
   return environment;

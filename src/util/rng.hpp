@@ -24,7 +24,7 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 /// GP engine keys its per-individual generators as
 /// `derive_stream(config.seed, generation, index, phase)`, which makes every
 /// individual's randomness independent of evaluation order — the property
-/// that lets `run_gp` produce bitwise-identical results at any thread count.
+/// that lets `run_gp` produce bitwise-identical results at any pool size.
 /// Each coordinate passes through a full SplitMix64 avalanche, so nearby
 /// (seed, generation, index) tuples yield statistically unrelated streams.
 constexpr std::uint64_t derive_stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,

@@ -1,10 +1,14 @@
 // The parallel planning engine's core contract: run_gp is a pure function
-// of (problem, config-minus-threads). threads only changes wall-clock time,
+// of (problem, config). The caller's pool only changes wall-clock time,
 // never the result, because every individual draws from its own RNG stream
-// derived from (seed, generation, index).
+// derived from (seed, generation, index): bitwise-identical at any pool
+// size, null = inline.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "planner/gp.hpp"
+#include "sched/job_system.hpp"
 #include "virolab/catalogue.hpp"
 
 namespace ig::planner {
@@ -23,7 +27,7 @@ GpConfig small_config(std::uint64_t seed) {
   return config;
 }
 
-/// Bitwise comparison of everything run_gp promises to keep thread-count
+/// Bitwise comparison of everything run_gp promises to keep pool-size
 /// invariant: best plan, best fitness, full history, evaluation count.
 void expect_identical(const GpResult& a, const GpResult& b) {
   EXPECT_EQ(a.best_plan, b.best_plan);
@@ -46,24 +50,21 @@ void expect_identical(const GpResult& a, const GpResult& b) {
 
 TEST(GpParallel, FourThreadsMatchSerialAcrossSeeds) {
   const PlanningProblem problem = virolab_problem();
-  for (const std::uint64_t seed : {11ULL, 29ULL, 47ULL, 101ULL}) {
-    GpConfig serial = small_config(seed);
-    serial.threads = 1;
-    GpConfig parallel = small_config(seed);
-    parallel.threads = 4;
-    expect_identical(run_gp(problem, serial), run_gp(problem, parallel));
-  }
+  sched::JobSystem pool(4);
+  for (const std::uint64_t seed : {11ULL, 29ULL, 47ULL, 101ULL})
+    expect_identical(run_gp(problem, small_config(seed)),
+                     run_gp(problem, small_config(seed), &pool));
 }
 
 TEST(GpParallel, OddThreadCountsAndAutoMatchSerial) {
+  // Pool sizes 1 (a pool, not inline), 2, 3, 7 and one worker per hardware
+  // thread.
   const PlanningProblem problem = virolab_problem();
-  GpConfig serial = small_config(5);
-  serial.threads = 1;
-  const GpResult reference = run_gp(problem, serial);
-  for (const std::size_t threads : {0ULL, 2ULL, 3ULL, 7ULL}) {
-    GpConfig config = small_config(5);
-    config.threads = threads;
-    expect_identical(reference, run_gp(problem, config));
+  const GpResult reference = run_gp(problem, small_config(5));
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                    std::size_t{7}, sched::JobSystem::hardware_threads()}) {
+    sched::JobSystem pool(workers);
+    expect_identical(reference, run_gp(problem, small_config(5), &pool));
   }
 }
 
@@ -73,12 +74,9 @@ TEST(GpParallel, MatchesSerialUnderConfigVariations) {
   variants[0].selection = SelectionScheme::Roulette;
   variants[1].elitism = 0;
   variants[2].init_style = InitStyle::Ramped;
-  for (GpConfig& config : variants) {
-    config.threads = 1;
-    const GpResult serial = run_gp(problem, config);
-    config.threads = 4;
-    expect_identical(serial, run_gp(problem, config));
-  }
+  sched::JobSystem pool(4);
+  for (const GpConfig& config : variants)
+    expect_identical(run_gp(problem, config), run_gp(problem, config, &pool));
 }
 
 TEST(GpParallel, MemoSkipsElitesAndClones) {
@@ -86,31 +84,43 @@ TEST(GpParallel, MemoSkipsElitesAndClones) {
   // keep their fitness instead of being simulated again (memo_hits counts
   // them). Every individual of the initial population and of every
   // generation still counts as one evaluation, the carried count does not
-  // depend on the thread count, and a second run gives the same result.
+  // depend on the pool size, and a second run gives the same result.
   const PlanningProblem problem = virolab_problem();
-  GpConfig config = small_config(23);
-  config.threads = 1;
+  const GpConfig config = small_config(23);
   const GpResult result = run_gp(problem, config);
   EXPECT_EQ(result.evaluations, config.population_size * (config.generations + 1));
   EXPECT_GE(result.memo_hits, config.elitism * config.generations);
   EXPECT_LT(result.memo_hits, result.evaluations);
   expect_identical(result, run_gp(problem, config));
-  for (const std::size_t threads : {2ULL, 4ULL}) {
-    config.threads = threads;
-    const GpResult parallel = run_gp(problem, config);
-    EXPECT_EQ(parallel.memo_hits, result.memo_hits) << threads << " threads";
+  for (const std::size_t workers : {2ULL, 4ULL}) {
+    sched::JobSystem pool(workers);
+    const GpResult parallel = run_gp(problem, config, &pool);
+    EXPECT_EQ(parallel.memo_hits, result.memo_hits) << workers << " workers";
     expect_identical(result, parallel);
   }
 }
 
-TEST(GpParallel, ReportsThreadsUsed) {
+TEST(GpParallel, NestedRunInsideAPoolJobMatchesInline) {
+  // A caller that already owns a pool runs GP from inside one of its jobs,
+  // on that same pool: the run's loops nest in the outer loop and finish.
   const PlanningProblem problem = virolab_problem();
-  GpConfig config = small_config(3);
-  config.generations = 2;
-  config.threads = 3;
-  EXPECT_EQ(run_gp(problem, config).threads_used, 3u);
-  config.threads = 0;
-  EXPECT_GE(run_gp(problem, config).threads_used, 1u);
+  const std::vector<std::uint64_t> seeds = {11, 29, 47, 101};
+  sched::JobSystem pool(4);
+  std::vector<GpResult> nested(seeds.size());
+  pool.parallel_for(
+      seeds.size(),
+      [&](std::size_t i, std::size_t) {
+        nested[i] = run_gp(problem, small_config(seeds[i]), &pool);
+      },
+      /*min_chunk=*/1);
+  for (std::size_t i = 0; i < seeds.size(); ++i)
+    expect_identical(run_gp(problem, small_config(seeds[i])), nested[i]);
+
+  // A run given a pool executes its jobs there and leaves the pool's size.
+  const std::uint64_t executed = pool.stats().executed;
+  run_gp(problem, small_config(3), &pool);
+  EXPECT_GT(pool.stats().executed, executed);
+  EXPECT_EQ(pool.size(), 4u);
 }
 
 }  // namespace

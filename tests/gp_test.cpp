@@ -194,8 +194,7 @@ TEST(GpPin, RunsReproduceBitwiseAsPinned) {
   Digest digest;
   std::size_t runs = 0;
   for (const PlanningProblem& problem : problems) {
-    for (GpConfig config : configs) {
-      config.threads = 1;
+    for (const GpConfig& config : configs) {
       const GpResult result = run_gp(problem, config);
       for (const GenerationStats& stats : result.history) {
         digest.add(std::uint64_t{stats.generation});

@@ -251,20 +251,20 @@ TEST(JobSystem, PublishMetricsExportsSchedulerCounters) {
 
 // -- the determinism contract the callers rely on --
 
-planner::GpResult small_gp_run(std::size_t threads) {
+planner::GpResult small_gp_run(sched::JobSystem* pool) {
   const planner::PlanningProblem problem = planner::PlanningProblem::from_case(
       virolab::make_case_description(), virolab::make_catalogue());
   planner::GpConfig config;
   config.population_size = 40;
   config.generations = 4;
   config.seed = 7;
-  config.threads = threads;
-  return planner::run_gp(problem, config);
+  return planner::run_gp(problem, config, pool);
 }
 
 TEST(JobSystemDeterminism, GpResultsBitwiseIdenticalAcrossWorkerCounts) {
-  const planner::GpResult one = small_gp_run(1);
-  const planner::GpResult three = small_gp_run(3);
+  const planner::GpResult one = small_gp_run(nullptr);
+  sched::JobSystem pool(3);
+  const planner::GpResult three = small_gp_run(&pool);
   EXPECT_EQ(one.best_fitness.overall, three.best_fitness.overall);
   EXPECT_EQ(one.evaluations, three.evaluations);
   EXPECT_TRUE(one.best_plan == three.best_plan);
