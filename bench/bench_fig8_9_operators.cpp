@@ -46,7 +46,8 @@ int main() {
 
   planner::CrossoverResult crossed;
   for (int attempt = 0; attempt < 100 && !crossed.applied; ++attempt)
-    crossed = planner::crossover(parent_a, parent_b, rng, 1.0, 40);
+    crossed = planner::crossover(parent_a, parent_a.size(), parent_b, parent_b.size(), rng,
+                                 1.0, 40);
   std::printf("(c) offspring (subtrees swapped):\n%s\n%s\n",
               crossed.first.to_tree_string().c_str(), crossed.second.to_tree_string().c_str());
   const bool conserved =
@@ -58,7 +59,7 @@ int main() {
   std::printf("(a) original:\n%s\n", mutated.to_tree_string().c_str());
   bool changed = false;
   for (int attempt = 0; attempt < 1000 && !changed; ++attempt)
-    changed = planner::mutate(mutated, rng, catalogue, 0.5, 40);
+    changed = planner::mutate(mutated, mutated.size(), rng, catalogue, 0.5, 40).applied;
   std::printf("(b) after subtree-replacement mutation:\n%s\n", mutated.to_tree_string().c_str());
   std::printf("tree changed: %s, still well-formed: %s\n\n", changed ? "yes" : "NO",
               planner::check_structure(mutated).empty() ? "yes" : "NO");
@@ -70,21 +71,26 @@ int main() {
   for (int i = 0; i < 1000; ++i) {
     const PlanNode a = planner::random_tree(rng, catalogue, 30);
     const PlanNode b = planner::random_tree(rng, catalogue, 30);
-    const auto result = planner::crossover(a, b, rng, 0.7, 40);
+    const auto result = planner::crossover(a, a.size(), b, b.size(), rng, 0.7, 40);
     if (!result.applied) continue;
     ++crossover_applied;
     if (result.first.size() > 40 || result.second.size() > 40) ++violations;
     if (!planner::check_structure(result.first).empty()) ++violations;
     if (result.first.size() + result.second.size() != a.size() + b.size()) ++violations;
+    if (result.first_size != result.first.size() || result.second_size != result.second.size())
+      ++violations;
   }
   for (int i = 0; i < 1000; ++i) {
     PlanNode tree = planner::random_tree(rng, catalogue, 30);
-    planner::mutate(tree, rng, catalogue, 0.05, 40);
+    if (planner::mutate(tree, tree.size(), rng, catalogue, 0.05, 40).size != tree.size())
+      ++violations;
     if (tree.size() > 40) ++violations;
     if (!planner::check_structure(tree).empty()) ++violations;
   }
-  std::printf("crossovers applied: %zu / 1000 (rate 0.7, minus Smax rejections)\n",
-              crossover_applied);
+  std::printf(
+      "crossovers applied: %zu / 1000 (rate 0.7, minus Smax rejections and equal-subtree "
+      "swaps)\n",
+      crossover_applied);
   std::printf("contract violations: %zu\n", violations);
   const bool ok = conserved && changed && violations == 0;
   std::printf("figures 8-9 semantics hold: %s\n", ok ? "yes" : "NO");

@@ -212,6 +212,10 @@ struct Step {
   std::int32_t service = -1;  ///< Terminal: catalogue index, -1 when unknown
   std::uint32_t first_child = 0;
   std::uint32_t child_count = 0;
+  /// The subtree turns every flow list into an empty one: a selective with
+  /// no children (or an iterative when max_unroll is 0) lies on each of its
+  /// paths.
+  bool empties = false;
 };
 
 /// Simulates plans against one ItemTable. Its steps, flows and per-depth
@@ -230,7 +234,7 @@ class Simulator {
     // lists while deeper frames run, so the outer vector must not grow.
     if (scratch_.size() < depth) scratch_.resize(depth);
     flows_.assign(1, Flow{});  // the initial state
-    simulate(steps_[0], flows_, 0);
+    simulate(steps_[0], flows_, 0, config_.max_flows);
     return flows_;
   }
 
@@ -258,8 +262,20 @@ class Simulator {
     steps_[at].child_count = static_cast<std::uint32_t>(node.children.size());
     steps_.resize(first + node.children.size());
     std::size_t deepest = 0;
-    for (std::size_t i = 0; i < node.children.size(); ++i)
+    bool any_empties = false;
+    bool all_empty = true;
+    for (std::size_t i = 0; i < node.children.size(); ++i) {
       deepest = std::max(deepest, compile(node.children[i], first + i));
+      any_empties = any_empties || steps_[first + i].empties;
+      all_empty = all_empty && steps_[first + i].empties;
+    }
+    // A selective empties when every branch does (so with no branches); an
+    // iterative with no pass always does; otherwise one emptying child in
+    // the chain is enough.
+    steps_[at].empties = node.kind == PlanNode::Kind::Selective ? all_empty
+                         : node.kind == PlanNode::Kind::Iterative
+                             ? any_empties || config_.max_unroll == 0
+                             : any_empties;
     return deepest + 1;
   }
 
@@ -274,15 +290,42 @@ class Simulator {
     flow.state = next;
   }
 
-  void cap_flows(std::vector<Flow>& flows) {
-    if (flows.size() > config_.max_flows) {
-      flows.resize(config_.max_flows);
+  /// Clips `flows` to `keep`, the flows that can survive the caps.
+  void cap_flows(std::vector<Flow>& flows, std::size_t keep) {
+    if (flows.size() > keep) {
+      flows.resize(keep);
       truncated_ = true;
     }
   }
 
-  /// Simulates `step`, a node at `depth` of the plan, on `flows`.
-  void simulate(const Step& step, std::vector<Flow>& flows, std::size_t depth) {
+  /// The outputs `segment` (children of one controller) can add behind
+  /// `ahead` in a list of which only the first `keep` flows survive: the
+  /// `keep` of the segment's nodes. A segment that empties is not cut, so
+  /// its nodes get max_flows.
+  std::size_t room(const std::vector<Flow>& ahead, std::size_t keep,
+                   const Step& segment) const noexcept {
+    if (segment.empties) return config_.max_flows;
+    return keep > ahead.size() ? keep - ahead.size() : 0;
+  }
+
+  /// Trims `inputs`, the flows about to run through `segment`, to its
+  /// `room`. Exact unless the segment empties: otherwise its first n
+  /// outputs depend only on its first n inputs and it never returns fewer
+  /// flows than it gets, so the outputs of the trimmed inputs are flows a
+  /// cap would drop, and that cap would fire (hence truncated_). Returns
+  /// false when it trimmed every input, so nothing is left to simulate.
+  bool fit(std::vector<Flow>& inputs, std::size_t room, const Step& segment) {
+    if (segment.empties || inputs.size() <= room) return true;
+    inputs.resize(room);
+    truncated_ = true;
+    return room > 0;
+  }
+
+  /// Simulates `step`, a node at `depth` of the plan, on `flows`, of whose
+  /// outputs only the first `keep` (at most max_flows) can survive the caps
+  /// of the controllers above it.
+  void simulate(const Step& step, std::vector<Flow>& flows, std::size_t depth,
+                std::size_t keep) {
     const std::size_t first = step.first_child;
     const std::size_t last = first + step.child_count;  // one past the last child
     switch (step.kind) {
@@ -292,7 +335,7 @@ class Simulator {
       case PlanNode::Kind::Sequential:
         // Children execute strictly left to right.
         for (std::size_t child = first; child < last; ++child)
-          simulate(steps_[child], flows, depth + 1);
+          simulate(steps_[child], flows, depth + 1, keep);
         return;
       case PlanNode::Kind::Concurrent: {
         // "All activities ... can be executed either sequentially or
@@ -302,17 +345,21 @@ class Simulator {
         // orders catches order-dependent children at 2x cost instead of n!.
         if (step.child_count <= 1 || config_.concurrent_orders <= 1) {
           for (std::size_t child = first; child < last; ++child)
-            simulate(steps_[child], flows, depth + 1);
+            simulate(steps_[child], flows, depth + 1, keep);
           return;
         }
         std::vector<Flow>& reversed_flows = scratch_[depth].branch;
         reversed_flows = flows;
         for (std::size_t child = first; child < last; ++child)
-          simulate(steps_[child], flows, depth + 1);
-        for (std::size_t child = last; child-- > first;)
-          simulate(steps_[child], reversed_flows, depth + 1);
-        flows.insert(flows.end(), reversed_flows.begin(), reversed_flows.end());
-        cap_flows(flows);
+          simulate(steps_[child], flows, depth + 1, keep);
+        // The reverse pass's flows queue behind the forward pass's.
+        const std::size_t reverse_room = room(flows, keep, step);
+        if (fit(reversed_flows, reverse_room, step)) {
+          for (std::size_t child = last; child-- > first;)
+            simulate(steps_[child], reversed_flows, depth + 1, reverse_room);
+          flows.insert(flows.end(), reversed_flows.begin(), reversed_flows.end());
+        }
+        cap_flows(flows, keep);
         return;
       }
       case PlanNode::Kind::Selective: {
@@ -321,9 +368,12 @@ class Simulator {
         combined.clear();
         for (std::size_t child = first; child < last; ++child) {
           branch_flows = flows;
-          simulate(steps_[child], branch_flows, depth + 1);
-          combined.insert(combined.end(), branch_flows.begin(), branch_flows.end());
-          cap_flows(combined);
+          const std::size_t branch_room = room(combined, keep, steps_[child]);
+          if (fit(branch_flows, branch_room, steps_[child])) {
+            simulate(steps_[child], branch_flows, depth + 1, branch_room);
+            combined.insert(combined.end(), branch_flows.begin(), branch_flows.end());
+          }
+          cap_flows(combined, keep);
           if (combined.size() >= config_.max_flows) {
             // Remaining branches would be dropped: that is truncation too.
             if (child + 1 < last) truncated_ = true;
@@ -339,10 +389,13 @@ class Simulator {
         combined.clear();
         current = flows;
         for (std::size_t pass = 1; pass <= config_.max_unroll; ++pass) {
-          for (std::size_t child = first; child < last; ++child)
-            simulate(steps_[child], current, depth + 1);
-          combined.insert(combined.end(), current.begin(), current.end());
-          cap_flows(combined);
+          const std::size_t pass_room = room(combined, keep, step);
+          if (fit(current, pass_room, step)) {
+            for (std::size_t child = first; child < last; ++child)
+              simulate(steps_[child], current, depth + 1, pass_room);
+            combined.insert(combined.end(), current.begin(), current.end());
+          }
+          cap_flows(combined, keep);
           if (combined.size() >= config_.max_flows) {
             if (pass < config_.max_unroll) truncated_ = true;
             break;
@@ -499,10 +552,15 @@ bool ItemTable::can_bind(std::size_t service, std::uint32_t state) {
     if (candidates_.size() == begin) return false;  // precondition cannot be met
     order_.push_back({formal, begin, candidates_.size()});
   }
-  // Most-constrained-first ordering prunes the search.
-  std::sort(order_.begin(), order_.end(), [](const Candidates& a, const Candidates& b) {
-    return a.end - a.begin < b.end - b.begin;
-  });
+  // Most-constrained-first ordering prunes the search. Services take a
+  // handful of formals, so an insertion sort beats std::sort here.
+  for (std::size_t i = 1; i < order_.size(); ++i) {
+    const Candidates formal = order_[i];
+    std::size_t j = i;
+    for (; j > 0 && order_[j - 1].end - order_[j - 1].begin > formal.end - formal.begin; --j)
+      order_[j] = order_[j - 1];
+    order_[j] = formal;
+  }
   chosen_.resize(arity);
   formals_ = &type.inputs();
   residual_ =

@@ -19,6 +19,21 @@
 // combinatorics of adversarially nested plans; the cap is recorded in the
 // result so harnesses can report truncation.
 //
+// Flows the cap would drop are never simulated. A controller's flow list is
+// built by appending segments (a concurrent block's reverse pass behind its
+// forward pass, each selective branch behind the earlier ones, each
+// iterative pass behind the earlier passes) and then clipped to
+// `max_flows`. When k flows are already ahead, only the outputs of the
+// segment's first max_flows − k inputs can survive, so the simulator trims
+// the inputs to that many (and skips the segment when none is left), and
+// the controllers inside the segment clip their own lists to that many as
+// well. That is exact: a subtree never returns fewer flows than it gets,
+// and its first n outputs depend only on its first n inputs, so the
+// trimmed flows are the ones a cap would drop, and that cap would fire (the
+// truncation flag is set as before). The one exception is a subtree that
+// empties every flow list, because a selective with no children lies on
+// each of its paths; such a segment is simulated in full.
+//
 // Each evaluator worker owns an ItemTable that interns items and world
 // states for the whole run (one PlanEvaluator), and a simulator whose step
 // and flow buffers it reuses from plan to plan. The table evaluates every

@@ -119,20 +119,27 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
     const std::size_t job_count = (next.size() - first_variable + 1) / 2;
     for_each(job_count, [&](std::size_t job, std::size_t worker) {
       const std::size_t i = first_variable + 2 * job;
+      // Each plan's node count is its fitness's, so no operator counts it.
+      std::size_t sizes[2] = {fitnesses[selected[i]].size,
+                              i + 1 < next.size() ? fitnesses[selected[i + 1]].size : 0};
       bool crossed = false;
       if (job < pair_count) {
         util::Rng rng = stream_rng(config, generation, i, kCrossoverStream);
-        CrossoverResult children = crossover(std::move(next[i]), std::move(next[i + 1]), rng,
-                                             config.crossover_rate, config.evaluation.smax);
+        CrossoverResult children =
+            crossover(std::move(next[i]), sizes[0], std::move(next[i + 1]), sizes[1], rng,
+                      config.crossover_rate, config.evaluation.smax);
         next[i] = std::move(children.first);
         next[i + 1] = std::move(children.second);
+        sizes[0] = children.first_size;
+        sizes[1] = children.second_size;
         crossed = children.applied;
       }
       for (std::size_t k = i; k < std::min(i + 2, next.size()); ++k) {
         util::Rng rng = stream_rng(config, generation, k, kMutationStream);
-        const bool mutated = mutate(next[k], rng, problem.catalogue, config.mutation_rate,
-                                    config.evaluation.smax, config.init_style);
-        simulated[k] = crossed || mutated ? 1 : 0;
+        const MutationResult mutated = mutate(next[k], sizes[k - i], rng, problem.catalogue,
+                                              config.mutation_rate, config.evaluation.smax,
+                                              config.init_style);
+        simulated[k] = crossed || mutated.applied ? 1 : 0;
         next_fitnesses[k] =
             simulated[k] != 0 ? evaluator.evaluate(next[k], worker) : fitnesses[selected[k]];
       }

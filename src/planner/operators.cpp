@@ -93,20 +93,27 @@ PlanNode random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
   return random_subtree(rng, catalogue, target);
 }
 
-CrossoverResult crossover(PlanNode parent_a, PlanNode parent_b, util::Rng& rng,
-                          double crossover_rate, std::size_t smax) {
+CrossoverResult crossover(PlanNode parent_a, std::size_t size_a, PlanNode parent_b,
+                          std::size_t size_b, util::Rng& rng, double crossover_rate,
+                          std::size_t smax) {
   CrossoverResult result;
+  result.first_size = size_a;
+  result.second_size = size_b;
   if (rng.next_bool(crossover_rate)) {
-    const std::size_t size_a = parent_a.size();
-    const std::size_t size_b = parent_b.size();
     PlanNode& subtree_a = parent_a.at_preorder(rng.next_below(size_a));
     PlanNode& subtree_b = parent_b.at_preorder(rng.next_below(size_b));
     // new_a = a - |sa| + |sb|, and the same for b.
     const std::size_t swapped_a = subtree_a.size();
     const std::size_t swapped_b = subtree_b.size();
-    if (size_a - swapped_a + swapped_b <= smax && size_b - swapped_b + swapped_a <= smax) {
+    const std::size_t new_a = size_a - swapped_a + swapped_b;
+    const std::size_t new_b = size_b - swapped_b + swapped_a;
+    // Swapping equal subtrees would hand back both parents as they were.
+    if (new_a <= smax && new_b <= smax &&
+        !(swapped_a == swapped_b && subtree_a == subtree_b)) {
       std::swap(subtree_a, subtree_b);
       result.applied = true;
+      result.first_size = new_a;
+      result.second_size = new_b;
     }
   }
   result.first = std::move(parent_a);
@@ -114,12 +121,12 @@ CrossoverResult crossover(PlanNode parent_a, PlanNode parent_b, util::Rng& rng,
   return result;
 }
 
-bool mutate(PlanNode& tree, util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
-            double mutation_rate, std::size_t smax, InitStyle style) {
+MutationResult mutate(PlanNode& tree, std::size_t size, util::Rng& rng,
+                      const wfl::ServiceCatalogue& catalogue, double mutation_rate,
+                      std::size_t smax, InitStyle style) {
   bool changed = false;
   // Per-node selection. Node indices are re-derived after each applied
   // mutation because the tree's shape changes; `size` follows the tree.
-  std::size_t size = tree.size();
   std::size_t index = 0;
   while (index < size) {
     if (!rng.next_bool(mutation_rate)) {
@@ -144,7 +151,7 @@ bool mutate(PlanNode& tree, util::Rng& rng, const wfl::ServiceCatalogue& catalog
     index += inserted;
     changed = true;
   }
-  return changed;
+  return {changed, size};
 }
 
 std::vector<std::size_t> select(const std::vector<Fitness>& fitnesses, std::size_t count,

@@ -554,6 +554,172 @@ TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
   EXPECT_EQ(digest.value(), 0x4fef29f42960fb85ULL);
 }
 
+/// The plans of CapBoundPlansScoreAsAtParent, built over the virus services.
+std::vector<PlanNode> cap_bound_plans() {
+  const char* const services[] = {"POD", "P3DR", "PSF", "POR"};
+  // A selective of `count` terminals cycling through the services: it
+  // multiplies the flow list by `count`, with valid and invalid branches.
+  const auto fan = [&](std::size_t count, std::size_t offset = 0) {
+    std::vector<PlanNode> children;
+    for (std::size_t i = 0; i < count; ++i)
+      children.push_back(PlanNode::terminal(services[(i + offset) % 4]));
+    return PlanNode::selective(std::move(children));
+  };
+  const auto node = [](PlanNode::Kind kind, std::vector<PlanNode> children) {
+    PlanNode made;
+    made.kind = kind;
+    made.children = std::move(children);
+    if (kind == PlanNode::Kind::Selective) made.guards.resize(made.children.size());
+    return made;
+  };
+  using Kind = PlanNode::Kind;
+  const auto t = [](const char* service) { return PlanNode::terminal(service); };
+  // Flow lists of 5 and of 40 ahead of the node under test: at a cap of 8
+  // the short one leaves room for 3 more, at 64 the long one for 24.
+  const auto five = [&] { return fan(5); };
+  const auto forty = [&] { return node(Kind::Sequential, {fan(5), fan(8, 1)}); };
+
+  std::vector<PlanNode> plans;
+  // Concurrent whose forward pass fills the cap (64 flows, or 8 clipped
+  // inside): the reverse pass can add nothing.
+  plans.push_back(node(Kind::Concurrent,
+                       {node(Kind::Sequential, {t("POD"), fan(4), fan(4, 1), fan(4, 2)}),
+                        t("P3DR"), t("PSF")}));
+  // Concurrent behind 5 and 40 flows: the reverse pass only partly fits.
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Concurrent, {t("POD"), t("P3DR"), t("PSF")})}));
+  plans.push_back(node(Kind::Sequential,
+                       {forty(), node(Kind::Concurrent, {t("POD"), t("P3DR"), t("PSF")})}));
+  // Selective whose second branch only partly fits, with a third branch the
+  // cap drops.
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Selective, {seq({"POD", "P3DR"}), t("PSF"), t("POD")})}));
+  plans.push_back(node(Kind::Sequential,
+                       {forty(), node(Kind::Selective, {seq({"POD", "P3DR"}), t("PSF")})}));
+  // Iterative whose second pass only partly fits.
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Iterative, {t("POD"), t("P3DR"), t("PSF")})}));
+  plans.push_back(node(Kind::Sequential,
+                       {forty(), node(Kind::Iterative,
+                                      {t("POD"), node(Kind::Concurrent, {t("P3DR"), t("P3DR")}),
+                                       t("PSF")})}));
+  // Cuts nested in cuts: a selective branch holding a concurrent block and
+  // a loop, each of which overflows on its own.
+  plans.push_back(node(
+      Kind::Sequential,
+      {five(), node(Kind::Selective,
+                    {node(Kind::Concurrent, {fan(3), t("P3DR")}),
+                     node(Kind::Iterative, {fan(2, 1), t("PSF")}), t("POD")})}));
+  // Controllers with no children. An empty selective yields no flows, so
+  // it leaves the cap untouched even behind a full list; the other kinds
+  // pass their flows on (iterative repeats them).
+  plans.push_back(node(Kind::Selective, {}));
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Selective, {t("POD"), node(Kind::Selective, {})})}));
+  plans.push_back(node(Kind::Sequential,
+                       {forty(), node(Kind::Selective, {t("P3DR"), node(Kind::Selective, {}),
+                                                        t("PSF")})}));
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Concurrent, {t("POD"), node(Kind::Selective, {})})}));
+  plans.push_back(node(Kind::Sequential,
+                       {five(), node(Kind::Iterative, {node(Kind::Selective, {})})}));
+  plans.push_back(node(Kind::Sequential,
+                       {forty(), node(Kind::Iterative, {}), node(Kind::Concurrent, {}),
+                        node(Kind::Sequential, {}), t("POD")}));
+  // A branch that empties behind 25 flows: it is simulated in full, so its
+  // 40 inner flows (fewer than a cap of 64) are clipped nowhere.
+  plans.push_back(node(
+      Kind::Sequential,
+      {five(), node(Kind::Selective,
+                    {fan(5), node(Kind::Sequential, {node(Kind::Concurrent, {t("POD"), t("P3DR")}),
+                                                     fan(4), node(Kind::Selective, {})})})}));
+  // Both passes of this block empty the one initial flow; at a cap of 0
+  // that flow alone exceeds the cap, and still nothing is clipped.
+  plans.push_back(node(Kind::Concurrent, {t("POD"), node(Kind::Selective, {})}));
+  return plans;
+}
+
+TEST(EvaluatePin, CapBoundPlansScoreAsAtParent) {
+  // Hand-built plans whose flow lists run into the cap at each place the
+  // simulator can cut: a concurrent block's reverse pass, a selective
+  // branch, an iterative pass, and controllers with no children. The values
+  // were recorded from the simulator that ran every segment in full and
+  // clipped afterwards; they must match bit for bit.
+  const PlanningProblem problem = virolab_problem();
+  const std::vector<PlanNode> plans = cap_bound_plans();
+  // {overall, validity, goal, representation, size, flows, flows_truncated}
+  // per plan, at a cap of 8, of 64 and of 0 (where the initial flow alone
+  // exceeds the cap).
+  const Fitness wants[3][16] = {
+      {
+          {0.58750000000000002, 0.625, 0.625, 0.5, 20, 8, true},
+          {0.32374999999999998, 0.53125, 0, 0.72499999999999998, 11, 8, true},
+          {0.38249999999999995, 0.57499999999999996, 0.25, 0.47499999999999998, 21, 8, true},
+          {0.32630952380952383, 0.61904761904761907, 0, 0.67500000000000004, 13, 8, true},
+          {0.26624999999999999, 0.65625, 0, 0.44999999999999996, 22, 8, true},
+          {0.54158536585365857, 0.68292682926829273, 0.375, 0.72499999999999998, 11, 8, true},
+          {0.78166666666666673, 0.77083333333333337, 1, 0.42500000000000004, 23, 8, true},
+          {0.27500000000000002, 0.625, 0, 0.5, 20, 8, true},
+          {0.29249999999999998, 0, 0, 0.97499999999999998, 1, 0, false},
+          {0.36499999999999999, 0.69999999999999996, 0, 0.75, 10, 5, false},
+          {0.20916666666666667, 0.33333333333333331, 0, 0.47499999999999998, 21, 8, true},
+          {0.22499999999999998, 0, 0, 0.75, 10, 0, false},
+          {0.23249999999999998, 0, 0, 0.77500000000000002, 9, 0, false},
+          {0.25083333333333335, 0.54166666666666663, 0, 0.47499999999999998, 21, 8, true},
+          {0.23249999999999998, 0.5625, 0, 0.40000000000000002, 24, 8, true},
+          {0.27750000000000002, 0, 0, 0.92500000000000004, 3, 0, false},
+      },
+      {
+          {0.58125000000000004, 0.7109375, 0.578125, 0.5, 20, 64, true},
+          {0.32250000000000001, 0.52500000000000002, 0, 0.72499999999999998, 11, 10, false},
+          {0.27812499999999996, 0.52187499999999998, 0.0625, 0.47499999999999998, 21, 64, true},
+          {0.32250000000000001, 0.59999999999999998, 0, 0.67500000000000004, 13, 15, false},
+          {0.24448275862068963, 0.54741379310344829, 0, 0.44999999999999996, 22, 64, true},
+          {0.60931818181818187, 0.70909090909090911, 0.5, 0.72499999999999998, 11, 10, false},
+          {0.78531250000000008, 0.7890625, 1, 0.42500000000000004, 23, 64, true},
+          {0.22702850877192982, 0.30701754385964913, 0.03125, 0.5, 20, 64, true},
+          {0.29249999999999998, 0, 0, 0.97499999999999998, 1, 0, false},
+          {0.36499999999999999, 0.69999999999999996, 0, 0.75, 10, 5, false},
+          {0.21437499999999998, 0.359375, 0, 0.47499999999999998, 21, 64, true},
+          {0.22499999999999998, 0, 0, 0.75, 10, 0, false},
+          {0.23249999999999998, 0, 0, 0.77500000000000002, 9, 0, false},
+          {0.25812499999999999, 0.578125, 0, 0.47499999999999998, 21, 64, true},
+          {0.20800000000000002, 0.44, 0, 0.40000000000000002, 24, 25, false},
+          {0.27750000000000002, 0, 0, 0.92500000000000004, 3, 0, false},
+      },
+      {
+          {0.14999999999999999, 0, 0, 0.5, 20, 0, true},
+          {0.2175, 0, 0, 0.72499999999999998, 11, 0, true},
+          {0.14249999999999999, 0, 0, 0.47499999999999998, 21, 0, true},
+          {0.20250000000000001, 0, 0, 0.67500000000000004, 13, 0, true},
+          {0.13499999999999998, 0, 0, 0.44999999999999996, 22, 0, true},
+          {0.2175, 0, 0, 0.72499999999999998, 11, 0, true},
+          {0.1275, 0, 0, 0.42500000000000004, 23, 0, true},
+          {0.14999999999999999, 0, 0, 0.5, 20, 0, true},
+          {0.29249999999999998, 0, 0, 0.97499999999999998, 1, 0, false},
+          {0.22499999999999998, 0, 0, 0.75, 10, 0, true},
+          {0.14249999999999999, 0, 0, 0.47499999999999998, 21, 0, true},
+          {0.22499999999999998, 0, 0, 0.75, 10, 0, true},
+          {0.23249999999999998, 0, 0, 0.77500000000000002, 9, 0, true},
+          {0.14249999999999999, 0, 0, 0.47499999999999998, 21, 0, true},
+          {0.12, 0, 0, 0.40000000000000002, 24, 0, true},
+          {0.27750000000000002, 0, 0, 0.92500000000000004, 3, 0, false},
+      },
+  };
+  const std::size_t caps[] = {8, 64, 0};
+  for (std::size_t c = 0; c < std::size(caps); ++c) {
+    EvaluationConfig config;
+    config.max_flows = caps[c];
+    PlanEvaluator evaluator(problem, config);
+    ASSERT_EQ(plans.size(), std::size(wants[c]));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const Fitness got = evaluator.evaluate(plans[i]);
+      EXPECT_TRUE(same_bits(got, wants[c][i])) << "cap " << caps[c] << " plan " << i;
+      expect_fitness(got, wants[c][i]);
+    }
+  }
+}
+
 TEST(EvaluateStates, RowsWidenPast128And256Items) {
   // 70 initial "s" items; every execution of Spawn adds eight "x" items, so
   // one evaluator's run interns more than 128 and then more than 256 items

@@ -110,7 +110,7 @@ TEST(Mutation, StyleParameterRespectsSmax) {
   const auto services = catalogue();
   for (int i = 0; i < 50; ++i) {
     PlanNode tree = random_tree(rng, services, 20);
-    mutate(tree, rng, services, 0.5, 30, InitStyle::Full);
+    mutate(tree, tree.size(), rng, services, 0.5, 30, InitStyle::Full);
     EXPECT_LE(tree.size(), 30u);
     EXPECT_EQ(check_structure(tree), "");
   }
@@ -122,7 +122,7 @@ TEST(Crossover, RateZeroNeverApplies) {
   const PlanNode a = random_tree(rng, services, 20);
   const PlanNode b = random_tree(rng, services, 20);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(crossover(a, b, rng, 0.0, 40).applied);
+    EXPECT_FALSE(crossover(a, a.size(), b, b.size(), rng, 0.0, 40).applied);
   }
 }
 
@@ -133,7 +133,7 @@ TEST(Crossover, SwapsSubtreesAndPreservesTotalSize) {
   for (int i = 0; i < 100; ++i) {
     const PlanNode a = random_tree(rng, services, 20);
     const PlanNode b = random_tree(rng, services, 20);
-    const CrossoverResult result = crossover(a, b, rng, 1.0, 40);
+    const CrossoverResult result = crossover(a, a.size(), b, b.size(), rng, 1.0, 40);
     if (!result.applied) continue;
     ++applied;
     EXPECT_EQ(result.first.size() + result.second.size(), a.size() + b.size());
@@ -153,7 +153,7 @@ TEST(Crossover, FailsWhenChildWouldExceedSmax) {
   for (int i = 0; i < 100; ++i) {
     const PlanNode a = random_tree(rng, services, 10);
     const PlanNode b = random_tree(rng, services, 10);
-    const CrossoverResult result = crossover(a, b, rng, 1.0, 10);
+    const CrossoverResult result = crossover(a, a.size(), b, b.size(), rng, 1.0, 10);
     if (result.applied) {
       EXPECT_LE(result.first.size(), 10u);
       EXPECT_LE(result.second.size(), 10u);
@@ -168,7 +168,7 @@ TEST(Crossover, RefusedCrossoverReturnsParentsUnchanged) {
   const PlanNode a = random_tree(rng, services, 20);
   const PlanNode b = random_tree(rng, services, 20);
   for (int i = 0; i < 20; ++i) {
-    const CrossoverResult result = crossover(a, b, rng, 0.0, 40);
+    const CrossoverResult result = crossover(a, a.size(), b, b.size(), rng, 0.0, 40);
     EXPECT_FALSE(result.applied);
     EXPECT_EQ(result.first, a);
     EXPECT_EQ(result.second, b);
@@ -184,7 +184,7 @@ TEST(Crossover, RefusedCrossoverReturnsParentsUnchanged) {
   const PlanNode right = sequence({"PSF", "POR", "POD", "P3DR", "P3DR"});
   int refused = 0;
   for (int i = 0; i < 50; ++i) {
-    const CrossoverResult result = crossover(left, right, rng, 1.0, 6);
+    const CrossoverResult result = crossover(left, 6, right, 6, rng, 1.0, 6);
     EXPECT_LE(result.first.size(), 6u);
     EXPECT_LE(result.second.size(), 6u);
     if (result.applied) continue;
@@ -195,12 +195,42 @@ TEST(Crossover, RefusedCrossoverReturnsParentsUnchanged) {
   EXPECT_GT(refused, 0);
 }
 
+TEST(Crossover, EqualSubtreesAreNotSwapped) {
+  util::Rng rng(37);
+  const auto services = catalogue();
+  // A plan crossed with its own copy picks equal subtrees whenever it picks
+  // the same position (or two equal leaves): that swap changes nothing, so
+  // it is not applied and both parents come back as they were. Smax is
+  // large enough that it never refuses, so every other swap is applied and
+  // changes both children.
+  int refused = 0;
+  int applied = 0;
+  for (int i = 0; i < 200; ++i) {
+    const PlanNode plan = random_tree(rng, services, 12);
+    const std::size_t size = plan.size();
+    const CrossoverResult result = crossover(plan, size, plan, size, rng, 1.0, 2 * size);
+    if (result.applied) {
+      ++applied;
+      EXPECT_NE(result.first, plan);
+      EXPECT_NE(result.second, plan);
+    } else {
+      ++refused;
+      EXPECT_EQ(result.first, plan);
+      EXPECT_EQ(result.second, plan);
+    }
+    EXPECT_EQ(result.first_size, result.first.size());
+    EXPECT_EQ(result.second_size, result.second.size());
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(applied, 0);
+}
+
 TEST(Mutation, RateZeroNeverChanges) {
   util::Rng rng(9);
   const auto services = catalogue();
   PlanNode tree = random_tree(rng, services, 20);
   const PlanNode original = tree;
-  EXPECT_FALSE(mutate(tree, rng, services, 0.0, 40));
+  EXPECT_FALSE(mutate(tree, tree.size(), rng, services, 0.0, 40).applied);
   EXPECT_EQ(tree, original);
 }
 
@@ -209,7 +239,7 @@ TEST(Mutation, RateOneChangesAndRespectsSmax) {
   const auto services = catalogue();
   for (int i = 0; i < 50; ++i) {
     PlanNode tree = random_tree(rng, services, 20);
-    mutate(tree, rng, services, 1.0, 25);
+    mutate(tree, tree.size(), rng, services, 1.0, 25);
     EXPECT_LE(tree.size(), 25u);
     EXPECT_EQ(check_structure(tree), "");
   }
@@ -221,7 +251,7 @@ TEST(Mutation, PaperRateMutatesRarely) {
   int changed = 0;
   for (int i = 0; i < 200; ++i) {
     PlanNode tree = random_tree(rng, services, 20);
-    if (mutate(tree, rng, services, 0.001, 40)) ++changed;
+    if (mutate(tree, tree.size(), rng, services, 0.001, 40).applied) ++changed;
   }
   // ~1% of trees (20 nodes x 0.001) should mutate; allow generous slack.
   EXPECT_LT(changed, 20);

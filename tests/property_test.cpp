@@ -221,13 +221,40 @@ TEST_P(TreeProperty, CrossoverChildrenStayWellFormed) {
   for (int i = 0; i < 50; ++i) {
     const planner::PlanNode a = planner::random_tree(rng, catalogue, 35);
     const planner::PlanNode b = planner::random_tree(rng, catalogue, 35);
-    const auto result = planner::crossover(a, b, rng, 0.9, 40);
+    const auto result = planner::crossover(a, a.size(), b, b.size(), rng, 0.9, 40);
     if (!result.applied) continue;
     EXPECT_EQ(planner::check_structure(result.first), "");
     EXPECT_EQ(planner::check_structure(result.second), "");
     EXPECT_LE(result.first.size(), 40u);
     EXPECT_LE(result.second.size(), 40u);
     EXPECT_EQ(result.first.size() + result.second.size(), a.size() + b.size());
+  }
+}
+
+TEST_P(TreeProperty, OperatorsReturnTheirChildrensSizes) {
+  // crossover and mutate take the plans' sizes from the caller and hand
+  // back their children's; those must be the children's real node counts,
+  // applied or not, for every initialization style.
+  util::Rng rng(GetParam());
+  const auto catalogue = virolab::make_catalogue();
+  for (const planner::InitStyle style :
+       {planner::InitStyle::Grow, planner::InitStyle::Full, planner::InitStyle::Ramped}) {
+    for (int i = 0; i < 40; ++i) {
+      planner::PlanNode a = planner::random_tree(rng, catalogue, 35, style);
+      planner::PlanNode b = planner::random_tree(rng, catalogue, 35, style);
+      const std::size_t smax = i % 2 == 0 ? 40 : 20;  // the tighter Smax refuses more often
+      const std::size_t size_a = a.size();
+      const std::size_t size_b = b.size();
+      const auto crossed =
+          planner::crossover(std::move(a), size_a, std::move(b), size_b, rng, 0.9, smax);
+      EXPECT_EQ(crossed.first_size, crossed.first.size());
+      EXPECT_EQ(crossed.second_size, crossed.second.size());
+      planner::PlanNode tree = crossed.first;
+      const auto mutated = planner::mutate(tree, crossed.first_size, rng, catalogue,
+                                           i % 3 == 0 ? 0.5 : 0.05, smax, style);
+      EXPECT_EQ(mutated.size, tree.size());
+      if (!mutated.applied) EXPECT_EQ(tree, crossed.first);
+    }
   }
 }
 
