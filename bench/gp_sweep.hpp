@@ -43,8 +43,7 @@ inline SweepPoint run_sweep_point(const planner::PlanningProblem& problem,
         planner::GpConfig run_config = config;
         run_config.seed = 1000 + run;
         results[run] = planner::run_gp(problem, run_config);
-      },
-      /*min_chunk=*/1);
+      });
 
   SweepPoint point;
   point.runs = runs;

@@ -1,7 +1,6 @@
 #include "sched/job_system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <string>
 
@@ -132,38 +131,18 @@ bool JobSystem::try_pop_local(Worker& self, Job& job) {
 }
 
 bool JobSystem::try_steal(std::size_t thief, Job& job) {
-  Worker& self = *workers_[thief];
   const std::size_t n = workers_.size();
   for (std::size_t k = 1; k < n; ++k) {
     Worker& victim = *workers_[(thief + k) % n];
-    std::vector<Job> batch;
-    {
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      steal_attempts_.inc();
-      if (victim.deque.empty()) {
-        steal_failures_.inc();
-        continue;
-      }
-      // Steal-half from the FIFO end: the oldest jobs are the coldest on the
-      // victim, and moving a batch repairs an imbalance in one probe.
-      const std::size_t take = (victim.deque.size() + 1) / 2;
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(victim.deque.front()));
-        victim.deque.pop_front();
-      }
+    std::lock_guard<std::mutex> lock(victim.mutex);
+    steal_attempts_.inc();
+    if (victim.deque.empty()) {
+      steal_failures_.inc();
+      continue;
     }
-    stolen_.inc(batch.size());
-    job = std::move(batch.front());
-    if (batch.size() > 1) {
-      {
-        std::lock_guard<std::mutex> lock(self.mutex);
-        for (std::size_t i = 1; i < batch.size(); ++i)
-          self.deque.push_back(std::move(batch[i]));
-      }
-      // We now hold a backlog of our own; recruit another sleeper for it.
-      wake_one_thief(thief);
-    }
+    job = std::move(victim.deque.front());  // FIFO: the oldest, coldest job
+    victim.deque.pop_front();
+    stolen_.inc();
     return true;
   }
   return false;
@@ -173,10 +152,10 @@ void JobSystem::run_job(Job& job) {
   try {
     job();
   } catch (...) {
-    // post() jobs are fire-and-forget; a future-bearing submit() never gets
-    // here (packaged_task captures). Swallow, count, and keep the worker.
+    // post() jobs are fire-and-forget (parallel_for catches its own).
+    // Swallow, count, and keep the worker.
     swallowed_.inc();
-    IG_LOG_WARN("sched") << "job exception swallowed (use submit() to propagate)";
+    IG_LOG_WARN("sched") << "job exception swallowed";
   }
   job = nullptr;  // release captures before signalling idle
   executed_.inc();
@@ -221,79 +200,59 @@ void JobSystem::worker_loop(std::size_t id) {
 }
 
 void JobSystem::parallel_for(std::size_t count,
-                             const std::function<void(std::size_t, std::size_t)>& fn,
-                             std::size_t min_chunk) {
+                             const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
-  if (min_chunk == 0) min_chunk = 1;
 
-  struct LoopState {
-    std::atomic<std::size_t> remaining{0};
-    std::mutex done_mutex;
-    std::condition_variable done;
+  // The loop state the caller shares with its helpers. A helper may start
+  // after the loop has returned; it then finds the cursor spent and exits
+  // without touching `fn`, so only the state itself must outlive the call.
+  struct Loop {
+    std::atomic<std::size_t> cursor{0};  ///< next chunk to claim
+    std::atomic<std::size_t> done{0};    ///< chunks finished
+    std::mutex mutex;                    ///< guards `error` and `finished`
+    std::condition_variable finished;
     std::exception_ptr error;
-    std::mutex error_mutex;
   };
-  auto state = std::make_shared<LoopState>();
-
-  // A few chunks per worker keeps stealing able to rebalance a tail without
-  // paying per-index dispatch.
+  auto loop = std::make_shared<Loop>();
   const std::size_t n = workers_.size();
-  const std::size_t target_chunks = std::max<std::size_t>(1, n * 4);
-  const std::size_t chunk =
-      std::max(min_chunk, (count + target_chunks - 1) / target_chunks);
-  const std::size_t num_chunks = (count + chunk - 1) / chunk;
-  state->remaining.store(num_chunks, std::memory_order_relaxed);
+  const std::size_t chunk = std::max<std::size_t>(1, count / (4 * n));
+  const std::size_t chunks = (count + chunk - 1) / chunk;
 
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, count);
-    // Block distribution: adjacent chunks start on the same worker, so the
-    // no-steal schedule touches contiguous indices per worker.
-    const std::size_t home = num_chunks > 1 ? c * n / num_chunks : 0;
-    post(
-        [state, &fn, begin, end, this] {
-          const std::size_t worker = current_worker();
-          try {
-            for (std::size_t index = begin; index < end; ++index) fn(index, worker);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(state->error_mutex);
-            if (!state->error) state->error = std::current_exception();
-          }
-          if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(state->done_mutex);
-            state->done.notify_all();
-          }
-        },
-        home);
-  }
-
-  const std::size_t self_id = current_worker();
-  if (self_id != kAnyWorker) {
-    // Called from inside a job: help drain instead of blocking the worker
-    // (blocking could deadlock a one-worker system).
-    Worker& self = *workers_[self_id];
-    while (state->remaining.load(std::memory_order_acquire) > 0) {
-      Job job;
-      if (try_pop_local(self, job) || try_steal(self_id, job)) {
-        run_job(job);
-        continue;
+  // Claims chunks until the cursor runs out, running them as `worker`.
+  const auto drain = [loop, &fn, count, chunk, chunks](std::size_t worker) {
+    for (;;) {
+      const std::size_t c = loop->cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const std::size_t end = std::min(count, (c + 1) * chunk);
+      try {
+        for (std::size_t index = c * chunk; index < end; ++index) fn(index, worker);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(loop->mutex);
+        if (!loop->error) loop->error = std::current_exception();
       }
-      // Nothing left to help with: the final chunks are running on other
-      // workers. Park on the loop's done condition instead of burning the
-      // core; the short timeout re-opens the pop/steal scan in case new
-      // work (another nested loop's chunks) lands meanwhile.
-      std::unique_lock<std::mutex> lock(state->done_mutex);
-      state->done.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        return state->remaining.load(std::memory_order_acquire) == 0;
-      });
+      if (loop->done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        std::lock_guard<std::mutex> lock(loop->mutex);
+        loop->finished.notify_all();
+      }
     }
-  } else {
-    std::unique_lock<std::mutex> lock(state->done_mutex);
-    state->done.wait(lock, [&] {
-      return state->remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (state->error) std::rethrow_exception(state->error);
+  };
+
+  // One helper per other worker, each posted to its own target so the post
+  // wakes that worker; an external caller runs no chunk, so every worker is
+  // "other". No more helpers than there are chunks for them.
+  const std::size_t self = current_worker();
+  const bool external = self == kAnyWorker;
+  const std::size_t helpers = std::min(n, chunks) - (external ? 0 : 1);
+  for (std::size_t h = 0; h < helpers; ++h)
+    post([this, drain] { drain(current_worker()); }, external ? h : (self + 1 + h) % n);
+
+  // A worker-context caller claims chunks under its own id, then waits only
+  // for chunks already running on other threads: that wait cannot deadlock,
+  // even on one worker or when every other worker is busy.
+  if (!external) drain(self);
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->finished.wait(lock, [&] { return loop->done.load(std::memory_order_acquire) == chunks; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 void JobSystem::wait_idle() {

@@ -5,20 +5,21 @@
 //     and local pop touch only that mutex, so the common case never
 //     contends; there is no global queue.
 //   * Workers pop their own deque LIFO (newest first — the job most likely
-//     to be cache-warm) and steal from victims FIFO (oldest first — the job
-//     least likely to be warm anywhere), taking *half* the victim's deque in
-//     one probe so a load imbalance is repaired in O(log n) steals instead
-//     of one job at a time.
-//   * `post`/`submit` accept an affinity hint: the job is pushed onto that
-//     worker's deque and the worker is woken first, so a case's messages or
-//     a GP individual's evaluations stay warm on one worker — but the hint
-//     is advisory, and a busy target's backlog is fair game for thieves.
+//     to be cache-warm) and steal one job at a time from a victim's FIFO end
+//     (oldest first — the job least likely to be warm anywhere). Deques hold
+//     at most a few jobs: the engine keeps one pump per shard in flight and
+//     `parallel_for` posts one helper per worker.
+//   * `post` accepts an affinity hint: the job is pushed onto that worker's
+//     deque and the worker is woken first, so a shard's pump stays warm on
+//     one worker — but the hint is advisory, and a busy target's backlog is
+//     fair game for thieves.
 //   * Idle workers park on their own condition variable (no spinning); a
 //     post wakes the target, and when the target is already busy with a
 //     deepening backlog one parked neighbour is poked to come steal.
-//   * `parallel_for` submits *chunked* ranges — contiguous index blocks —
-//     rather than handing out one index at a time, so data-parallel loops
-//     over cheap items (re-scored elites and clones) pay for their scheduling.
+//   * `parallel_for` hands out contiguous chunks of the index range from one
+//     shared cursor. It posts one helper per other worker; the helpers and a
+//     worker-context caller claim chunks until the cursor runs out, so a
+//     loop costs a few posts, not one job per chunk.
 //
 // Determinism: the job system moves *where* work runs, never *what* it
 // computes. Callers that key results by index and derive per-item RNG
@@ -40,7 +41,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -52,9 +52,9 @@ namespace ig::sched {
 
 /// Aggregated scheduler counters, monotonic since construction.
 struct JobStats {
-  std::uint64_t submitted = 0;       ///< jobs accepted (post/submit/parallel_for chunks)
+  std::uint64_t submitted = 0;       ///< jobs accepted (posts, parallel_for helpers)
   std::uint64_t executed = 0;        ///< jobs run to completion
-  std::uint64_t stolen = 0;          ///< jobs moved out of a victim's deque by steals
+  std::uint64_t stolen = 0;          ///< jobs taken from a victim's deque by steals
   std::uint64_t steal_attempts = 0;  ///< victim probes (locked a victim's deque)
   std::uint64_t steal_failures = 0;  ///< probes that found an empty deque
   std::uint64_t parks = 0;           ///< times a worker went to sleep
@@ -97,32 +97,21 @@ class JobSystem {
   /// that worker's deque (hint modulo size()) and the worker is woken first;
   /// an idle neighbour may still steal it when the target is busy. Jobs must
   /// not let exceptions escape (escaping exceptions are swallowed and
-  /// counted; use `submit` for a future that propagates them).
+  /// counted).
   void post(std::function<void()> job, std::size_t affinity = kAnyWorker);
 
-  /// Enqueues one job and returns a future for its result (exceptions
-  /// propagate through the future).
-  template <typename Fn>
-  auto submit(Fn&& fn, std::size_t affinity = kAnyWorker)
-      -> std::future<std::invoke_result_t<Fn&>> {
-    using Result = std::invoke_result_t<Fn&>;
-    auto task = std::make_shared<std::packaged_task<Result()>>(std::forward<Fn>(fn));
-    std::future<Result> future = task->get_future();
-    post([task] { (*task)(); }, affinity);
-    return future;
-  }
-
   /// Runs `fn(index, worker)` for every index in [0, count) and blocks until
-  /// all complete. The range is split into contiguous chunks (several per
-  /// worker, never smaller than `min_chunk`) distributed block-wise across
-  /// the deques; idle workers steal chunks, so uneven per-item cost still
-  /// balances without a per-index cursor. `worker` is the id of the
-  /// executing worker, always < size(). The first exception thrown by any
-  /// invocation is rethrown here after the loop drains. Safe to call from
-  /// inside a job: a worker-context caller helps execute queued jobs
-  /// instead of blocking.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn,
-                    std::size_t min_chunk = 1);
+  /// all complete. The range is cut into chunks of max(1, count / (4 ×
+  /// size())) indices, claimed in order from one shared cursor by one helper
+  /// job per other worker and by a worker-context caller. `worker` is the id
+  /// of the executing worker, always < size(), and no two invocations running
+  /// at the same time share it. The first exception thrown by any invocation
+  /// is rethrown here after every chunk has run. Safe to call from inside a
+  /// job: the calling worker claims chunks under its own id and then waits
+  /// only for chunks already running elsewhere, so it finishes even when
+  /// every other worker is busy (and on one worker). An external caller runs
+  /// no chunk and blocks until the loop is done.
+  void parallel_for(std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Blocks until every accepted job has finished and no job is running.
   void wait_idle();

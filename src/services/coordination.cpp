@@ -97,8 +97,7 @@ void CoordinationService::open_case_span(Enactment& enactment) {
 void CoordinationService::handle_enact(const AclMessage& message) {
   Enactment& enactment = open_enactment(message);
   try {
-    wfl::ProcessDescription process = wfl::process_from_xml_string(
-        message.param("process-xml").empty() ? message.content : message.param("process-xml"));
+    wfl::ProcessDescription process = wfl::process_from_xml_string(message.content);
     if (message.has_param("case-xml"))
       enactment.case_description = wfl::case_from_xml_string(message.param("case-xml"));
     load_plan(enactment, std::move(process));

@@ -42,7 +42,7 @@ Environment::Environment(const EnvironmentOptions& options, obs::Scope metrics)
   brokerage_ = &platform_.spawn<BrokerageService>(names::kBrokerage);
   // Monitoring precedes matchmaking: the matchmaker consults it for
   // heartbeat liveness when ranking containers.
-  HeartbeatConfig heartbeat = options.heartbeat;
+  HeartbeatConfig heartbeat;
   if (options.heartbeat_period > 0) heartbeat.period = options.heartbeat_period;
   monitoring_ = &platform_.spawn<MonitoringService>(names::kMonitoring, grid_,
                                                     options.monitor_period, heartbeat, metrics);

@@ -50,8 +50,6 @@ struct EnvironmentOptions {
   /// monitoring service quarantines containers that stop beating (both run
   /// as daemon events, so the calendar still drains between cases).
   grid::SimTime heartbeat_period = 0.0;
-  HeartbeatConfig heartbeat;          ///< thresholds; `period` is overwritten
-                                      ///< from heartbeat_period when that is set
   /// Routes every platform send through the binary wire codec (frame,
   /// CRC, intern, zero-copy decode, materialize) over a loopback byte
   /// stream before the chaos layer sees it. Chaos faults then hit frames

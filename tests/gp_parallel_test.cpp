@@ -111,8 +111,7 @@ TEST(GpParallel, NestedRunInsideAPoolJobMatchesInline) {
       seeds.size(),
       [&](std::size_t i, std::size_t) {
         nested[i] = run_gp(problem, small_config(seeds[i]), &pool);
-      },
-      /*min_chunk=*/1);
+      });
   for (std::size_t i = 0; i < seeds.size(); ++i)
     expect_identical(run_gp(problem, small_config(seeds[i])), nested[i]);
 

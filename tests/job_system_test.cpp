@@ -1,7 +1,8 @@
 // The work-stealing job system: exactly-once execution under forced
-// stealing, nested submission, affinity, exception propagation, drain-on-
-// destruct, and the bitwise-determinism contract the planner and engine
-// build on (same results at any worker count, chaos replay included).
+// stealing, nested posts and loops, affinity, exception propagation, the
+// worker-id contract of parallel_for, drain-on-destruct, and the bitwise-
+// determinism contract the planner and engine build on (same results at any
+// worker count, chaos replay included).
 #include "sched/job_system.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,7 +85,7 @@ TEST(JobSystem, EveryJobRunsExactlyOnceUnderForcedStealing) {
   const sched::JobStats stats = jobs.stats();
   EXPECT_EQ(stats.executed, kJobs + 2);
   // Worker 0 ran no backlog job: every one reached its executor via a
-  // steal (some may count twice when re-stolen from a thief's deque).
+  // steal, one job per steal.
   EXPECT_GE(stats.stolen, kJobs);
   EXPECT_GT(stats.steal_attempts, 0u);
 }
@@ -93,12 +93,15 @@ TEST(JobSystem, EveryJobRunsExactlyOnceUnderForcedStealing) {
 TEST(JobSystem, NestedSubmitFromInsideAJob) {
   sched::JobSystem jobs(2);
   std::atomic<int> inner_runs{0};
-  auto outer = jobs.submit([&] {
+  std::atomic<bool> outer_ran{false};
+  jobs.post([&] {
     for (int i = 0; i < 8; ++i) jobs.post([&] { inner_runs.fetch_add(1); });
-    return 42;
+    outer_ran.store(true);
   });
-  EXPECT_EQ(outer.get(), 42);
+  // Jobs posted by a running job count as pending before it finishes, so
+  // wait_idle covers them too.
   jobs.wait_idle();
+  EXPECT_TRUE(outer_ran.load());
   EXPECT_EQ(inner_runs.load(), 8);
 }
 
@@ -110,20 +113,12 @@ TEST(JobSystem, AffinityHintHonoredWhenTargetWorkerFree) {
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(eventually([&] { return all_parked(jobs, 4); })) << "round " << round;
     const std::size_t target = static_cast<std::size_t>(round) % 4;
-    std::size_t ran_on = sched::JobSystem::kAnyWorker;
-    jobs.submit([&] { ran_on = jobs.current_worker(); }, target).get();
-    EXPECT_EQ(ran_on, target) << "round " << round;
+    std::atomic<std::size_t> ran_on{sched::JobSystem::kAnyWorker};
+    jobs.post([&] { ran_on.store(jobs.current_worker()); }, target);
+    jobs.wait_idle();
+    EXPECT_EQ(ran_on.load(), target) << "round " << round;
   }
   EXPECT_EQ(jobs.stats().stolen, 0u);
-}
-
-TEST(JobSystem, SubmitPropagatesExceptionsThroughTheFuture) {
-  sched::JobSystem jobs(2);
-  auto future = jobs.submit([]() -> int { throw std::runtime_error("boom"); });
-  auto text = jobs.submit([] { return std::string("done"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  EXPECT_EQ(text.get(), "done");
-  jobs.wait_idle();  // the failed job must still be accounted as finished
 }
 
 TEST(JobSystem, ParallelForRethrowsTheFirstException) {
@@ -172,6 +167,88 @@ TEST(JobSystem, NestedParallelForDoesNotDeadlockOnOneWorker) {
     jobs.parallel_for(4, [&](std::size_t, std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 16);
+}
+
+TEST(JobSystem, ParallelForNeverSharesAWorkerIdBetweenRunningInvocations) {
+  // PlanEvaluator keeps one scratch table per worker id and trusts that no
+  // two invocations running at the same time carry the same id. Check it
+  // with a busy flag per id, under two external callers at once and loops
+  // nested inside a loop's invocations.
+  constexpr std::size_t kWorkers = 4;
+  sched::JobSystem jobs(kWorkers);
+  std::vector<std::atomic<bool>> busy(kWorkers);
+  std::atomic<std::size_t> clashes{0};
+  std::atomic<std::size_t> leaves{0};
+  const auto leaf = [&](std::size_t, std::size_t worker) {
+    if (worker >= kWorkers || busy[worker].exchange(true)) {
+      clashes.fetch_add(1);
+      return;
+    }
+    std::this_thread::yield();  // widen the window a clash would need
+    busy[worker].store(false);
+    leaves.fetch_add(1);
+  };
+  const auto caller = [&] {
+    for (int round = 0; round < 20; ++round) {
+      jobs.parallel_for(64, leaf);
+      // The outer invocation only nests: it is suspended, not running,
+      // while its inner loop runs under the same id.
+      jobs.parallel_for(8, [&](std::size_t, std::size_t) { jobs.parallel_for(16, leaf); });
+    }
+  };
+  std::thread second(caller);
+  caller();
+  second.join();
+  EXPECT_EQ(clashes.load(), 0u);
+  EXPECT_EQ(leaves.load(), 2u * 20u * (64u + 8u * 16u));
+}
+
+TEST(JobSystem, NestedParallelForFinishesWhileEveryOtherWorkerIsBusy) {
+  // Workers 1-3 are held on a latch that opens only after the nested loop
+  // returns, so the helpers the loop posts to them cannot start in time:
+  // the calling worker must claim every chunk itself and must not wait for
+  // those helpers. When they do run later, they find the loop spent.
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kCount = 100;
+  sched::JobSystem jobs(kWorkers);
+  ASSERT_TRUE(eventually([&] { return all_parked(jobs, kWorkers); }));
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> held{0};
+  for (std::size_t worker = 1; worker < kWorkers; ++worker) {
+    jobs.post(
+        [&] {
+          held.fetch_add(1);
+          while (!release.load()) std::this_thread::yield();
+        },
+        worker);
+  }
+  if (!eventually([&] { return held.load() == kWorkers - 1; })) {
+    release.store(true);  // so the destructor's drain cannot hang
+    FAIL() << "workers 1-" << kWorkers - 1 << " were not all held";
+  }
+
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<std::size_t> off_caller{0};
+  std::atomic<std::size_t> caller_id{sched::JobSystem::kAnyWorker};
+  std::atomic<bool> returned{false};
+  jobs.post(
+      [&] {
+        const std::size_t self = jobs.current_worker();
+        caller_id.store(self);
+        jobs.parallel_for(kCount, [&](std::size_t index, std::size_t worker) {
+          hits[index].fetch_add(1);
+          if (worker != self) off_caller.fetch_add(1);
+        });
+        returned.store(true);
+      },
+      /*affinity=*/0);
+  const bool finished = eventually([&] { return returned.load(); });
+  release.store(true);  // before any assertion, so a failure cannot hang
+  jobs.wait_idle();
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(caller_id.load(), 0u);
+  EXPECT_EQ(off_caller.load(), 0u);
+  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(JobSystem, DestructorDrainsAFullDeque) {
