@@ -36,56 +36,69 @@ PlanNode figure8_parent_b() {
 
 int main() {
   const auto catalogue = virolab::make_catalogue();
+  const planner::ServiceIndex index = planner::index_services(catalogue);
+  const auto text = [&](const planner::FlatPlan& plan) {
+    return planner::to_tree(plan, catalogue).to_tree_string();
+  };
+  // A plan is well-formed when its node counts add up and its tree passes
+  // the Section 3.4.1 checks.
+  const auto well_formed = [&](const planner::FlatPlan& plan) {
+    return planner::check_structure(plan).empty() &&
+           planner::check_structure(planner::to_tree(plan, catalogue)).empty();
+  };
   util::Rng rng(88);
 
   std::printf("=== Figure 8: crossover on two plan trees ===\n\n");
-  const PlanNode parent_a = figure8_parent_a();
-  const PlanNode parent_b = figure8_parent_b();
-  std::printf("(a) parents:\n%s\n%s\n", parent_a.to_tree_string().c_str(),
-              parent_b.to_tree_string().c_str());
+  const planner::FlatPlan parent_a = planner::flatten(figure8_parent_a(), index);
+  const planner::FlatPlan parent_b = planner::flatten(figure8_parent_b(), index);
+  std::printf("(a) parents:\n%s\n%s\n", text(parent_a).c_str(), text(parent_b).c_str());
 
-  planner::CrossoverResult crossed;
-  for (int attempt = 0; attempt < 100 && !crossed.applied; ++attempt)
-    crossed = planner::crossover(parent_a, parent_a.size(), parent_b, parent_b.size(), rng,
-                                 1.0, 40);
-  std::printf("(c) offspring (subtrees swapped):\n%s\n%s\n",
-              crossed.first.to_tree_string().c_str(), crossed.second.to_tree_string().c_str());
-  const bool conserved =
-      crossed.first.size() + crossed.second.size() == parent_a.size() + parent_b.size();
+  planner::FlatPlan first = parent_a;
+  planner::FlatPlan second = parent_b;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    first = parent_a;
+    second = parent_b;
+    if (planner::crossover(first, second, rng, 1.0, 40)) break;
+  }
+  std::printf("(c) offspring (subtrees swapped):\n%s\n%s\n", text(first).c_str(),
+              text(second).c_str());
+  const bool conserved = first.size() + second.size() == parent_a.size() + parent_b.size();
   std::printf("total node count conserved: %s\n\n", conserved ? "yes" : "NO");
 
   std::printf("=== Figure 9: mutation on a plan tree ===\n\n");
-  PlanNode mutated = figure8_parent_a();
-  std::printf("(a) original:\n%s\n", mutated.to_tree_string().c_str());
+  planner::FlatPlan mutated = parent_a;
+  std::printf("(a) original:\n%s\n", text(mutated).c_str());
   bool changed = false;
   for (int attempt = 0; attempt < 1000 && !changed; ++attempt)
-    changed = planner::mutate(mutated, mutated.size(), rng, catalogue, 0.5, 40).applied;
-  std::printf("(b) after subtree-replacement mutation:\n%s\n", mutated.to_tree_string().c_str());
+    changed = planner::mutate(mutated, rng, catalogue, 0.5, 40);
+  std::printf("(b) after subtree-replacement mutation:\n%s\n", text(mutated).c_str());
   std::printf("tree changed: %s, still well-formed: %s\n\n", changed ? "yes" : "NO",
-              planner::check_structure(mutated).empty() ? "yes" : "NO");
+              well_formed(mutated) ? "yes" : "NO");
 
   // Contract sweep.
   std::printf("=== operator contract sweep (2000 random applications) ===\n");
   std::size_t crossover_applied = 0;
   std::size_t violations = 0;
   for (int i = 0; i < 1000; ++i) {
-    const PlanNode a = planner::random_tree(rng, catalogue, 30);
-    const PlanNode b = planner::random_tree(rng, catalogue, 30);
-    const auto result = planner::crossover(a, a.size(), b, b.size(), rng, 0.7, 40);
-    if (!result.applied) continue;
+    const planner::FlatPlan a = planner::random_tree(rng, catalogue, 30);
+    const planner::FlatPlan b = planner::random_tree(rng, catalogue, 30);
+    planner::FlatPlan child_a = a;
+    planner::FlatPlan child_b = b;
+    if (!planner::crossover(child_a, child_b, rng, 0.7, 40)) {
+      if (child_a != a || child_b != b) ++violations;
+      continue;
+    }
     ++crossover_applied;
-    if (result.first.size() > 40 || result.second.size() > 40) ++violations;
-    if (!planner::check_structure(result.first).empty()) ++violations;
-    if (result.first.size() + result.second.size() != a.size() + b.size()) ++violations;
-    if (result.first_size != result.first.size() || result.second_size != result.second.size())
-      ++violations;
+    if (child_a.size() > 40 || child_b.size() > 40) ++violations;
+    if (!well_formed(child_a) || !well_formed(child_b)) ++violations;
+    if (child_a.size() + child_b.size() != a.size() + b.size()) ++violations;
   }
   for (int i = 0; i < 1000; ++i) {
-    PlanNode tree = planner::random_tree(rng, catalogue, 30);
-    if (planner::mutate(tree, tree.size(), rng, catalogue, 0.05, 40).size != tree.size())
-      ++violations;
-    if (tree.size() > 40) ++violations;
-    if (!planner::check_structure(tree).empty()) ++violations;
+    planner::FlatPlan plan = planner::random_tree(rng, catalogue, 30);
+    const planner::FlatPlan original = plan;
+    if (!planner::mutate(plan, rng, catalogue, 0.05, 40) && plan != original) ++violations;
+    if (plan.size() > 40) ++violations;
+    if (!well_formed(plan)) ++violations;
   }
   std::printf(
       "crossovers applied: %zu / 1000 (rate 0.7, minus Smax rejections and equal-subtree "

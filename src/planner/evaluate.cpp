@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace ig::planner {
 
@@ -112,9 +111,6 @@ class ItemTable {
 
   explicit ItemTable(const PlanningProblem& problem);
 
-  /// Catalogue index of the service named `name`, or -1 when it is unknown.
-  std::int32_t service_index(std::string_view name) const noexcept;
-
   /// The state a valid execution of `service` leads to from `state`, or
   /// kInvalid when its precondition is unmet there.
   std::uint32_t transition(std::uint32_t state, std::size_t service) {
@@ -123,7 +119,10 @@ class ItemTable {
   }
 
   /// Number of the problem's goals that `state` satisfies.
-  std::size_t satisfied_goals(std::uint32_t state);
+  std::size_t satisfied_goals(std::uint32_t state) {
+    const std::uint32_t goals = states_[state].goals;
+    return goals != kUnknown ? goals : count_goals(state);
+  }
 
  private:
   static constexpr std::uint32_t kUnknown = UINT32_MAX;
@@ -155,6 +154,8 @@ class ItemTable {
   }
   /// transition() the first time it is asked for (state, service).
   std::uint32_t first_transition(std::uint32_t state, std::size_t service);
+  /// satisfied_goals() the first time it is asked for `state`.
+  std::uint32_t count_goals(std::uint32_t state);
   /// The state holding the items of `parent` plus the next output group of
   /// `service`, interned.
   std::uint32_t extend(std::uint32_t parent, std::size_t service);
@@ -205,20 +206,7 @@ struct Flow {
   std::size_t executed = 0;
 };
 
-/// One plan node with its terminal's service resolved to a catalogue index.
-/// A compiled plan is a vector of steps; a step's children are contiguous.
-struct Step {
-  PlanNode::Kind kind = PlanNode::Kind::Terminal;
-  std::int32_t service = -1;  ///< Terminal: catalogue index, -1 when unknown
-  std::uint32_t first_child = 0;
-  std::uint32_t child_count = 0;
-  /// The subtree turns every flow list into an empty one: a selective with
-  /// no children (or an iterative when max_unroll is 0) lies on each of its
-  /// paths.
-  bool empties = false;
-};
-
-/// Simulates plans against one ItemTable. Its steps, flows and per-depth
+/// Simulates flat plans against one ItemTable. Its flows and per-depth
 /// scratch lists are reused from one plan to the next.
 class Simulator {
  public:
@@ -226,68 +214,76 @@ class Simulator {
 
   /// Simulates `plan` from the initial state. The flows stay valid until
   /// the next call.
-  const std::vector<Flow>& run(const PlanNode& plan) {
-    steps_.assign(1, Step{});
+  const std::vector<Flow>& run(const FlatPlan& plan) {
+    plan_ = &plan;
     truncated_ = false;
-    const std::size_t depth = compile(plan, 0);
+    mark_empties();
     // Sized before recursing: a frame holds references to its own depth's
-    // lists while deeper frames run, so the outer vector must not grow.
-    if (scratch_.size() < depth) scratch_.resize(depth);
+    // lists while deeper frames run, so the outer vector must not grow. No
+    // plan is deeper than it has nodes.
+    if (scratch_.size() < plan.size()) scratch_.resize(plan.size());
     flows_.assign(1, Flow{});  // the initial state
-    simulate(steps_[0], flows_, 0, config_.max_flows);
+    simulate(0, flows_, 0, config_.max_flows);
     return flows_;
   }
 
   bool truncated() const noexcept { return truncated_; }
-  /// Node count of the plan last run.
-  std::size_t nodes() const noexcept { return steps_.size(); }
 
  private:
-  /// A controller's flow lists at one depth of the recursion.
+  /// A controller's flow lists at one depth of the recursion, and its
+  /// children's indices for a reverse pass.
   struct Scratch {
     std::vector<Flow> combined;
     std::vector<Flow> branch;
+    std::vector<std::size_t> children;
   };
 
-  /// Lays out `node` at steps_[at] and its subtree after it; returns the
-  /// subtree's depth.
-  std::size_t compile(const PlanNode& node, std::size_t at) {
-    steps_[at].kind = node.kind;
-    if (node.is_terminal()) {
-      steps_[at].service = table_.service_index(node.service);
-      return 1;
+  /// Marks the subtrees that turn every flow list into an empty one: a
+  /// selective with no children (or an iterative when max_unroll is 0) lies
+  /// on each of their paths. Children are marked before their parents. A
+  /// plan with no such node, as every plan GP builds at max_unroll > 0, is
+  /// left unmarked.
+  void mark_empties() {
+    const FlatPlan& plan = *plan_;
+    empties_.clear();
+    if (std::none_of(plan.begin(), plan.end(), [&](const Gene& gene) {
+          return (gene.kind == PlanNode::Kind::Selective && gene.size == 1) ||
+                 (gene.kind == PlanNode::Kind::Iterative && config_.max_unroll == 0);
+        }))
+      return;
+    empties_.assign(plan.size(), 0);
+    for (std::size_t node = plan.size(); node-- > 0;) {
+      if (plan[node].kind == PlanNode::Kind::Terminal) continue;
+      const std::size_t end = node + plan[node].size;
+      bool any_empties = false;
+      bool all_empty = true;
+      for (std::size_t child = node + 1; child < end; child += plan[child].size) {
+        any_empties = any_empties || empties_[child] != 0;
+        all_empty = all_empty && empties_[child] != 0;
+      }
+      // A selective empties when every branch does (so with no branches); an
+      // iterative with no pass always does; otherwise one emptying child in
+      // the chain is enough.
+      empties_[node] = plan[node].kind == PlanNode::Kind::Selective ? all_empty
+                       : plan[node].kind == PlanNode::Kind::Iterative
+                           ? any_empties || config_.max_unroll == 0
+                           : any_empties;
     }
-    const std::size_t first = steps_.size();
-    steps_[at].first_child = static_cast<std::uint32_t>(first);
-    steps_[at].child_count = static_cast<std::uint32_t>(node.children.size());
-    steps_.resize(first + node.children.size());
-    std::size_t deepest = 0;
-    bool any_empties = false;
-    bool all_empty = true;
-    for (std::size_t i = 0; i < node.children.size(); ++i) {
-      deepest = std::max(deepest, compile(node.children[i], first + i));
-      any_empties = any_empties || steps_[first + i].empties;
-      all_empty = all_empty && steps_[first + i].empties;
-    }
-    // A selective empties when every branch does (so with no branches); an
-    // iterative with no pass always does; otherwise one emptying child in
-    // the chain is enough.
-    steps_[at].empties = node.kind == PlanNode::Kind::Selective ? all_empty
-                         : node.kind == PlanNode::Kind::Iterative
-                             ? any_empties || config_.max_unroll == 0
-                             : any_empties;
-    return deepest + 1;
   }
 
   /// Executes one terminal activity on one flow.
-  void execute_terminal(const Step& step, Flow& flow) {
+  void execute_terminal(const Gene& gene, Flow& flow) {
     ++flow.executed;
-    if (step.service < 0) return;  // unknown service: executed but invalid
+    if (gene.service < 0) return;  // unknown service: executed but invalid
     const std::uint32_t next =
-        table_.transition(flow.state, static_cast<std::size_t>(step.service));
+        table_.transition(flow.state, static_cast<std::size_t>(gene.service));
     if (next == ItemTable::kInvalid) return;  // precondition unmet: invalid
     ++flow.valid;
     flow.state = next;
+  }
+
+  bool empties(std::size_t node) const noexcept {
+    return !empties_.empty() && empties_[node] != 0;
   }
 
   /// Clips `flows` to `keep`, the flows that can survive the caps.
@@ -301,10 +297,10 @@ class Simulator {
   /// The outputs `segment` (children of one controller) can add behind
   /// `ahead` in a list of which only the first `keep` flows survive: the
   /// `keep` of the segment's nodes. A segment that empties is not cut, so
-  /// its nodes get max_flows.
+  /// its nodes get max_flows. `segment` is the controller or child node.
   std::size_t room(const std::vector<Flow>& ahead, std::size_t keep,
-                   const Step& segment) const noexcept {
-    if (segment.empties) return config_.max_flows;
+                   std::size_t segment) const noexcept {
+    if (empties(segment)) return config_.max_flows;
     return keep > ahead.size() ? keep - ahead.size() : 0;
   }
 
@@ -314,28 +310,30 @@ class Simulator {
   /// flows than it gets, so the outputs of the trimmed inputs are flows a
   /// cap would drop, and that cap would fire (hence truncated_). Returns
   /// false when it trimmed every input, so nothing is left to simulate.
-  bool fit(std::vector<Flow>& inputs, std::size_t room, const Step& segment) {
-    if (segment.empties || inputs.size() <= room) return true;
+  bool fit(std::vector<Flow>& inputs, std::size_t room, std::size_t segment) {
+    if (empties(segment) || inputs.size() <= room) return true;
     inputs.resize(room);
     truncated_ = true;
     return room > 0;
   }
 
-  /// Simulates `step`, a node at `depth` of the plan, on `flows`, of whose
-  /// outputs only the first `keep` (at most max_flows) can survive the caps
-  /// of the controllers above it.
-  void simulate(const Step& step, std::vector<Flow>& flows, std::size_t depth,
+  /// Simulates `node` of the plan, at `depth`, on `flows`, of whose outputs
+  /// only the first `keep` (at most max_flows) can survive the caps of the
+  /// controllers above it. Its children are node + 1 and each next sibling
+  /// one subtree count further, up to `end`.
+  void simulate(std::size_t node, std::vector<Flow>& flows, std::size_t depth,
                 std::size_t keep) {
-    const std::size_t first = step.first_child;
-    const std::size_t last = first + step.child_count;  // one past the last child
-    switch (step.kind) {
+    const FlatPlan& plan = *plan_;
+    const Gene& gene = plan[node];
+    const std::size_t end = node + gene.size;  // one past the subtree
+    switch (gene.kind) {
       case PlanNode::Kind::Terminal:
-        for (auto& flow : flows) execute_terminal(step, flow);
+        for (auto& flow : flows) execute_terminal(gene, flow);
         return;
       case PlanNode::Kind::Sequential:
         // Children execute strictly left to right.
-        for (std::size_t child = first; child < last; ++child)
-          simulate(steps_[child], flows, depth + 1, keep);
+        for (std::size_t child = node + 1; child < end; child += plan[child].size)
+          simulate(child, flows, depth + 1, keep);
         return;
       case PlanNode::Kind::Concurrent: {
         // "All activities ... can be executed either sequentially or
@@ -343,20 +341,25 @@ class Simulator {
         // can be executed in any order." A correct concurrent block must be
         // valid under every serialization; checking the forward and reverse
         // orders catches order-dependent children at 2x cost instead of n!.
-        if (step.child_count <= 1 || config_.concurrent_orders <= 1) {
-          for (std::size_t child = first; child < last; ++child)
-            simulate(steps_[child], flows, depth + 1, keep);
+        const bool one_child = node + 1 == end || node + 1 + plan[node + 1].size == end;
+        if (one_child || config_.concurrent_orders <= 1) {
+          for (std::size_t child = node + 1; child < end; child += plan[child].size)
+            simulate(child, flows, depth + 1, keep);
           return;
         }
         std::vector<Flow>& reversed_flows = scratch_[depth].branch;
+        std::vector<std::size_t>& children = scratch_[depth].children;
         reversed_flows = flows;
-        for (std::size_t child = first; child < last; ++child)
-          simulate(steps_[child], flows, depth + 1, keep);
+        children.clear();
+        for (std::size_t child = node + 1; child < end; child += plan[child].size) {
+          children.push_back(child);
+          simulate(child, flows, depth + 1, keep);
+        }
         // The reverse pass's flows queue behind the forward pass's.
-        const std::size_t reverse_room = room(flows, keep, step);
-        if (fit(reversed_flows, reverse_room, step)) {
-          for (std::size_t child = last; child-- > first;)
-            simulate(steps_[child], reversed_flows, depth + 1, reverse_room);
+        const std::size_t reverse_room = room(flows, keep, node);
+        if (fit(reversed_flows, reverse_room, node)) {
+          for (std::size_t i = children.size(); i-- > 0;)
+            simulate(children[i], reversed_flows, depth + 1, reverse_room);
           flows.insert(flows.end(), reversed_flows.begin(), reversed_flows.end());
         }
         cap_flows(flows, keep);
@@ -364,19 +367,20 @@ class Simulator {
       }
       case PlanNode::Kind::Selective: {
         // Enumerate: each branch spawns an alternative flow set.
-        auto& [combined, branch_flows] = scratch_[depth];
+        std::vector<Flow>& combined = scratch_[depth].combined;
+        std::vector<Flow>& branch_flows = scratch_[depth].branch;
         combined.clear();
-        for (std::size_t child = first; child < last; ++child) {
+        for (std::size_t child = node + 1; child < end; child += plan[child].size) {
           branch_flows = flows;
-          const std::size_t branch_room = room(combined, keep, steps_[child]);
-          if (fit(branch_flows, branch_room, steps_[child])) {
-            simulate(steps_[child], branch_flows, depth + 1, branch_room);
+          const std::size_t branch_room = room(combined, keep, child);
+          if (fit(branch_flows, branch_room, child)) {
+            simulate(child, branch_flows, depth + 1, branch_room);
             combined.insert(combined.end(), branch_flows.begin(), branch_flows.end());
           }
           cap_flows(combined, keep);
           if (combined.size() >= config_.max_flows) {
             // Remaining branches would be dropped: that is truncation too.
-            if (child + 1 < last) truncated_ = true;
+            if (child + plan[child].size < end) truncated_ = true;
             break;
           }
         }
@@ -385,14 +389,15 @@ class Simulator {
       }
       case PlanNode::Kind::Iterative: {
         // Enumerate 1..max_unroll passes over the body.
-        auto& [combined, current] = scratch_[depth];
+        std::vector<Flow>& combined = scratch_[depth].combined;
+        std::vector<Flow>& current = scratch_[depth].branch;
         combined.clear();
         current = flows;
         for (std::size_t pass = 1; pass <= config_.max_unroll; ++pass) {
-          const std::size_t pass_room = room(combined, keep, step);
-          if (fit(current, pass_room, step)) {
-            for (std::size_t child = first; child < last; ++child)
-              simulate(steps_[child], current, depth + 1, pass_room);
+          const std::size_t pass_room = room(combined, keep, node);
+          if (fit(current, pass_room, node)) {
+            for (std::size_t child = node + 1; child < end; child += plan[child].size)
+              simulate(child, current, depth + 1, pass_room);
             combined.insert(combined.end(), current.begin(), current.end());
           }
           cap_flows(combined, keep);
@@ -409,7 +414,9 @@ class Simulator {
 
   const EvaluationConfig config_;
   ItemTable& table_;
-  std::vector<Step> steps_;
+  const FlatPlan* plan_ = nullptr;  ///< the plan being run
+  /// [node]: its subtree empties every flow list; empty when none does.
+  std::vector<std::uint8_t> empties_;
   std::vector<Flow> flows_;
   std::vector<Scratch> scratch_;  ///< [depth]: lists of the controller there
   bool truncated_ = false;
@@ -452,12 +459,6 @@ ItemTable::ItemTable(const PlanningProblem& problem)
   add_state(hash, 0);
 }
 
-std::int32_t ItemTable::service_index(std::string_view name) const noexcept {
-  for (std::size_t i = 0; i < services_->size(); ++i)
-    if ((*services_)[i].name() == name) return static_cast<std::int32_t>(i);
-  return -1;
-}
-
 std::uint32_t ItemTable::first_transition(std::uint32_t state, std::size_t service) {
   // A precondition that holds in the parent state holds here too: this
   // state only adds items, so the parent's binding is still available.
@@ -470,20 +471,18 @@ std::uint32_t ItemTable::first_transition(std::uint32_t state, std::size_t servi
   return next;
 }
 
-std::size_t ItemTable::satisfied_goals(std::uint32_t state) {
-  if (states_[state].goals == kUnknown) {
-    const std::uint64_t* held = row(state_rows_, state);
-    std::uint32_t satisfied = 0;
-    for (std::size_t goal = 0; goal < goal_variables_.size(); ++goal) {
-      const std::uint64_t* meets = row(goal_rows_, goal);
-      bool met = closed_goal_met_[goal] != 0;
-      for (std::size_t word = 0; word < width_ && !met; ++word)
-        met = (held[word] & meets[word]) != 0;
-      if (met) ++satisfied;
-    }
-    states_[state].goals = satisfied;
+std::uint32_t ItemTable::count_goals(std::uint32_t state) {
+  const std::uint64_t* held = row(state_rows_, state);
+  std::uint32_t satisfied = 0;
+  for (std::size_t goal = 0; goal < goal_variables_.size(); ++goal) {
+    const std::uint64_t* meets = row(goal_rows_, goal);
+    bool met = closed_goal_met_[goal] != 0;
+    for (std::size_t word = 0; word < width_ && !met; ++word)
+      met = (held[word] & meets[word]) != 0;
+    if (met) ++satisfied;
   }
-  return states_[state].goals;
+  states_[state].goals = satisfied;
+  return satisfied;
 }
 
 std::uint32_t ItemTable::extend(std::uint32_t parent, std::size_t service) {
@@ -621,7 +620,7 @@ void ItemTable::widen() {
 
 PlanEvaluator::PlanEvaluator(const PlanningProblem& problem, EvaluationConfig config,
                              std::size_t workers)
-    : problem_(&problem), config_(config) {
+    : problem_(&problem), config_(config), services_(index_services(problem.catalogue)) {
   if (workers == 0) workers = 1;
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
@@ -631,12 +630,16 @@ PlanEvaluator::PlanEvaluator(const PlanningProblem& problem, EvaluationConfig co
 PlanEvaluator::~PlanEvaluator() = default;
 
 Fitness PlanEvaluator::evaluate(const PlanNode& plan, std::size_t worker) const {
+  return evaluate(flatten(plan, services_), worker);
+}
+
+Fitness PlanEvaluator::evaluate(const FlatPlan& plan, std::size_t worker) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   Fitness fitness;
 
   EvaluatorWorker& state = *workers_.at(worker);
   const std::vector<Flow>& flows = state.simulator.run(plan);
-  fitness.size = state.simulator.nodes();
+  fitness.size = plan.size();
   fitness.flows = flows.size();
   fitness.flows_truncated = state.simulator.truncated();
 

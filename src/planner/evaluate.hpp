@@ -34,21 +34,24 @@
 // empties every flow list, because a selective with no children lies on
 // each of its paths; such a segment is simulated in full.
 //
-// Each evaluator worker owns an ItemTable that interns items and world
-// states for the whole run (one PlanEvaluator), and a simulator whose step
-// and flow buffers it reuses from plan to plan. The table evaluates every
-// input filter and goal on an item once, when it interns it, and keeps the
-// answers as bit rows: a row of 64-bit words with one bit per item. A flow
-// is just a state id plus its validity counters. A state is the set of
-// items a flow holds, kept as one such row, so flows that reach the same
-// items by different paths share one id; comparing two states, testing a
-// goal and counting a service's earlier outputs are word operations, and
-// nothing walks a chain of parent states. Executing a service in a state is
-// looked up in a per-table transition memo; the precondition check (a
-// search for distinct items among the state's bits that pass each input
-// filter, with Bindings only for a residual condition over several
-// formals) runs once per (state, service) pair, and each state's goal count
-// is computed once.
+// The simulator runs flat plans (plan_tree.hpp), the form GP evolves,
+// whose terminals already hold catalogue indices; a plan tree is flattened
+// once, its service names resolved through a name-to-index map built once
+// per PlanEvaluator, and then runs the same way. Each evaluator worker owns
+// an ItemTable that interns items and world states for the whole run (one
+// PlanEvaluator), and a simulator whose flow buffers it reuses from plan to
+// plan. The table evaluates every input filter and goal on an item once,
+// when it interns it, and keeps the answers as bit rows: a row of 64-bit
+// words with one bit per item. A flow is just a state id plus its validity
+// counters. A state is the set of items a flow holds, kept as one such row,
+// so flows that reach the same items by different paths share one id;
+// comparing two states, testing a goal and counting a service's earlier
+// outputs are word operations, and nothing walks a chain of parent states.
+// Executing a service in a state is looked up in a per-table transition
+// memo; the precondition check (a search for distinct items among the
+// state's bits that pass each input filter, with Bindings only for a
+// residual condition over several formals) runs once per (state, service)
+// pair, and each state's goal count is computed once.
 #pragma once
 
 #include <atomic>
@@ -112,10 +115,13 @@ class PlanEvaluator {
   const PlanningProblem& problem() const noexcept { return *problem_; }
   std::size_t workers() const noexcept { return workers_.size(); }
 
-  /// Evaluates on behalf of `worker` (must be < workers()).
-  Fitness evaluate(const PlanNode& plan, std::size_t worker) const;
-  /// Single-threaded convenience: evaluates as worker 0.
-  Fitness evaluate(const PlanNode& plan) const { return evaluate(plan, 0); }
+  /// Evaluates on behalf of `worker` (must be < workers()). A flat plan's
+  /// terminals index the problem's catalogue; worker 0 is the
+  /// single-threaded default.
+  Fitness evaluate(const FlatPlan& plan, std::size_t worker = 0) const;
+  /// Flattens `plan`, resolving its service names (an unknown one runs as
+  /// executed but invalid), and evaluates that.
+  Fitness evaluate(const PlanNode& plan, std::size_t worker = 0) const;
 
   /// Number of evaluations requested so far (for effort accounting).
   std::size_t evaluations() const noexcept {
@@ -125,6 +131,7 @@ class PlanEvaluator {
  private:
   const PlanningProblem* problem_;
   EvaluationConfig config_;
+  ServiceIndex services_;  ///< the catalogue's indices by name
   mutable std::atomic<std::size_t> evaluations_{0};
   mutable std::vector<std::unique_ptr<EvaluatorWorker>> workers_;
 };

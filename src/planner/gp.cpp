@@ -45,7 +45,7 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
   };
 
   // 1. Initialize and evaluate the population (stream per individual).
-  std::vector<PlanNode> population(config.population_size);
+  std::vector<FlatPlan> population(config.population_size);
   std::vector<Fitness> fitnesses(population.size());
   for_each(population.size(), [&](std::size_t i, std::size_t worker) {
     util::Rng rng = stream_rng(config, 0, i, kInitStream);
@@ -55,9 +55,9 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
   });
 
   bool have_best = false;
-  std::vector<PlanNode> next(population.size());
+  FlatPlan best_plan;
+  std::vector<FlatPlan> next(population.size());
   std::vector<Fitness> next_fitnesses(population.size());
-  std::vector<std::size_t> last_use(population.size());
   std::vector<std::uint8_t> simulated(population.size());
   for (std::size_t generation = 0;; ++generation) {
     // Track the best-so-far individual (serial reduction in index order, so
@@ -69,7 +69,7 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
       if (fitnesses[i].overall > fitnesses[generation_best].overall) generation_best = i;
     }
     if (!have_best || fitnesses[generation_best].overall > result.best_fitness.overall) {
-      result.best_plan = population[generation_best];
+      best_plan = population[generation_best];
       result.best_fitness = fitnesses[generation_best];
       have_best = true;
     }
@@ -96,50 +96,33 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
         fitnesses, population.size(), config.selection, select_rng, config.tournament_size);
     const std::size_t first_variable = std::min(config.elitism, next.size());
     for (std::size_t e = 0; e < first_variable; ++e) {
-      next[e] = result.best_plan;
+      next[e] = best_plan;
       next_fitnesses[e] = result.best_fitness;
     }
-    // Each chosen plan moves to its last position and is copied to earlier
-    // ones.
-    for (std::size_t i = first_variable; i < next.size(); ++i) last_use[selected[i]] = i;
-    for (std::size_t i = first_variable; i < next.size(); ++i) {
-      PlanNode& chosen = population[selected[i]];
-      if (last_use[selected[i]] == i)
-        next[i] = std::move(chosen);
-      else
-        next[i] = chosen;
-    }
 
-    // 2c/2d. One job per consecutive pair after the elites: crossover (the
-    // stream of its left index), mutation of both children (a stream per
-    // individual), then evaluation of each child that either operator
+    // 2c/2d. One job per consecutive pair after the elites: copy in the two
+    // selected plans (into the capacity the slots already hold), crossover
+    // (the stream of its left index), mutation of both children (a stream
+    // per individual), then evaluation of each child that either operator
     // changed; an unchanged child keeps the fitness of the plan it copies.
     // An odd last plan is only mutated.
     const std::size_t pair_count = (next.size() - first_variable) / 2;
     const std::size_t job_count = (next.size() - first_variable + 1) / 2;
     for_each(job_count, [&](std::size_t job, std::size_t worker) {
       const std::size_t i = first_variable + 2 * job;
-      // Each plan's node count is its fitness's, so no operator counts it.
-      std::size_t sizes[2] = {fitnesses[selected[i]].size,
-                              i + 1 < next.size() ? fitnesses[selected[i + 1]].size : 0};
+      const std::size_t end = std::min(i + 2, next.size());
+      for (std::size_t k = i; k < end; ++k) next[k] = population[selected[k]];
       bool crossed = false;
       if (job < pair_count) {
         util::Rng rng = stream_rng(config, generation, i, kCrossoverStream);
-        CrossoverResult children =
-            crossover(std::move(next[i]), sizes[0], std::move(next[i + 1]), sizes[1], rng,
-                      config.crossover_rate, config.evaluation.smax);
-        next[i] = std::move(children.first);
-        next[i + 1] = std::move(children.second);
-        sizes[0] = children.first_size;
-        sizes[1] = children.second_size;
-        crossed = children.applied;
+        crossed = crossover(next[i], next[i + 1], rng, config.crossover_rate,
+                            config.evaluation.smax);
       }
-      for (std::size_t k = i; k < std::min(i + 2, next.size()); ++k) {
+      for (std::size_t k = i; k < end; ++k) {
         util::Rng rng = stream_rng(config, generation, k, kMutationStream);
-        const MutationResult mutated = mutate(next[k], sizes[k - i], rng, problem.catalogue,
-                                              config.mutation_rate, config.evaluation.smax,
-                                              config.init_style);
-        simulated[k] = crossed || mutated.applied ? 1 : 0;
+        const bool mutated = mutate(next[k], rng, problem.catalogue, config.mutation_rate,
+                                    config.evaluation.smax, config.init_style);
+        simulated[k] = crossed || mutated ? 1 : 0;
         next_fitnesses[k] =
             simulated[k] != 0 ? evaluator.evaluate(next[k], worker) : fitnesses[selected[k]];
       }
@@ -152,6 +135,7 @@ GpResult run_gp(const PlanningProblem& problem, const GpConfig& config,
     fitnesses.swap(next_fitnesses);
   }
 
+  result.best_plan = to_tree(best_plan, problem.catalogue);
   result.evaluations = population.size() * result.history.size();
   return result;
 }

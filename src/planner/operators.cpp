@@ -6,11 +6,12 @@ namespace ig::planner {
 
 namespace {
 
-PlanNode random_terminal(util::Rng& rng, const wfl::ServiceCatalogue& catalogue) {
-  const auto& services = catalogue.services();
-  if (services.empty()) return PlanNode::terminal("noop");
-  const auto index = rng.next_below(services.size());
-  return PlanNode::terminal(services[index].name());
+/// Appends a terminal: a random catalogue index, or -1 ("noop") when the
+/// catalogue is empty.
+void add_terminal(util::Rng& rng, const wfl::ServiceCatalogue& catalogue, FlatPlan& out) {
+  const std::size_t count = catalogue.size();
+  out.push_back({PlanNode::Kind::Terminal,
+                 count == 0 ? -1 : static_cast<std::int32_t>(rng.next_below(count)), 1});
 }
 
 PlanNode::Kind random_controller(util::Rng& rng) {
@@ -22,136 +23,139 @@ PlanNode::Kind random_controller(util::Rng& rng) {
   }
 }
 
-/// Builds a random subtree consuming at most `budget` nodes (budget >= 1).
-PlanNode random_subtree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
-                        std::size_t budget) {
-  if (budget <= 1) return random_terminal(rng, catalogue);
+/// Fills in out[at], the controller whose children end `out`: its kind is
+/// drawn after them.
+void close_controller(util::Rng& rng, std::size_t at, FlatPlan& out) {
+  out[at] = {random_controller(rng), -1, static_cast<std::uint32_t>(out.size() - at)};
+}
+
+/// Appends a random subtree of at most `budget` nodes (budget >= 1).
+void random_subtree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue, std::size_t budget,
+                    FlatPlan& out) {
+  if (budget <= 1) return add_terminal(rng, catalogue, out);
   // Bias towards small arities so trees stay bushy rather than degenerate.
   const std::size_t max_children = std::min<std::size_t>(budget - 1, 4);
   const std::size_t child_count = 1 + rng.next_below(max_children);
+  const std::size_t at = out.size();
+  out.emplace_back();
   std::size_t remaining = budget - 1;
-  std::vector<PlanNode> children;
-  children.reserve(child_count);
   for (std::size_t i = 0; i < child_count; ++i) {
     const std::size_t slots_left = child_count - i;
     // Leave at least one node of budget for each remaining child.
     const std::size_t max_for_this = remaining - (slots_left - 1);
     const std::size_t child_budget = 1 + rng.next_below(max_for_this);
-    children.push_back(random_subtree(rng, catalogue, child_budget));
-    remaining -= children.back().size();
+    const std::size_t child = out.size();
+    random_subtree(rng, catalogue, child_budget, out);
+    remaining -= out.size() - child;
     if (remaining < slots_left - 1) remaining = slots_left - 1;  // defensive
   }
-  switch (random_controller(rng)) {
-    case PlanNode::Kind::Sequential: return PlanNode::sequential(std::move(children));
-    case PlanNode::Kind::Concurrent: return PlanNode::concurrent(std::move(children));
-    case PlanNode::Kind::Selective: return PlanNode::selective(std::move(children));
-    case PlanNode::Kind::Iterative: return PlanNode::iterative(std::move(children));
-    default: return PlanNode::sequential(std::move(children));
-  }
+  close_controller(rng, at, out);
 }
 
 /// Bushy construction: a controller with 2-3 children whenever the budget
 /// allows, terminals only once it is nearly spent.
-PlanNode full_subtree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
-                      std::size_t budget) {
-  if (budget < 3) return random_terminal(rng, catalogue);
+void full_subtree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue, std::size_t budget,
+                  FlatPlan& out) {
+  if (budget < 3) return add_terminal(rng, catalogue, out);
   const std::size_t child_count = std::min<std::size_t>(2 + rng.next_below(2), budget - 1);
+  const std::size_t at = out.size();
+  out.emplace_back();
   std::size_t remaining = budget - 1;
-  std::vector<PlanNode> children;
-  children.reserve(child_count);
   for (std::size_t i = 0; i < child_count; ++i) {
     const std::size_t slots_left = child_count - i;
     const std::size_t share = remaining / slots_left;
-    children.push_back(full_subtree(rng, catalogue, share > 0 ? share : 1));
-    remaining -= std::min(children.back().size(), remaining);
+    const std::size_t child = out.size();
+    full_subtree(rng, catalogue, share > 0 ? share : 1, out);
+    remaining -= std::min(out.size() - child, remaining);
     if (remaining < slots_left - 1) remaining = slots_left - 1;
   }
-  switch (random_controller(rng)) {
-    case PlanNode::Kind::Sequential: return PlanNode::sequential(std::move(children));
-    case PlanNode::Kind::Concurrent: return PlanNode::concurrent(std::move(children));
-    case PlanNode::Kind::Selective: return PlanNode::selective(std::move(children));
-    case PlanNode::Kind::Iterative: return PlanNode::iterative(std::move(children));
-    default: return PlanNode::sequential(std::move(children));
+  close_controller(rng, at, out);
+}
+
+/// Updates the counts of the ancestors of node `at`, whose subtree grows
+/// from `removed` to `inserted` nodes; the plan's layout is not changed yet.
+void resize_ancestors(FlatPlan& plan, std::size_t at, std::size_t removed,
+                      std::size_t inserted) {
+  for (std::size_t node = 0; node != at;) {
+    plan[node].size = static_cast<std::uint32_t>(plan[node].size - removed + inserted);
+    std::size_t child = node + 1;
+    while (child + plan[child].size <= at) child += plan[child].size;
+    node = child;
   }
 }
 
 }  // namespace
 
-PlanNode random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
+FlatPlan random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
                      std::size_t max_size, InitStyle style) {
   if (max_size < 1) max_size = 1;
   const std::size_t target = 1 + rng.next_below(max_size);
-  switch (style) {
-    case InitStyle::Grow:
-      return random_subtree(rng, catalogue, target);
-    case InitStyle::Full:
-      return full_subtree(rng, catalogue, target);
-    case InitStyle::Ramped:
-      return rng.next_bool(0.5) ? random_subtree(rng, catalogue, target)
-                                : full_subtree(rng, catalogue, target);
-  }
-  return random_subtree(rng, catalogue, target);
+  // Ramped alternates: a coin flip picks Grow or Full for each plan.
+  const bool full =
+      style == InitStyle::Full || (style == InitStyle::Ramped && !rng.next_bool(0.5));
+  FlatPlan plan;
+  plan.reserve(target);
+  (full ? full_subtree : random_subtree)(rng, catalogue, target, plan);
+  return plan;
 }
 
-CrossoverResult crossover(PlanNode parent_a, std::size_t size_a, PlanNode parent_b,
-                          std::size_t size_b, util::Rng& rng, double crossover_rate,
-                          std::size_t smax) {
-  CrossoverResult result;
-  result.first_size = size_a;
-  result.second_size = size_b;
-  if (rng.next_bool(crossover_rate)) {
-    PlanNode& subtree_a = parent_a.at_preorder(rng.next_below(size_a));
-    PlanNode& subtree_b = parent_b.at_preorder(rng.next_below(size_b));
-    // new_a = a - |sa| + |sb|, and the same for b.
-    const std::size_t swapped_a = subtree_a.size();
-    const std::size_t swapped_b = subtree_b.size();
-    const std::size_t new_a = size_a - swapped_a + swapped_b;
-    const std::size_t new_b = size_b - swapped_b + swapped_a;
-    // Swapping equal subtrees would hand back both parents as they were.
-    if (new_a <= smax && new_b <= smax &&
-        !(swapped_a == swapped_b && subtree_a == subtree_b)) {
-      std::swap(subtree_a, subtree_b);
-      result.applied = true;
-      result.first_size = new_a;
-      result.second_size = new_b;
-    }
-  }
-  result.first = std::move(parent_a);
-  result.second = std::move(parent_b);
-  return result;
+bool crossover(FlatPlan& a, FlatPlan& b, util::Rng& rng, double crossover_rate,
+               std::size_t smax) {
+  if (!rng.next_bool(crossover_rate)) return false;
+  const std::size_t at_a = rng.next_below(a.size());
+  const std::size_t at_b = rng.next_below(b.size());
+  const std::size_t swapped_a = a[at_a].size;
+  const std::size_t swapped_b = b[at_b].size;
+  const auto node = [](FlatPlan& plan, std::size_t at) {
+    return plan.begin() + static_cast<std::ptrdiff_t>(at);
+  };
+  // Swapping equal subtrees would hand back both parents as they were.
+  if (a.size() - swapped_a + swapped_b > smax || b.size() - swapped_b + swapped_a > smax ||
+      (swapped_a == swapped_b &&
+       std::equal(node(a, at_a), node(a, at_a + swapped_a), node(b, at_b))))
+    return false;
+  resize_ancestors(a, at_a, swapped_a, swapped_b);
+  resize_ancestors(b, at_b, swapped_b, swapped_a);
+  // Each plan takes in the other's subtree behind its own, then drops its own.
+  a.insert(node(a, at_a + swapped_a), node(b, at_b), node(b, at_b + swapped_b));
+  b.insert(node(b, at_b + swapped_b), node(a, at_a), node(a, at_a + swapped_a));
+  a.erase(node(a, at_a), node(a, at_a + swapped_a));
+  b.erase(node(b, at_b), node(b, at_b + swapped_b));
+  return true;
 }
 
-MutationResult mutate(PlanNode& tree, std::size_t size, util::Rng& rng,
-                      const wfl::ServiceCatalogue& catalogue, double mutation_rate,
-                      std::size_t smax, InitStyle style) {
+bool mutate(FlatPlan& plan, util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
+            double mutation_rate, std::size_t smax, InitStyle style) {
   bool changed = false;
   // Per-node selection. Node indices are re-derived after each applied
-  // mutation because the tree's shape changes; `size` follows the tree.
+  // mutation because the plan's shape changes.
   std::size_t index = 0;
-  while (index < size) {
+  while (index < plan.size()) {
     if (!rng.next_bool(mutation_rate)) {
       ++index;
       continue;
     }
-    const std::size_t rest = size - tree.at_preorder(index).size();
+    const std::size_t removed = plan[index].size;
+    const std::size_t rest = plan.size() - removed;
     if (rest >= smax) {
       ++index;
       continue;
     }
-    PlanNode replacement = random_tree(rng, catalogue, smax - rest, style);
-    const std::size_t inserted = replacement.size();
-    if (rest + inserted > smax) {
+    const FlatPlan replacement = random_tree(rng, catalogue, smax - rest, style);
+    if (rest + replacement.size() > smax) {
       // "mutation fails and we keep the original tree"
       ++index;
       continue;
     }
+    resize_ancestors(plan, index, removed, replacement.size());
+    const auto at = plan.begin() + static_cast<std::ptrdiff_t>(index);
+    plan.insert(plan.erase(at, at + static_cast<std::ptrdiff_t>(removed)), replacement.begin(),
+                replacement.end());
     // Skip over the freshly inserted subtree so one pass cannot cascade.
-    tree.replace_at_preorder(index, std::move(replacement));
-    size = rest + inserted;
-    index += inserted;
+    index += replacement.size();
     changed = true;
   }
-  return {changed, size};
+  return changed;
 }
 
 std::vector<std::size_t> select(const std::vector<Fitness>& fitnesses, std::size_t count,

@@ -1,5 +1,6 @@
 // Genetic operators: initialization, crossover, mutation, selection
-// (Sections 3.4.2, 3.4.3, 3.4.5).
+// (Sections 3.4.2, 3.4.3, 3.4.5). They work on flat preorder plans
+// (plan_tree.hpp), the individuals GP evolves.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +13,7 @@
 
 namespace ig::planner {
 
-/// How random plan trees are shaped (Section 3.4.2 leaves the distribution
+/// How random plans are shaped (Section 3.4.2 leaves the distribution
 /// open: "we generate an arbitrary tree structure for a plan of a given
 /// size").
 enum class InitStyle {
@@ -21,53 +22,32 @@ enum class InitStyle {
   Ramped,  ///< GP's ramped half-and-half: alternate Grow and Full
 };
 
-/// Generates a random plan tree ("first ... an arbitrary tree structure for
-/// a plan of a given size; second ... instantiate each node": internal nodes
-/// get one of the four controller kinds, leaves get end-user activities).
-/// The result has between 1 and `max_size` nodes.
-PlanNode random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
+/// Generates a random plan ("first ... an arbitrary tree structure for a
+/// plan of a given size; second ... instantiate each node": internal nodes
+/// get one of the four controller kinds, leaves get end-user activities,
+/// as catalogue indices). The result has between 1 and `max_size` nodes.
+FlatPlan random_tree(util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
                      std::size_t max_size, InitStyle style = InitStyle::Grow);
 
-/// Result of a crossover attempt.
-struct CrossoverResult {
-  /// True when the children differ from the parents. False when the rate
-  /// said no, when a child would exceed Smax, or when the two picked
-  /// subtrees were equal (swapping them changes neither parent): then the
-  /// parents come back unchanged and a caller may keep their fitness.
-  bool applied = false;
-  PlanNode first;               ///< the first child, or parent_a unchanged when !applied
-  PlanNode second;              ///< the second child, or parent_b unchanged when !applied
-  std::size_t first_size = 0;   ///< first.size()
-  std::size_t second_size = 0;  ///< second.size()
-};
-
 /// Subtree crossover: picks a random node in each parent and swaps the
-/// subtrees in place. "In case the size of a new tree exceeds Smax,
-/// crossover fails and both parents are kept." The crossover_rate gate is
-/// applied inside. Takes the parents by value, so a caller done with them
-/// moves them in; when crossover does not apply they come back unchanged.
-/// `size_a` and `size_b` must be the parents' node counts (PlanNode::size(),
-/// or Fitness::size of their evaluation), which the caller already holds:
-/// the operator never walks a whole parent to count it.
-CrossoverResult crossover(PlanNode parent_a, std::size_t size_a, PlanNode parent_b,
-                          std::size_t size_b, util::Rng& rng, double crossover_rate,
-                          std::size_t smax);
-
-/// Result of a mutation pass.
-struct MutationResult {
-  bool applied = false;  ///< true when the tree changed
-  std::size_t size = 0;  ///< the tree's node count afterwards
-};
+/// subtrees in place ("in case the size of a new tree exceeds Smax,
+/// crossover fails and both parents are kept"); the crossover_rate gate is
+/// applied inside. Returns true when the plans changed: false when the rate
+/// said no, when a child would exceed Smax, or when the two picked subtrees
+/// were equal (swapping them changes neither parent), and then both come
+/// back unchanged and a caller may keep their fitness. `a` and `b` must be
+/// distinct objects.
+bool crossover(FlatPlan& a, FlatPlan& b, util::Rng& rng, double crossover_rate,
+               std::size_t smax);
 
 /// Subtree-replacement mutation: every node is independently selected with
 /// probability `mutation_rate`; a selected node's subtree is replaced by a
-/// freshly generated random tree ("using the same method as plan
+/// freshly generated random one ("using the same method as plan
 /// initialization", hence the style parameter). "If ... the new tree
 /// exceeds the size limitation, mutation fails and we keep the original
-/// tree." `size` must be the tree's node count on entry (as for crossover).
-MutationResult mutate(PlanNode& tree, std::size_t size, util::Rng& rng,
-                      const wfl::ServiceCatalogue& catalogue, double mutation_rate,
-                      std::size_t smax, InitStyle style = InitStyle::Grow);
+/// tree." Returns true when the plan changed.
+bool mutate(FlatPlan& plan, util::Rng& rng, const wfl::ServiceCatalogue& catalogue,
+            double mutation_rate, std::size_t smax, InitStyle style = InitStyle::Grow);
 
 enum class SelectionScheme {
   Tournament,  ///< the paper's scheme: binary tournament with replacement

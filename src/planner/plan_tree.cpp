@@ -1,8 +1,5 @@
 #include "planner/plan_tree.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace ig::planner {
 
 std::string_view to_string(PlanNode::Kind kind) noexcept {
@@ -60,57 +57,11 @@ std::size_t PlanNode::size() const noexcept {
   return total;
 }
 
-std::size_t PlanNode::depth() const noexcept {
-  std::size_t deepest = 0;
-  for (const auto& child : children) deepest = std::max(deepest, child.depth());
-  return deepest + 1;
-}
-
 std::size_t PlanNode::terminal_count() const noexcept {
   if (is_terminal()) return 1;
   std::size_t total = 0;
   for (const auto& child : children) total += child.terminal_count();
   return total;
-}
-
-const PlanNode* PlanNode::find_preorder(std::size_t& index) const noexcept {
-  if (index == 0) return this;
-  --index;
-  for (const auto& child : children) {
-    const PlanNode* found = child.find_preorder(index);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
-PlanNode* PlanNode::find_preorder(std::size_t& index) noexcept {
-  if (index == 0) return this;
-  --index;
-  for (auto& child : children) {
-    PlanNode* found = child.find_preorder(index);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
-const PlanNode& PlanNode::at_preorder(std::size_t index) const {
-  std::size_t cursor = index;
-  const PlanNode* found = find_preorder(cursor);
-  if (found == nullptr)
-    throw std::out_of_range("preorder index " + std::to_string(index) + " out of range");
-  return *found;
-}
-
-PlanNode& PlanNode::at_preorder(std::size_t index) {
-  std::size_t cursor = index;
-  PlanNode* found = find_preorder(cursor);
-  if (found == nullptr)
-    throw std::out_of_range("preorder index " + std::to_string(index) + " out of range");
-  return *found;
-}
-
-void PlanNode::replace_at_preorder(std::size_t index, PlanNode replacement) {
-  at_preorder(index) = std::move(replacement);
 }
 
 bool PlanNode::operator==(const PlanNode& other) const {
@@ -161,6 +112,74 @@ std::string check_structure(const PlanNode& tree) {
   for (const auto& child : tree.children) {
     std::string issue = check_structure(child);
     if (!issue.empty()) return issue;
+  }
+  return "";
+}
+
+ServiceIndex index_services(const wfl::ServiceCatalogue& catalogue) {
+  ServiceIndex index;
+  for (std::size_t i = 0; i < catalogue.size(); ++i)
+    index.emplace(catalogue.services()[i].name(), static_cast<std::int32_t>(i));
+  return index;
+}
+
+namespace {
+
+void flatten_into(const PlanNode& node, const ServiceIndex& services, FlatPlan& out) {
+  const std::size_t at = out.size();
+  out.push_back({node.kind, -1, 1});
+  if (node.is_terminal()) {
+    const auto found = services.find(node.service);
+    if (found != services.end()) out[at].service = found->second;
+    return;
+  }
+  for (const auto& child : node.children) flatten_into(child, services, out);
+  out[at].size = static_cast<std::uint32_t>(out.size() - at);
+}
+
+PlanNode tree_at(const FlatPlan& plan, std::size_t at, const wfl::ServiceCatalogue& catalogue) {
+  const Gene& gene = plan[at];
+  if (gene.kind == PlanNode::Kind::Terminal) {
+    if (gene.service < 0) return PlanNode::terminal("noop");
+    return PlanNode::terminal(catalogue.services()[static_cast<std::size_t>(gene.service)].name());
+  }
+  std::vector<PlanNode> children;
+  for (std::size_t child = at + 1; child < at + gene.size; child += plan[child].size)
+    children.push_back(tree_at(plan, child, catalogue));
+  switch (gene.kind) {
+    case PlanNode::Kind::Concurrent: return PlanNode::concurrent(std::move(children));
+    case PlanNode::Kind::Selective: return PlanNode::selective(std::move(children));
+    case PlanNode::Kind::Iterative: return PlanNode::iterative(std::move(children));
+    default: return PlanNode::sequential(std::move(children));
+  }
+}
+
+}  // namespace
+
+FlatPlan flatten(const PlanNode& tree, const ServiceIndex& services) {
+  FlatPlan plan;
+  flatten_into(tree, services, plan);
+  return plan;
+}
+
+PlanNode to_tree(const FlatPlan& plan, const wfl::ServiceCatalogue& catalogue) {
+  return plan.empty() ? PlanNode{} : tree_at(plan, 0, catalogue);
+}
+
+std::string check_structure(const FlatPlan& plan) {
+  if (plan.empty() || plan[0].size != plan.size()) return "the root does not span the plan";
+  for (std::size_t at = 0; at < plan.size(); ++at) {
+    const std::size_t end = at + plan[at].size;
+    const std::string node = "node " + std::to_string(at);
+    if (plan[at].size == 0 || end > plan.size()) return node + " spans past the plan";
+    if (plan[at].kind == PlanNode::Kind::Terminal) {
+      if (end != at + 1) return "terminal " + node + " has children";
+      continue;
+    }
+    if (end == at + 1) return "controller " + node + " has no children";
+    std::size_t child = at + 1;
+    while (child < end && plan[child].size > 0) child += plan[child].size;
+    if (child != end) return node + "'s count is not one plus its children's";
   }
   return "";
 }

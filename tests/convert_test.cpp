@@ -85,7 +85,7 @@ TEST(Convert, RandomTreesRoundTripThroughProcess) {
   const auto catalogue = virolab::make_catalogue();
   int round_tripped = 0;
   for (int i = 0; i < 60; ++i) {
-    const PlanNode tree = random_tree(rng, catalogue, 25);
+    const PlanNode tree = to_tree(random_tree(rng, catalogue, 25), catalogue);
     const wfl::ProcessDescription process = to_process(tree, "rnd");
     EXPECT_TRUE(wfl::is_valid(process)) << tree.to_tree_string();
     const PlanNode recovered = from_process(process);

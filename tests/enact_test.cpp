@@ -202,7 +202,8 @@ std::vector<DifferentialCase> differential_cases() {
   const ServiceCatalogue catalogue = virolab::make_catalogue();
   util::Rng rng(2004);
   for (int i = 0; i < kGeneratedPlans; ++i) {
-    const planner::PlanNode plan = planner::random_tree(rng, catalogue, 12);
+    const planner::PlanNode plan =
+        planner::to_tree(planner::random_tree(rng, catalogue, 12), catalogue);
     const std::string name = "generated_" + std::to_string(i);
     cases.push_back({name, planner::to_process(plan, name)});
   }

@@ -461,7 +461,8 @@ TEST(EvaluatePin, RandomPlansScoreBitwiseAsPinned) {
         for (const InitStyle style : {InitStyle::Grow, InitStyle::Full}) {
           util::Rng rng(seed * 1000 + p);
           for (int i = 0; i < 20; ++i) {
-            digest.add(evaluator.evaluate(random_tree(rng, vocabulary, 40, style)));
+            const PlanNode plan = to_tree(random_tree(rng, vocabulary, 40, style), vocabulary);
+            digest.add(evaluator.evaluate(plan));
             ++evaluated;
           }
         }
@@ -532,7 +533,8 @@ TEST(EvaluatePin, SharedStatesAreOrderIndependent) {
       for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
         for (const InitStyle style : {InitStyle::Grow, InitStyle::Full}) {
           util::Rng rng(seed * 1000 + p);
-          for (int i = 0; i < 20; ++i) plans.push_back(random_tree(rng, vocabulary, 40, style));
+          for (int i = 0; i < 20; ++i)
+            plans.push_back(to_tree(random_tree(rng, vocabulary, 40, style), vocabulary));
         }
       }
       PlanEvaluator forward(problems[p], config);
@@ -718,6 +720,56 @@ TEST(EvaluatePin, CapBoundPlansScoreAsAtParent) {
       expect_fitness(got, wants[c][i]);
     }
   }
+}
+
+TEST(Evaluate, TreeAndFlatFormsScoreBitwiseEqual) {
+  // A plan tree is flattened, its names resolved through the evaluator's
+  // index, and simulated like any flat plan: on the pin's plan sets, the
+  // cap-bound plans and a plan naming an unknown service, both forms score
+  // bit for bit the same. Where the plans were drawn from the problem's own
+  // catalogue, the drawn flat plan scores the same too.
+  const std::vector<PlanningProblem> problems = pin_problems();
+  std::vector<EvaluationConfig> configs(4);
+  configs[1].max_flows = 8;
+  configs[2].concurrent_orders = 1;
+  configs[3].max_unroll = 0;
+  const wfl::ServiceCatalogue virolab_services = virolab::make_catalogue();
+  std::size_t compared = 0;
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const wfl::ServiceCatalogue& vocabulary =
+        p == 1 ? virolab_services : problems[p].catalogue;
+    const ServiceIndex index = index_services(problems[p].catalogue);
+    for (const EvaluationConfig& config : configs) {
+      PlanEvaluator evaluator(problems[p], config);
+      std::vector<PlanNode> extra = cap_bound_plans();
+      extra.push_back(seq({"POD", "BOGUS"}));
+      for (const PlanNode& tree : extra) {
+        EXPECT_TRUE(same_bits(evaluator.evaluate(tree), evaluator.evaluate(flatten(tree, index))));
+        ++compared;
+      }
+      for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+        for (const InitStyle style : {InitStyle::Grow, InitStyle::Full}) {
+          util::Rng rng(seed * 1000 + p);
+          for (int i = 0; i < 20; ++i) {
+            const FlatPlan drawn = random_tree(rng, vocabulary, 40, style);
+            const PlanNode tree = to_tree(drawn, vocabulary);
+            const Fitness fitness = evaluator.evaluate(tree);
+            EXPECT_TRUE(same_bits(fitness, evaluator.evaluate(flatten(tree, index))));
+            if (p != 1) {
+              EXPECT_TRUE(same_bits(fitness, evaluator.evaluate(drawn)));
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5u * 4u * (120u + 17u));
+  // An unknown service still runs as executed but invalid.
+  PlanEvaluator evaluator(problems[0]);
+  const FlatPlan bogus = flatten(seq({"POD", "BOGUS"}), index_services(problems[0].catalogue));
+  EXPECT_EQ(bogus[2].service, -1);
+  EXPECT_DOUBLE_EQ(evaluator.evaluate(bogus).validity, 0.5);
 }
 
 TEST(EvaluateStates, RowsWidenPast128And256Items) {

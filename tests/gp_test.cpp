@@ -123,6 +123,20 @@ TEST(Gp, EmptyPopulationReturnsEmptyResult) {
   EXPECT_EQ(result.best_fitness.size, 0u);
 }
 
+TEST(Gp, EmptyCatalogueEvolvesNoopPlans) {
+  // With no services every terminal is "noop": the run still completes and
+  // returns the plan and fitness it always did.
+  PlanningProblem problem = virolab_problem();
+  problem.catalogue = wfl::ServiceCatalogue{};
+  const GpResult result = run_gp(problem, quick_config(4));
+  EXPECT_EQ(result.best_plan, PlanNode::terminal("noop"));
+  // Validity and goal are 0; only the one-node size scores: 0.3 * (1 - 1/40).
+  EXPECT_EQ(result.best_fitness.overall, 0.2925);
+  EXPECT_EQ(result.best_fitness.validity, 0.0);
+  EXPECT_EQ(result.best_fitness.size, 1u);
+  EXPECT_EQ(result.history.size(), 16u);
+}
+
 /// FNV-1a over 64-bit words and strings.
 class Digest {
  public:

@@ -2,7 +2,9 @@
 
 #include <utility>
 
+#include "planner/operators.hpp"
 #include "planner/plan_tree.hpp"
+#include "virolab/catalogue.hpp"
 #include "virolab/workflow.hpp"
 
 namespace ig::planner {
@@ -20,41 +22,17 @@ PlanNode sample() {
   return PlanNode::sequential(std::move(top));
 }
 
-TEST(PlanTree, SizeDepthTerminals) {
+TEST(PlanTree, SizeAndTerminals) {
   const PlanNode tree = sample();
   EXPECT_EQ(tree.size(), 6u);
-  EXPECT_EQ(tree.depth(), 3u);
   EXPECT_EQ(tree.terminal_count(), 4u);
   EXPECT_EQ(PlanNode::terminal("X").size(), 1u);
-  EXPECT_EQ(PlanNode::terminal("X").depth(), 1u);
-}
-
-TEST(PlanTree, PreorderIndexing) {
-  const PlanNode tree = sample();
-  EXPECT_EQ(tree.at_preorder(0).kind, PlanNode::Kind::Sequential);
-  EXPECT_EQ(tree.at_preorder(1).service, "POD");
-  EXPECT_EQ(tree.at_preorder(2).kind, PlanNode::Kind::Concurrent);
-  EXPECT_EQ(tree.at_preorder(3).service, "P3DR");
-  EXPECT_EQ(tree.at_preorder(4).service, "P3DR");
-  EXPECT_EQ(tree.at_preorder(5).service, "PSF");
-  EXPECT_THROW(tree.at_preorder(6), std::out_of_range);
-}
-
-TEST(PlanTree, ReplaceSubtree) {
-  PlanNode tree = sample();
-  tree.replace_at_preorder(2, PlanNode::terminal("POR"));
-  EXPECT_EQ(tree.size(), 4u);
-  EXPECT_EQ(tree.at_preorder(2).service, "POR");
-  // Replacing the root swaps the whole tree.
-  tree.replace_at_preorder(0, PlanNode::terminal("ONLY"));
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.service, "ONLY");
 }
 
 TEST(PlanTree, Equality) {
   EXPECT_EQ(sample(), sample());
   PlanNode changed = sample();
-  changed.replace_at_preorder(5, PlanNode::terminal("POR"));
+  changed.children[2] = PlanNode::terminal("POR");
   EXPECT_FALSE(sample() == changed);
 }
 
@@ -136,11 +114,11 @@ TEST(PlanTreeHash, SensitiveToEveryStructuralField) {
   const PlanNode base = sample();
 
   PlanNode renamed = base;
-  renamed.at_preorder(1).service = "POR";
+  renamed.children[0].service = "POR";
   EXPECT_FALSE(renamed == base);
 
   PlanNode rekinded = base;
-  rekinded.at_preorder(2).kind = PlanNode::Kind::Sequential;
+  rekinded.children[1].kind = PlanNode::Kind::Sequential;
   EXPECT_FALSE(rekinded == base);
 
   PlanNode extended = base;
@@ -168,6 +146,62 @@ TEST(PlanTreeHash, TerminalVersusControllerOfSameName) {
   const PlanNode leaf = PlanNode::terminal("POD");
   const PlanNode wrapped = PlanNode::sequential({PlanNode::terminal("POD")});
   EXPECT_FALSE(leaf == wrapped);
+}
+
+TEST(FlatPlan, PreorderLayout) {
+  // Node i's first child is i + 1 and its next sibling i + size; terminals
+  // hold catalogue indices, and a name the catalogue lacks gets -1.
+  const wfl::ServiceCatalogue services = virolab::make_catalogue();
+  const ServiceIndex index = index_services(services);
+  const auto id = [&](const char* name) { return index.at(name); };
+  using Kind = PlanNode::Kind;
+  const FlatPlan plan = flatten(sample(), index);
+  const FlatPlan want = {{Kind::Sequential, -1, 6}, {Kind::Terminal, id("POD"), 1},
+                         {Kind::Concurrent, -1, 3}, {Kind::Terminal, id("P3DR"), 1},
+                         {Kind::Terminal, id("P3DR"), 1}, {Kind::Terminal, id("PSF"), 1}};
+  EXPECT_EQ(plan, want);
+  EXPECT_EQ(check_structure(plan), "");
+  EXPECT_EQ(to_tree(plan, services), sample());
+  EXPECT_EQ(flatten(PlanNode::terminal("BOGUS"), index),
+            (FlatPlan{{Kind::Terminal, -1, 1}}));
+}
+
+TEST(FlatPlan, GpShapedTreesRoundTrip) {
+  // Every initialization style, and the empty catalogue whose terminals are
+  // all "noop": to_tree(flatten(t)) == t and flatten(to_tree(p)) == p.
+  const wfl::ServiceCatalogue services = virolab::make_catalogue();
+  const wfl::ServiceCatalogue empty;
+  for (const wfl::ServiceCatalogue* catalogue : {&services, &empty}) {
+    const ServiceIndex index = index_services(*catalogue);
+    for (const InitStyle style : {InitStyle::Grow, InitStyle::Full, InitStyle::Ramped}) {
+      util::Rng rng(31);
+      for (int i = 0; i < 100; ++i) {
+        const FlatPlan plan = random_tree(rng, *catalogue, 40, style);
+        const PlanNode tree = to_tree(plan, *catalogue);
+        EXPECT_EQ(check_structure(tree), "");
+        EXPECT_EQ(tree.size(), plan.size());
+        EXPECT_EQ(flatten(tree, index), plan);
+        EXPECT_EQ(to_tree(flatten(tree, index), *catalogue), tree) << tree.to_tree_string();
+      }
+    }
+  }
+}
+
+TEST(FlatPlan, StructureChecks) {
+  using Kind = PlanNode::Kind;
+  EXPECT_EQ(check_structure(FlatPlan{{Kind::Terminal, 0, 1}}), "");
+  EXPECT_NE(check_structure(FlatPlan{}), "");
+  // The root must span the plan.
+  EXPECT_NE(check_structure(FlatPlan{{Kind::Terminal, 0, 1}, {Kind::Terminal, 0, 1}}), "");
+  // A controller without children, a terminal with some.
+  EXPECT_NE(check_structure(FlatPlan{{Kind::Selective, -1, 1}}), "");
+  EXPECT_NE(check_structure(FlatPlan{{Kind::Terminal, 0, 2}, {Kind::Terminal, 0, 1}}), "");
+  // Children that overrun their parent's count.
+  EXPECT_NE(check_structure(FlatPlan{{Kind::Sequential, -1, 3},
+                                     {Kind::Concurrent, -1, 3},
+                                     {Kind::Terminal, 0, 1}}),
+            "");
+  EXPECT_NE(check_structure(FlatPlan{{Kind::Sequential, -1, 2}, {Kind::Terminal, 0, 0}}), "");
 }
 
 }  // namespace

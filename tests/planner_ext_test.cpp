@@ -148,7 +148,7 @@ TEST(Simplify, NeverDegradesFitness) {
   PlanEvaluator evaluator(problem);
   util::Rng rng(99);
   for (int i = 0; i < 25; ++i) {
-    const PlanNode plan = random_tree(rng, problem.catalogue, 30);
+    const PlanNode plan = to_tree(random_tree(rng, problem.catalogue, 30), problem.catalogue);
     const Fitness before = evaluator.evaluate(plan);
     const SimplifyResult result = simplify_plan(plan, evaluator);
     EXPECT_GE(result.fitness.overall + 1e-9, before.overall);

@@ -149,7 +149,8 @@ TEST_P(TreeProperty, RandomTreesLowerToValidProcesses) {
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 30; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, catalogue, 30);
+    const planner::PlanNode tree =
+        planner::to_tree(planner::random_tree(rng, catalogue, 30), catalogue);
     const wfl::ProcessDescription process = planner::to_process(tree, "prop");
     EXPECT_TRUE(wfl::is_valid(process))
         << tree.to_tree_string() << wfl::to_string(wfl::validate(process));
@@ -160,7 +161,8 @@ TEST_P(TreeProperty, LiftLowerIsIdentityOnText) {
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 30; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, catalogue, 30);
+    const planner::PlanNode tree =
+        planner::to_tree(planner::random_tree(rng, catalogue, 30), catalogue);
     const wfl::ProcessDescription process = planner::to_process(tree, "prop");
     const planner::PlanNode lifted = planner::from_process(process);
     EXPECT_EQ(planner::to_flow_expr(lifted).to_text(), planner::to_flow_expr(tree).to_text());
@@ -171,7 +173,8 @@ TEST_P(TreeProperty, FlowTextRoundTripsThroughParser) {
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 30; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, catalogue, 25);
+    const planner::PlanNode tree =
+        planner::to_tree(planner::random_tree(rng, catalogue, 25), catalogue);
     const wfl::FlowExpr expr = planner::to_flow_expr(tree);
     const wfl::FlowExpr reparsed = wfl::parse_flow(expr.to_text());
     EXPECT_TRUE(expr == reparsed) << expr.to_text();
@@ -182,7 +185,8 @@ TEST_P(TreeProperty, ProcessXmlRoundTripPreservesGraph) {
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 20; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, catalogue, 25);
+    const planner::PlanNode tree =
+        planner::to_tree(planner::random_tree(rng, catalogue, 25), catalogue);
     const wfl::ProcessDescription process = planner::to_process(tree, "prop");
     const wfl::ProcessDescription restored =
         wfl::process_from_xml_string(wfl::process_to_xml_string(process));
@@ -200,7 +204,7 @@ TEST_P(TreeProperty, FitnessComponentsWithinBounds) {
       virolab::make_case_description(), virolab::make_catalogue());
   planner::PlanEvaluator evaluator(problem);
   for (int i = 0; i < 30; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, problem.catalogue, 40);
+    const planner::FlatPlan tree = planner::random_tree(rng, problem.catalogue, 40);
     const planner::Fitness fitness = evaluator.evaluate(tree);
     EXPECT_GE(fitness.validity, 0.0);
     EXPECT_LE(fitness.validity, 1.0);
@@ -219,41 +223,44 @@ TEST_P(TreeProperty, CrossoverChildrenStayWellFormed) {
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 50; ++i) {
-    const planner::PlanNode a = planner::random_tree(rng, catalogue, 35);
-    const planner::PlanNode b = planner::random_tree(rng, catalogue, 35);
-    const auto result = planner::crossover(a, a.size(), b, b.size(), rng, 0.9, 40);
-    if (!result.applied) continue;
-    EXPECT_EQ(planner::check_structure(result.first), "");
-    EXPECT_EQ(planner::check_structure(result.second), "");
-    EXPECT_LE(result.first.size(), 40u);
-    EXPECT_LE(result.second.size(), 40u);
-    EXPECT_EQ(result.first.size() + result.second.size(), a.size() + b.size());
+    const planner::FlatPlan a = planner::random_tree(rng, catalogue, 35);
+    const planner::FlatPlan b = planner::random_tree(rng, catalogue, 35);
+    planner::FlatPlan first = a;
+    planner::FlatPlan second = b;
+    if (!planner::crossover(first, second, rng, 0.9, 40)) continue;
+    EXPECT_EQ(planner::check_structure(planner::to_tree(first, catalogue)), "");
+    EXPECT_EQ(planner::check_structure(planner::to_tree(second, catalogue)), "");
+    EXPECT_LE(first.size(), 40u);
+    EXPECT_LE(second.size(), 40u);
+    EXPECT_EQ(first.size() + second.size(), a.size() + b.size());
   }
 }
 
 TEST_P(TreeProperty, OperatorsReturnTheirChildrensSizes) {
-  // crossover and mutate take the plans' sizes from the caller and hand
-  // back their children's; those must be the children's real node counts,
-  // applied or not, for every initialization style.
+  // crossover and mutate splice flat plans in place; every node's count
+  // must still be its subtree's real node count afterwards, applied or not,
+  // for every initialization style, and a plan neither operator changed
+  // must come back as it was.
   util::Rng rng(GetParam());
   const auto catalogue = virolab::make_catalogue();
   for (const planner::InitStyle style :
        {planner::InitStyle::Grow, planner::InitStyle::Full, planner::InitStyle::Ramped}) {
     for (int i = 0; i < 40; ++i) {
-      planner::PlanNode a = planner::random_tree(rng, catalogue, 35, style);
-      planner::PlanNode b = planner::random_tree(rng, catalogue, 35, style);
+      planner::FlatPlan a = planner::random_tree(rng, catalogue, 35, style);
+      planner::FlatPlan b = planner::random_tree(rng, catalogue, 35, style);
       const std::size_t smax = i % 2 == 0 ? 40 : 20;  // the tighter Smax refuses more often
-      const std::size_t size_a = a.size();
-      const std::size_t size_b = b.size();
-      const auto crossed =
-          planner::crossover(std::move(a), size_a, std::move(b), size_b, rng, 0.9, smax);
-      EXPECT_EQ(crossed.first_size, crossed.first.size());
-      EXPECT_EQ(crossed.second_size, crossed.second.size());
-      planner::PlanNode tree = crossed.first;
-      const auto mutated = planner::mutate(tree, crossed.first_size, rng, catalogue,
-                                           i % 3 == 0 ? 0.5 : 0.05, smax, style);
-      EXPECT_EQ(mutated.size, tree.size());
-      if (!mutated.applied) EXPECT_EQ(tree, crossed.first);
+      planner::crossover(a, b, rng, 0.9, smax);
+      EXPECT_EQ(planner::check_structure(a), "");
+      EXPECT_EQ(planner::check_structure(b), "");
+      EXPECT_EQ(planner::to_tree(a, catalogue).size(), a.size());
+      const planner::FlatPlan crossed = a;
+      const bool mutated =
+          planner::mutate(a, rng, catalogue, i % 3 == 0 ? 0.5 : 0.05, smax, style);
+      EXPECT_EQ(planner::check_structure(a), "");
+      EXPECT_EQ(planner::to_tree(a, catalogue).size(), a.size());
+      if (!mutated) {
+        EXPECT_EQ(a, crossed);
+      }
     }
   }
 }

@@ -126,7 +126,8 @@ TEST(ProcessXml, GpGeneratedGraphsSurviveArchival) {
   util::Rng rng(2026);
   const auto catalogue = virolab::make_catalogue();
   for (int i = 0; i < 25; ++i) {
-    const planner::PlanNode tree = planner::random_tree(rng, catalogue, 30);
+    const planner::PlanNode tree =
+        planner::to_tree(planner::random_tree(rng, catalogue, 30), catalogue);
     const ProcessDescription process = planner::to_process(tree, "archived");
     const ProcessDescription restored =
         process_from_xml_string(process_to_xml_string(process));
