@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "services/protocol.hpp"
 #include "store/codec.hpp"
@@ -62,6 +63,14 @@ class EngineClient final : public agent::Agent {
   std::map<std::string, AclMessage> replies_;
 };
 
+// The live lifecycle: every state change outside journal replay is one of
+// these edges (transition_locked). Nothing leaves a terminal state.
+constexpr std::pair<CaseState, CaseState> kLegalEdges[] = {
+    {CaseState::Queued, CaseState::Running},   {CaseState::Queued, CaseState::Cancelled},
+    {CaseState::Running, CaseState::Queued},   {CaseState::Running, CaseState::Completed},
+    {CaseState::Running, CaseState::Failed},   {CaseState::Running, CaseState::Cancelled},
+};
+
 // -- journal event encoding ----------------------------------------------------
 //
 // One WAL event per lifecycle transition on stream "engine". Retry and
@@ -88,8 +97,8 @@ double bits_to_double(std::uint64_t bits) noexcept {
   return value;
 }
 
-void write_outcome(store::Writer& w, const CaseOutcome& outcome) {
-  w.u8(static_cast<std::uint8_t>(outcome.state));
+void write_outcome(store::Writer& w, CaseState state, const CaseOutcome& outcome) {
+  w.u8(static_cast<std::uint8_t>(state));
   w.str(outcome.error);
   w.u64(double_bits(outcome.makespan));
   w.u32(static_cast<std::uint32_t>(outcome.activities_executed));
@@ -182,6 +191,7 @@ EnactmentEngine::EnactmentEngine(EngineConfig config) : config_(std::move(config
   recovered_ = &metrics_.counter("engine_cases_recovered_total");
   io_errors_ = &metrics_.counter("store_io_errors_total");
   evicted_ = &metrics_.counter("engine_cases_evicted_total");
+  illegal_ = &metrics_.counter("engine_illegal_transitions_total");
   retained_ = &metrics_.gauge("engine_cases_retained");
 
   // Durable mode: open the journal and rebuild the case table before any
@@ -234,17 +244,17 @@ void EnactmentEngine::shutdown() {
     stopping_ = true;
   }
   case_terminal_.notify_all();
-  // Drain the in-flight pump jobs: each sees stopping_, finalizes its
-  // running attempt as Failed ("engine shutdown"), and does not repost.
-  // Queued cases stay Queued. The counters survive for metrics(). The job
-  // system itself is NOT torn down here: submit() is thread-safe and may
-  // race this drain, posting a pump just after wait_idle() returns — that
-  // post needs a live JobSystem to land on (the pump then sees stopping_
-  // and no-ops). jobs_ dies with the engine, whose destructor drains again.
+  // Drain the in-flight pump jobs: each sees stopping_, returns its running
+  // attempt's case to the queue, and does not repost. The counters survive
+  // for metrics(). The job system itself is NOT torn down here: submit() is
+  // thread-safe and may race this drain, posting a pump just after
+  // wait_idle() returns — that post needs a live JobSystem to land on (the
+  // pump then sees stopping_ and no-ops). jobs_ dies with the engine, whose
+  // destructor drains again.
   jobs_->wait_idle();
-  // Abandoned attempts journal no Terminal event (the whole point: a
-  // restart resumes them), but everything journaled so far becomes durable
-  // on this clean path.
+  // Abandoned attempts journal nothing (the whole point: a restart resumes
+  // them), but everything journaled so far becomes durable on this clean
+  // path.
   if (journal_) journal_commit();
 }
 
@@ -261,6 +271,7 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
   CaseId id = kInvalidCase;
   bool durable = false;
   bool journal_failed = false;
+  bool cancelled = false;
   store::Lsn admit_lsn = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -312,24 +323,28 @@ CaseId EnactmentEngine::submit_xml(std::string process_xml, std::string case_xml
     // on disk, and a restart would recover a case nobody was told about.
     if (!journal_failed) journal_failed = !journal_commit(admit_lsn);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = records_.find(id);
+    CaseRecord& record = records_.at(id);
     if (journal_failed) {
-      // Never acked, so it must leave no trace: the caller sees a rejection
-      // with a reason (degraded_), not a case that silently evaporates.
-      if (it != records_.end()) records_.erase(it);
+      // Never acked, so it must leave no trace, even when a cancel raced
+      // the commit: the caller sees a rejection with a reason (degraded_),
+      // not a case that silently evaporates.
+      records_.erase(id);
       rejected_->inc();
       if (next_case_id_ == id + 1) next_case_id_ = id;
       id = kInvalidCase;
+    } else if (record.cancel_requested) {
+      // A cancel that raced the commit only flagged the record (cancel());
+      // the case is acked now, so it ends Cancelled.
+      submitted_->inc();
+      finalize_locked(record, nullptr, CaseState::Cancelled, {}, "cancelled while queued");
+      cancelled = true;
     } else {
       submitted_->inc();
-      if (it != records_.end() && it->second.state == CaseState::Queued &&
-          !it->second.cancel_requested) {
-        // (A cancel that raced the commit already finalized the record.)
-        admit_locked(it->second);
-        to_pump = claim_idle_pumps_locked();
-      }
+      admit_locked(record);
+      to_pump = claim_idle_pumps_locked();
     }
   }
+  if (cancelled) journal_commit();  // its Terminal event, as cancel() commits its own
   // Posting outside the engine mutex: a pump job can start (and take the
   // mutex) before we would have released it. A shutdown() racing these
   // posts is safe — jobs_ stays alive until the engine is destroyed, and
@@ -354,8 +369,7 @@ void EnactmentEngine::post_pump(Shard& shard) {
   jobs_->post([this, &shard] { pump(shard); }, shard.index);
 }
 
-void EnactmentEngine::admit_locked(CaseRecord& record) {
-  record.state = CaseState::Queued;
+void EnactmentEngine::admit_locked(const CaseRecord& record) {
   auto& queue = tenant_queues_[record.tenant];
   if (queue.empty() &&
       std::find(tenant_order_.begin(), tenant_order_.end(), record.tenant) ==
@@ -366,29 +380,35 @@ void EnactmentEngine::admit_locked(CaseRecord& record) {
   ++queued_;
 }
 
-std::optional<CaseId> EnactmentEngine::pop_for_shard_locked(std::size_t shard_index) {
-  const std::size_t tenants = tenant_order_.size();
-  for (std::size_t k = 0; k < tenants; ++k) {
-    const std::size_t slot = (rr_cursor_ + k) % tenants;
-    const std::string tenant = tenant_order_[slot];
-    auto& queue = tenant_queues_[tenant];
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      const CaseRecord& record = records_.at(*it);
+EnactmentEngine::CaseRecord* EnactmentEngine::pop_for_shard_locked(std::size_t shard_index) {
+  for (std::size_t k = 0; k < tenant_order_.size(); ++k) {
+    const std::size_t slot = (rr_cursor_ + k) % tenant_order_.size();
+    for (const CaseId id : tenant_queues_.at(tenant_order_[slot])) {
+      CaseRecord& record = records_.at(id);
       if (record.excluded_shards.count(shard_index) > 0) continue;
-      const CaseId id = *it;
-      queue.erase(it);
-      --queued_;
-      if (queue.empty()) {
-        tenant_queues_.erase(tenant);
-        tenant_order_.erase(tenant_order_.begin() + static_cast<std::ptrdiff_t>(slot));
-        rr_cursor_ = tenant_order_.empty() ? 0 : slot % tenant_order_.size();
-      } else {
-        rr_cursor_ = (slot + 1) % tenants;
-      }
-      return id;
+      rr_cursor_ = slot + 1;  // the next pop starts at the following tenant
+      unqueue_locked(record);
+      return &record;
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+bool EnactmentEngine::unqueue_locked(const CaseRecord& record) {
+  auto queue = tenant_queues_.find(record.tenant);
+  if (queue == tenant_queues_.end()) return false;
+  auto pos = std::find(queue->second.begin(), queue->second.end(), record.id);
+  if (pos == queue->second.end()) return false;
+  queue->second.erase(pos);
+  --queued_;
+  if (queue->second.empty()) {
+    tenant_queues_.erase(queue);
+    const auto slot = std::find(tenant_order_.begin(), tenant_order_.end(), record.tenant);
+    if (rr_cursor_ > static_cast<std::size_t>(slot - tenant_order_.begin())) --rr_cursor_;
+    tenant_order_.erase(slot);  // the cursor above keeps pointing at the same tenant
+  }
+  rr_cursor_ = tenant_order_.empty() ? 0 : rr_cursor_ % tenant_order_.size();
+  return true;
 }
 
 CaseState EnactmentEngine::status(CaseId id) const {
@@ -402,7 +422,7 @@ std::optional<CaseOutcome> EnactmentEngine::result(CaseId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = records_.find(id);
   if (it == records_.end() || !is_terminal(it->second.state)) return std::nullopt;
-  return it->second.outcome;
+  return it->second.report();
 }
 
 bool EnactmentEngine::cancel(CaseId id) {
@@ -410,9 +430,8 @@ bool EnactmentEngine::cancel(CaseId id) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = records_.find(id);
-    if (it == records_.end()) return false;
+    if (it == records_.end() || is_terminal(it->second.state)) return false;
     CaseRecord& record = it->second;
-    if (is_terminal(record.state)) return false;
     record.cancel_requested = true;
     if (journal_) {
       std::string payload;
@@ -421,54 +440,14 @@ bool EnactmentEngine::cancel(CaseId id) {
       w.u64(id);
       journaled = journal_append_locked(payload);
     }
-    if (record.state == CaseState::Queued) {
-      // Remove from its tenant queue and terminate immediately.
-      auto queue_it = tenant_queues_.find(record.tenant);
-      if (queue_it != tenant_queues_.end()) {
-        auto& queue = queue_it->second;
-        auto pos = std::find(queue.begin(), queue.end(), id);
-        if (pos != queue.end()) {
-          queue.erase(pos);
-          --queued_;
-        }
-        if (queue.empty()) {
-          tenant_queues_.erase(queue_it);
-          auto order = std::find(tenant_order_.begin(), tenant_order_.end(), record.tenant);
-          if (order != tenant_order_.end()) tenant_order_.erase(order);
-          rr_cursor_ = tenant_order_.empty() ? 0 : rr_cursor_ % tenant_order_.size();
-        }
-      }
-      record.state = CaseState::Cancelled;
-      record.outcome.state = CaseState::Cancelled;
-      record.outcome.error = "cancelled while queued";
-      record.outcome.engine_retries = record.retries_used;
-      record.outcome.completion_index = ++completion_sequence_;
-      record.outcome.latency_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - record.submitted_at)
-              .count();
-      latency_hist_->observe(record.outcome.latency_seconds);
-      cancelled_->inc();
-      if (journal_) {
-        std::string payload;
-        store::Writer w(payload);
-        w.u8(kEventTerminal);
-        w.u64(id);
-        write_outcome(w, record.outcome);
-        journal_append_locked(payload);
-      }
-      retire_locked(record);
-      case_terminal_.notify_all();
-    }
-    // A Running case is abandoned by its shard at the next slice boundary.
+    // A queued case terminates now; a running one is abandoned by its shard
+    // at the next slice boundary. A durable admit still committing is in no
+    // queue: submit_xml settles it, so a never-acked case leaves no outcome.
+    if (record.state == CaseState::Queued && unqueue_locked(record))
+      finalize_locked(record, nullptr, CaseState::Cancelled, {}, "cancelled while queued");
   }
   if (journaled) journal_commit();
   return true;
-}
-
-bool EnactmentEngine::cancel_requested(CaseId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = records_.find(id);
-  return it == records_.end() || it->second.cancel_requested;
 }
 
 std::optional<CaseOutcome> EnactmentEngine::wait(CaseId id) {
@@ -481,7 +460,7 @@ std::optional<CaseOutcome> EnactmentEngine::wait(CaseId id) {
     return stopping_ || it == records_.end() || is_terminal(it->second.state);
   });
   if (it == records_.end() || !is_terminal(it->second.state)) return std::nullopt;
-  return it->second.outcome;
+  return it->second.report();
 }
 
 void EnactmentEngine::drain() {
@@ -596,26 +575,18 @@ void EnactmentEngine::pump(Shard& shard) {
 }
 
 bool EnactmentEngine::step(Shard& shard) {
+  bool stopping = false;
+  bool cancelled = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      if (shard.phase != Shard::Phase::Idle) {
-        // Abandon the in-flight attempt (a Checkpoint phase is already a
-        // failed attempt; Enact becomes a failure now). No Terminal is
-        // journaled: a durable engine's cold start must resume the case.
-        auto it = records_.find(shard.snapshot.id);
-        if (it != records_.end()) {
-          finalize_locked(it->second, shard, CaseState::Failed, shard.attempt.reply,
-                          /*journal_terminal=*/false);
-          it->second.outcome.error = "engine shutdown";
-        }
-        --running_;
-        shard.phase = Shard::Phase::Idle;
-      }
-      shard.pump_scheduled = false;
-      return false;
-    }
+    stopping = stopping_;
+    if (stopping && shard.phase == Shard::Phase::Idle) shard.pump_scheduled = false;
+    auto it = records_.find(shard.snapshot.id);
+    cancelled = it == records_.end() || it->second.cancel_requested;
   }
+  // Shutdown abandons the attempt in flight: complete_attempt (its kind is
+  // still Failure) returns the case to the queue and stops the stream.
+  if (stopping) return shard.phase != Shard::Phase::Idle && complete_attempt(shard);
 
   svc::Environment& environment = *shard.environment;
   grid::Simulation& sim = environment.sim();
@@ -627,19 +598,18 @@ bool EnactmentEngine::step(Shard& shard) {
         // Popping the queue and clearing pump_scheduled happen in the same
         // critical section, so a submit either sees the flag and skips the
         // post, or sees it cleared and reschedules — never a lost wakeup.
-        std::optional<CaseId> popped = pop_for_shard_locked(shard.index);
-        if (!popped.has_value()) {
+        CaseRecord* record = pop_for_shard_locked(shard.index);
+        if (record == nullptr) {
           shard.pump_scheduled = false;
           return false;
         }
-        CaseRecord& record = records_.at(*popped);
-        record.state = CaseState::Running;
-        record.outcome.shard = shard.index;
+        if (!transition_locked(*record, CaseState::Running)) return true;  // counted; skipped
+        record->outcome.shard = shard.index;
         ++running_;
         ++shard.cases_run;
-        shard.snapshot = record;  // the inputs are shared: a refcount bump, no copy
-        shard.conversation = "engine/" + std::to_string(record.id) + "/" +
-                             std::to_string(record.retries_used);
+        shard.snapshot = *record;  // the inputs are shared: a refcount bump, no copy
+        shard.conversation = "engine/" + std::to_string(record->id) + "/" +
+                             std::to_string(record->retries_used);
         shard.attempt = AttemptResult{};
       }
       // Outside the engine mutex: the stack returns to its pristine state,
@@ -655,7 +625,7 @@ bool EnactmentEngine::step(Shard& shard) {
     }
 
     case Shard::Phase::Enact: {
-      if (cancel_requested(shard.snapshot.id)) {
+      if (cancelled) {
         shard.attempt.kind = AttemptResult::Kind::Cancelled;
         return complete_attempt(shard);
       }
@@ -759,19 +729,19 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
       CaseRecord& record = it->second;
       journaled = journal_ != nullptr;
       if (stopping_ && attempt.kind != AttemptResult::Kind::Success) {
-        // Abandoned by shutdown: no Terminal journaled, restart resumes it.
-        finalize_locked(record, shard, CaseState::Failed, attempt.reply,
-                        /*journal_terminal=*/false);
-        record.outcome.error = "engine shutdown";
+        // Abandoned by shutdown: back to the queue, unjournaled, where the
+        // journal has it, so a snapshot now records what a restart resumes.
+        transition_locked(record, CaseState::Queued);
+        admit_locked(record);
         journaled = false;
       } else {
         switch (attempt.kind) {
           case AttemptResult::Kind::Cancelled:
-            finalize_locked(record, shard, CaseState::Cancelled, attempt.reply);
-            record.outcome.error = "cancelled while running";
+            finalize_locked(record, &shard, CaseState::Cancelled, attempt.reply,
+                            "cancelled while running");
             break;
           case AttemptResult::Kind::Success:
-            finalize_locked(record, shard, CaseState::Completed, attempt.reply);
+            finalize_locked(record, &shard, CaseState::Completed, attempt.reply);
             break;
           case AttemptResult::Kind::Failure:
             if (record.retries_used < config_.max_case_retries && !record.cancel_requested) {
@@ -805,13 +775,14 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
                 for (std::size_t excluded : record.excluded_shards) w.u64(excluded);
                 journal_append_locked(payload);
               }
+              transition_locked(record, CaseState::Queued);
               admit_locked(record);
               // The readmitted case excludes this shard, so another shard's
               // stream must pick it up; this shard keeps pumping via its own
               // repost (its pump_scheduled is still set, so it is skipped).
               to_pump = claim_idle_pumps_locked();
             } else {
-              finalize_locked(record, shard, CaseState::Failed, attempt.reply);
+              finalize_locked(record, &shard, CaseState::Failed, attempt.reply);
             }
             break;
         }
@@ -833,12 +804,23 @@ bool EnactmentEngine::complete_attempt(Shard& shard) {
   return again;
 }
 
-void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseState state,
-                                      const AclMessage& reply, bool journal_terminal) {
-  record.state = state;
+bool EnactmentEngine::transition_locked(CaseRecord& record, CaseState to) {
+  if (std::find(std::begin(kLegalEdges), std::end(kLegalEdges), std::pair(record.state, to)) ==
+      std::end(kLegalEdges)) {
+    illegal_->inc();
+    IG_LOG_WARN("engine") << "illegal lifecycle edge for case " << record.id << ": "
+                          << to_string(record.state) << " -> " << to_string(to);
+    return false;
+  }
+  record.state = to;
+  return true;
+}
+
+void EnactmentEngine::finalize_locked(CaseRecord& record, Shard* shard, CaseState state,
+                                      const AclMessage& reply, std::string error) {
+  if (!transition_locked(record, state)) return;
   CaseOutcome& outcome = record.outcome;
-  outcome.state = state;
-  outcome.error = reply.param("error");
+  outcome.error = error.empty() ? reply.param("error") : std::move(error);
   outcome.makespan = reply.param_double("makespan", 0.0);
   outcome.activities_executed = reply.param_int("activities-executed", 0);
   outcome.activities_replayed = reply.param_int("activities-replayed", 0);
@@ -847,7 +829,6 @@ void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseStat
   outcome.goal_satisfaction = reply.param_double("goal-satisfaction", 0.0);
   outcome.total_cost = reply.param_double("total-cost", 0.0);
   outcome.engine_retries = record.retries_used;
-  outcome.shard = shard.index;
   outcome.completion_index = ++completion_sequence_;
   outcome.latency_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - record.submitted_at)
@@ -856,26 +837,26 @@ void EnactmentEngine::finalize_locked(CaseRecord& record, Shard& shard, CaseStat
   switch (state) {
     case CaseState::Completed:
       completed_->inc();
-      ++shard.cases_completed;
+      if (shard != nullptr) ++shard->cases_completed;
       break;
     case CaseState::Cancelled:
       cancelled_->inc();
       break;
     default:
       failed_->inc();
-      ++shard.cases_failed;
+      if (shard != nullptr) ++shard->cases_failed;
       break;
   }
-  if (journal_ && journal_terminal) {
+  if (journal_) {
     std::string payload;
     store::Writer w(payload);
     w.u8(kEventTerminal);
     w.u64(record.id);
-    write_outcome(w, outcome);
+    write_outcome(w, state, outcome);
     journal_append_locked(payload);
   }
   IG_LOG_DEBUG("engine") << "case " << record.id << " -> " << to_string(state)
-                         << " on shard " << shard.index;
+                         << " on shard " << outcome.shard;
   retire_locked(record);
   case_terminal_.notify_all();
 }
@@ -1017,6 +998,7 @@ void EnactmentEngine::recover_from_journal() {
         // A restart may run fewer shards than the run that journaled the
         // exclusions; never let a stale set cover the whole fleet.
         if (record.excluded_shards.size() >= config_.shards) record.excluded_shards.clear();
+        record.state = CaseState::Queued;  // replay restores; it makes no transition
         record.submitted_at = std::chrono::steady_clock::now();
         admit_locked(record);
         recovered_->inc();
@@ -1116,7 +1098,7 @@ std::string EnactmentEngine::encode_engine_state() const {
     w.u32(static_cast<std::uint32_t>(record.retries_used));
     w.u64(record.excluded_shards.size());
     for (std::size_t excluded : record.excluded_shards) w.u64(excluded);
-    write_outcome(w, record.outcome);
+    write_outcome(w, record.state, record.outcome);
   }
   w.u64(evicted_tally_.completed);
   w.u64(evicted_tally_.failed);

@@ -16,10 +16,15 @@
 // with round-robin per-tenant fairness; a full queue rejects new
 // submissions (backpressure) instead of buffering without bound.
 //
-// Lifecycle: `submit` -> Queued -> Running -> {Completed | Failed |
-// Cancelled} -> Evicted; a full queue yields Rejected without creating a
-// case. A terminal case keeps only its outcome, and only the newest
-// `retained_outcomes` outcomes are kept; older ids report Evicted. A
+// Lifecycle: `submit` admits a case as Queued (a full queue yields Rejected
+// without creating one). Its only live edges, each taken through
+// `transition_locked` (which counts any other in
+// `engine_illegal_transitions_total`), are
+//   Queued  -> Running | Cancelled
+//   Running -> Queued (retry or shutdown) | Completed | Failed | Cancelled
+// and nothing leaves a terminal state; journal replay restores states
+// without taking edges. A terminal case keeps only its outcome, and only the
+// newest `retained_outcomes` outcomes are kept; older ids report Evicted. A
 // failed case is retried up to `max_case_retries` times: the engine
 // snapshots the failed enactment through the coordination service's
 // `checkpoint-case` protocol and re-admits the snapshot (via
@@ -248,7 +253,8 @@ class EnactmentEngine {
   /// Stops the shard pump streams and drains their in-flight jobs (the
   /// worker pool itself survives until destruction, so racing submits stay
   /// safe). Queued cases stay Queued; running attempts are abandoned and
-  /// marked Failed. Idempotent.
+  /// their cases return to Queued, which is where a durable restart resumes
+  /// them. Idempotent.
   void shutdown();
 
   EngineMetrics metrics() const;
@@ -286,12 +292,14 @@ class EnactmentEngine {
     CaseId id = kInvalidCase;
     std::string tenant;
     std::shared_ptr<const CaseInputs> inputs;  ///< null once terminal
-    CaseState state = CaseState::Queued;
+    CaseState state = CaseState::Queued;  ///< set by transition_locked and replay only
     bool cancel_requested = false;
     int retries_used = 0;
     std::set<std::size_t> excluded_shards;
     std::chrono::steady_clock::time_point submitted_at;
-    CaseOutcome outcome;
+    CaseOutcome outcome;  ///< its `state` is unused: report() takes the record's
+
+    CaseOutcome report() const { CaseOutcome out = outcome; out.state = state; return out; }
   };
 
   struct Shard;  // private environment + pump state machine (engine.cpp)
@@ -309,10 +317,18 @@ class EnactmentEngine {
   /// Marks every shard without an in-flight pump as scheduled and returns
   /// them; the caller posts the jobs after releasing the mutex.
   std::vector<Shard*> claim_idle_pumps_locked();
-  void admit_locked(CaseRecord& record);
-  std::optional<CaseId> pop_for_shard_locked(std::size_t shard_index);
-  void finalize_locked(CaseRecord& record, Shard& shard, CaseState state,
-                       const agent::AclMessage& reply, bool journal_terminal = true);
+  void admit_locked(const CaseRecord& record);  ///< appends a Queued record
+  CaseRecord* pop_for_shard_locked(std::size_t shard_index);
+  /// False when the record is in no queue (a durable admit still committing).
+  bool unqueue_locked(const CaseRecord& record);
+  /// Takes one legal lifecycle edge. An illegal one is logged, counted and
+  /// refused; never thrown, as a throw inside a pump job wedges its shard.
+  bool transition_locked(CaseRecord& record, CaseState to);
+  /// The one terminal path: edge, outcome (from `reply`, empty if the case
+  /// never ran; `error` overrides the reply's), counters, Terminal event,
+  /// retirement and wake-up. `shard` is null for a case cancelled unrun.
+  void finalize_locked(CaseRecord& record, Shard* shard, CaseState state,
+                       const agent::AclMessage& reply, std::string error = {});
   /// Bookkeeping of a record that just became terminal: drops its inputs,
   /// files it in completion order and evicts past the retention horizon.
   /// Invalidates references to the evicted records (never to `record`).
@@ -321,7 +337,6 @@ class EnactmentEngine {
   /// remain.
   void evict_locked();
   bool evicted_locked(CaseId id) const;
-  bool cancel_requested(CaseId id) const;
 
   // -- durable mode ------------------------------------------------------------
   /// Disk-failure containment (durable mode). A store::Error from the
@@ -397,6 +412,7 @@ class EnactmentEngine {
   obs::Counter* recovered_ = nullptr;
   obs::Counter* io_errors_ = nullptr;
   obs::Counter* evicted_ = nullptr;
+  obs::Counter* illegal_ = nullptr;  ///< refused lifecycle edges (0 on a sound engine)
   obs::Gauge* retained_ = nullptr;
   std::chrono::steady_clock::time_point started_at_;
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -567,6 +568,135 @@ TEST(Engine, FailedDurableCommitCountsOneRejectionAndNoSubmission) {
     EXPECT_EQ(metrics.submitted, 1u);
     EXPECT_EQ(metrics.rejected, 1u);
     EXPECT_TRUE(metrics.degraded);
+  }
+  fs::remove_all(dir);
+}
+
+/// Real file I/O whose first durability barrier (an MS_SYNC msync) after
+/// `arm()` starts `hook` on a second thread, gives it a head start, and then
+/// fails with EIO (or, with `fail` false, syncs as usual). The barrier runs
+/// under the journal's append lock, so a hook that appends blocks until the
+/// barrier returns; the head start lets it take the engine mutex first.
+class BarrierHookFs final : public store::FileOps {
+ public:
+  BarrierHookFs(std::function<void()> hook, bool fail) : hook_(std::move(hook)), fail_(fail) {}
+  ~BarrierHookFs() override { join(); }
+
+  void arm() { armed_.store(true); }
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  int open(const std::string& path, int flags, int mode) override {
+    return inner_.open(path, flags, mode);
+  }
+  int close(int fd) override { return inner_.close(fd); }
+  ssize_t pread(int fd, void* buf, std::size_t count, off_t offset) override {
+    return inner_.pread(fd, buf, count, offset);
+  }
+  ssize_t pwrite(int fd, const void* buf, std::size_t count, off_t offset) override {
+    return inner_.pwrite(fd, buf, count, offset);
+  }
+  int fsync(int fd) override { return inner_.fsync(fd); }
+  int ftruncate(int fd, off_t length) override { return inner_.ftruncate(fd, length); }
+  off_t size(int fd) override { return inner_.size(fd); }
+  void* mmap(int fd, std::size_t length) override { return inner_.mmap(fd, length); }
+  int msync(void* addr, std::size_t length, bool sync) override {
+    if (!sync || !armed_.exchange(false)) return inner_.msync(addr, length, sync);
+    thread_ = std::thread(hook_);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    if (!fail_) return inner_.msync(addr, length, sync);
+    errno = EIO;
+    return -1;
+  }
+  int munmap(void* addr, std::size_t length) override { return inner_.munmap(addr, length); }
+  int rename(const std::string& from, const std::string& to) override {
+    return inner_.rename(from, to);
+  }
+  int unlink(const std::string& path) override { return inner_.unlink(path); }
+  int mkdir(const std::string& path, int mode) override { return inner_.mkdir(path, mode); }
+
+ private:
+  store::FileOps& inner_ = store::posix_file_ops();
+  std::function<void()> hook_;
+  bool fail_;
+  std::atomic<bool> armed_{false};
+  std::thread thread_;
+};
+
+TEST(Engine, CancelRacingAFailedDurableAdmitLeavesNoTrace) {
+  // submit_xml creates the record and releases the engine mutex before the
+  // admit commits. A cancel in that window must not finalize the record:
+  // the commit then fails, the id is never acked, and a never-acked
+  // submission counts only as a rejection, with no retained outcome.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("igrid-engine-cancel-admit-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  EngineConfig config = small_config(1);
+  config.storage.data_dir = dir.string();
+  std::atomic<bool> cancelled{false};
+  EnactmentEngine* target = nullptr;
+  BarrierHookFs fops([&] { cancelled.store(target->cancel(1)); }, /*fail=*/true);
+  config.storage.file_ops = &fops;
+  {
+    EnactmentEngine engine(config);
+    target = &engine;
+    fops.arm();
+    EXPECT_EQ(engine.submit(virolab::make_fig10_process(), virolab::make_case_description()),
+              kInvalidCase);
+    fops.join();
+    EXPECT_TRUE(cancelled.load()) << "the cancel missed the uncommitted-admit window";
+    const EngineMetrics metrics = engine.metrics();
+    EXPECT_EQ(metrics.submitted, 0u);
+    EXPECT_EQ(metrics.rejected, 1u);
+    EXPECT_EQ(metrics.cancelled, 0u);
+    EXPECT_EQ(metrics.cases_retained, 0u);
+    EXPECT_TRUE(metrics.degraded);
+    EXPECT_EQ(engine.status(1), CaseState::Rejected);
+    EXPECT_EQ(registry_value(engine, "engine_illegal_transitions_total"), 0.0);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Engine, CancelRacingADurableAdmitEndsCancelledOnceAcked) {
+  // The same window with a barrier that succeeds: the case is acked, and
+  // the cancel that landed before the ack takes it straight to Cancelled,
+  // journaled so a restart reads it back.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("igrid-engine-cancel-acked-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  EngineConfig config = small_config(1);
+  config.storage.data_dir = dir.string();
+  std::atomic<bool> cancelled{false};
+  EnactmentEngine* target = nullptr;
+  BarrierHookFs fops([&] { cancelled.store(target->cancel(1)); }, /*fail=*/false);
+  config.storage.file_ops = &fops;
+  {
+    EnactmentEngine engine(config);
+    target = &engine;
+    fops.arm();
+    EXPECT_EQ(engine.submit(virolab::make_fig10_process(), virolab::make_case_description()),
+              1u);
+    fops.join();
+    EXPECT_TRUE(cancelled.load()) << "the cancel missed the uncommitted-admit window";
+    engine.drain();
+    const auto outcome = engine.result(1);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->state, CaseState::Cancelled);
+    EXPECT_EQ(outcome->error, "cancelled while queued");
+    const EngineMetrics metrics = engine.metrics();
+    EXPECT_EQ(metrics.submitted, 1u);
+    EXPECT_EQ(metrics.cancelled, 1u);
+    EXPECT_EQ(metrics.completed, 0u);
+    EXPECT_EQ(metrics.shards[0].cases_run, 0u);
+  }
+  config.storage.file_ops = nullptr;
+  {
+    EnactmentEngine restarted(config);
+    EXPECT_EQ(restarted.status(1), CaseState::Cancelled);
+    EXPECT_EQ(restarted.metrics().recovered, 0u);
   }
   fs::remove_all(dir);
 }
