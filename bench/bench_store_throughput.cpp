@@ -1,9 +1,8 @@
 // Durable store throughput and recovery cost (DESIGN.md §11, EXPERIMENTS A19).
 //
 // Two sweeps over the mmap-backed WAL:
-//   * append throughput per SyncMode — kNone (no fsync), kCommit with the
-//     whole batch under one commit() (the group-commit sweet spot), kCommit
-//     with a commit() per record (worst case), and kAlways;
+//   * append throughput with the whole batch under one commit() (the
+//     group-commit sweet spot) and with a commit() per record (worst case);
 //   * cold-start recovery time as the journal grows, with and without a
 //     snapshot bounding the replay.
 //
@@ -11,12 +10,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "store/codec.hpp"
 #include "store/error.hpp"
 #include "store/fault_fs.hpp"
 #include "store/storage_engine.hpp"
@@ -44,7 +45,6 @@ std::string make_payload(std::mt19937_64& rng) {
 
 struct AppendPoint {
   const char* label;
-  store::SyncMode sync;
   bool commit_each;
 };
 
@@ -52,10 +52,8 @@ void run_append_sweep(std::size_t records) {
   std::printf("append throughput (%zu records x %zu B payload)\n", records, kPayloadBytes);
   std::printf("  %-18s %12s %12s %10s\n", "mode", "appends/s", "MB/s", "fsyncs");
   const AppendPoint points[] = {
-      {"none", store::SyncMode::kNone, false},
-      {"commit-batched", store::SyncMode::kCommit, false},
-      {"commit-each", store::SyncMode::kCommit, true},
-      {"always", store::SyncMode::kAlways, false},
+      {"commit-batched", false},
+      {"commit-each", true},
   };
   for (const AppendPoint& point : points) {
     const std::string dir = bench_dir(point.label);
@@ -63,7 +61,6 @@ void run_append_sweep(std::size_t records) {
     store::Options options;
     options.data_dir = dir;
     options.snapshot_interval = 0;  // measure the raw WAL, not snapshotting
-    options.sync = point.sync;
     std::mt19937_64 rng(2004);
     util::Stopwatch watch;
     {
@@ -110,7 +107,6 @@ void run_group_window_sweep(std::size_t records) {
     store::Options options;
     options.data_dir = dir;
     options.snapshot_interval = 0;
-    options.sync = store::SyncMode::kCommit;
     options.group_window_us = window_us;
     util::Stopwatch watch;
     std::uint64_t fsyncs = 0;
@@ -171,7 +167,6 @@ void run_seam_overhead(std::size_t records) {
     store::Options options;
     options.data_dir = dir;
     options.snapshot_interval = 0;
-    options.sync = store::SyncMode::kCommit;
     options.file_ops = with_faultfs ? &pass_through : nullptr;
     std::mt19937_64 rng(2004);
     util::Stopwatch watch;
@@ -217,7 +212,6 @@ void run_fault_sweep(std::size_t records) {
     options.data_dir = dir;
     options.segment_size = 64 * 1024;
     options.snapshot_interval = 0;
-    options.sync = store::SyncMode::kCommit;
     options.file_ops = &faults;
     std::mt19937_64 rng(2004);
     std::size_t acked = 0;
@@ -270,7 +264,10 @@ void run_fault_sweep(std::size_t records) {
 }
 
 void run_recovery_sweep(std::size_t max_records) {
-  std::printf("\ncold-start recovery (kv puts, SyncMode::kNone while seeding)\n");
+  // The journal shape of the durable engine: events on one stream plus a
+  // state provider whose blob holds the latest payload per key (half as
+  // many keys as events), so a snapshot stands in for most of the replay.
+  std::printf("\ncold-start recovery (events + one state blob)\n");
   std::printf("  %-10s %-10s %12s %14s\n", "records", "snapshot", "recovery_ms",
               "replayed");
   for (std::size_t records = 1000; records <= max_records; records *= 4) {
@@ -280,13 +277,24 @@ void run_recovery_sweep(std::size_t max_records) {
       store::Options options;
       options.data_dir = dir;
       options.snapshot_interval = 0;
-      options.sync = store::SyncMode::kNone;  // seeding speed is not the subject
       std::mt19937_64 rng(records);
       {
+        std::map<std::size_t, std::string> state;
         store::StorageEngine seed(options);
-        for (std::size_t i = 0; i < records; ++i)
-          seed.put("bench/key-" + std::to_string(i % (records / 2 + 1)),
-                   make_payload(rng));
+        seed.set_state_provider("bench", [&state] {
+          std::string blob;
+          store::Writer writer(blob);
+          for (const auto& [key, payload] : state) {
+            writer.u64(key);
+            writer.str(payload);
+          }
+          return blob;
+        });
+        for (std::size_t i = 0; i < records; ++i) {
+          std::string payload = make_payload(rng);
+          seed.append_event("bench", payload);
+          state[i % (records / 2 + 1)] = std::move(payload);
+        }
         seed.commit();
         if (snapshotted) seed.snapshot();
       }
@@ -302,7 +310,7 @@ void run_recovery_sweep(std::size_t max_records) {
       record.add("snapshotted", std::size_t{snapshotted ? 1u : 0u});
       record.add("recovery_ms", recovery_ms);
       record.add("replayed_records", static_cast<std::size_t>(stats.replayed_records));
-      record.add("keys", static_cast<std::size_t>(stats.keys));
+      record.add("blob_bytes", reopened.recovered_state("bench").size());
       record.append_to(kJsonPath);
       wipe(dir);
     }

@@ -421,19 +421,14 @@ int cmd_store(const std::string& dir, std::uint64_t populate, bool compact) {
   options.data_dir = dir;
   options.segment_size = 64 * 1024;  // small segments so demos roll over
   if (populate > 0) {
-    // Write a recognisable workload (puts, a few erases, journal events),
-    // then close so the inspection below exercises a genuine recovery.
+    // Write a recognisable journal, then close so the inspection below
+    // exercises a genuine recovery.
     store::StorageEngine writer(options);
-    for (std::uint64_t i = 0; i < populate; ++i) {
-      const std::string key = "demo/key-" + std::to_string(i);
-      writer.put(key, "value-" + std::to_string(i));
+    for (std::uint64_t i = 0; i < populate; ++i)
       writer.append_event("demo", "event-" + std::to_string(i));
-    }
-    for (std::uint64_t i = 0; i < populate; i += 4)
-      writer.erase("demo/key-" + std::to_string(i));
     writer.commit();
-    std::printf("populated '%s' with %llu puts + events (every 4th key erased)\n",
-                dir.c_str(), static_cast<unsigned long long>(populate));
+    std::printf("populated '%s' with %llu events\n", dir.c_str(),
+                static_cast<unsigned long long>(populate));
   }
 
   std::size_t replayed_events = 0;
@@ -441,12 +436,7 @@ int cmd_store(const std::string& dir, std::uint64_t populate, bool compact) {
     ++replayed_events;
   });
   store::StoreStats stats = engine.stats();
-  if (!stats.durable) {
-    std::fprintf(stderr, "error: '%s' did not open in durable mode\n", dir.c_str());
-    return 1;
-  }
   std::printf("store '%s'\n", dir.c_str());
-  std::printf("  keys               %llu\n", static_cast<unsigned long long>(stats.keys));
   std::printf("  wal segments       %llu\n", static_cast<unsigned long long>(stats.segments));
   std::printf("  wal records        %llu (%llu bytes)\n",
               static_cast<unsigned long long>(stats.wal.records),
@@ -471,12 +461,6 @@ int cmd_store(const std::string& dir, std::uint64_t populate, bool compact) {
                 static_cast<unsigned long long>(stats.segments),
                 static_cast<unsigned long long>(stats.snapshot_lsn));
   }
-
-  const auto keys = engine.keys_with_prefix("");
-  const std::size_t shown = keys.size() < 8 ? keys.size() : 8;
-  for (std::size_t i = 0; i < shown; ++i)
-    std::printf("  key[%zu] %s\n", i, keys[i].c_str());
-  if (keys.size() > shown) std::printf("  ... %zu more\n", keys.size() - shown);
   return 0;
 }
 

@@ -32,6 +32,10 @@ std::string_view to_string(CaseState state) noexcept {
 
 namespace {
 
+/// Runaway guard: a single attempt phase aborts after this many slices of
+/// `events_per_slice` simulation events.
+constexpr std::size_t kMaxSlicesPerCase = 1 << 14;
+
 /// The engine's in-platform proxy: the agent that submits enact / restore /
 /// checkpoint requests on a shard and collects the replies. Only the
 /// shard's worker thread ever touches it (it runs the simulation), so it
@@ -547,7 +551,6 @@ EngineMetrics EnactmentEngine::metrics() const {
     journal.gauge("store_poisoned").set(store.wal.poisoned ? 1.0 : 0.0);
     journal.gauge("store_segments").set(static_cast<double>(store.segments));
     journal.gauge("store_wal_records").set(static_cast<double>(store.wal.records));
-    journal.gauge("store_keys").set(static_cast<double>(store.keys));
     journal.gauge("store_last_snapshot_lsn").set(static_cast<double>(store.snapshot_lsn));
     journal.gauge("store_recovery_ms").set(store.recovery_ms);
   }
@@ -632,7 +635,7 @@ bool EnactmentEngine::step(Shard& shard) {
       const std::size_t executed = sim.run(config_.events_per_slice);
       std::optional<AclMessage> reply = shard.client->take(shard.conversation);
       if (!reply.has_value()) {
-        if (executed == 0 || ++shard.slices >= config_.max_slices_per_case) {
+        if (executed == 0 || ++shard.slices >= kMaxSlicesPerCase) {
           // Calendar drained (or budget blown) without an answer: stalled.
           shard.attempt.kind = AttemptResult::Kind::Failure;
           shard.attempt.reply.params["error"] = "enactment stalled (no completion reply)";
@@ -675,7 +678,7 @@ bool EnactmentEngine::step(Shard& shard) {
           shard.attempt.checkpoint_xml = snapshot_reply->content;
         return complete_attempt(shard);
       }
-      if (executed == 0 || ++shard.slices >= config_.max_slices_per_case)
+      if (executed == 0 || ++shard.slices >= kMaxSlicesPerCase)
         return complete_attempt(shard);
       return true;
     }

@@ -102,8 +102,6 @@ struct EngineConfig {
   std::vector<double> shard_failure_floor;
   /// Simulation events run between engine control checks (cancel, shutdown).
   std::size_t events_per_slice = 2048;
-  /// Runaway guard: a single attempt aborts after this many slices.
-  std::size_t max_slices_per_case = 1 << 14;
   /// Terminal outcomes kept for result()/status(); past this many the
   /// oldest (by completion order) are evicted and report Evicted. The
   /// default matches the latency histogram's sample ring. Durable mode

@@ -53,8 +53,7 @@ Environment::Environment(const EnvironmentOptions& options, obs::Scope metrics)
   ontology_->store(meta::standard_grid_ontology());
   ontology_->store(virolab::make_fig13_ontology());
   authentication_ = &platform_.spawn<AuthenticationService>(names::kAuthentication);
-  storage_ = &platform_.spawn<PersistentStorageService>(names::kPersistentStorage,
-                                                        options.storage_engine);
+  storage_ = &platform_.spawn<PersistentStorageService>(names::kPersistentStorage);
   scheduling_ = &platform_.spawn<SchedulingService>(names::kScheduling);
   simulation_ =
       &platform_.spawn<SimulationService>(names::kSimulation, catalogue_, options.gp.evaluation);

@@ -59,11 +59,6 @@ struct EnvironmentOptions {
   bool wire_transport = false;
   /// Fault-injection policy installed on the platform (empty = no chaos).
   agent::ChaosPolicy chaos;
-  /// Backing store for the PersistentStorageService (not owned). Null gives
-  /// the service a private in-memory store (the historical behavior); a
-  /// durable engine makes its documents crash-recoverable and lets several
-  /// environments share one knowledge base.
-  store::StorageEngine* storage_engine = nullptr;
   std::uint64_t seed = 42;
 };
 

@@ -8,28 +8,24 @@ namespace ig::svc {
 using agent::AclMessage;
 using agent::Performative;
 
-PersistentStorageService::PersistentStorageService(std::string name,
-                                                   store::StorageEngine* engine)
-    : Agent(std::move(name)) {
-  if (engine != nullptr) {
-    store_ = engine;
-  } else {
-    owned_ = std::make_unique<store::StorageEngine>();  // in-memory
-    store_ = owned_.get();
-  }
-}
-
 void PersistentStorageService::put(const std::string& key, std::string value) {
-  store_->put(key, std::move(value));
+  documents_.insert_or_assign(key, std::move(value));
 }
 
 std::optional<std::string> PersistentStorageService::get(const std::string& key) const {
-  return store_->get(key);
+  const auto it = documents_.find(key);
+  if (it == documents_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::vector<std::string> PersistentStorageService::keys_with_prefix(
     const std::string& prefix) const {
-  return store_->keys_with_prefix(prefix);
+  std::vector<std::string> keys;
+  for (auto it = documents_.lower_bound(prefix); it != documents_.end(); ++it) {
+    if (!util::starts_with(it->first, prefix)) break;
+    keys.push_back(it->first);
+  }
+  return keys;
 }
 
 void PersistentStorageService::on_start() {

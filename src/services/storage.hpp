@@ -3,49 +3,37 @@
 // "Persistent storage services provide access to the data needed for the
 // execution of user tasks." It also backs the "system knowledge base" where
 // process descriptions are archived (Section 3). A keyed document store with
-// optional namespaces is sufficient for both roles.
-//
-// The documents live in a `store::StorageEngine`: by default a private
-// in-memory instance (exactly the old std::map behavior), or a shared
-// durable engine handed in through `EnvironmentOptions::storage_engine`, in
-// which case every put is WAL-journaled and survives a process restart.
+// optional namespaces is sufficient for both roles; the documents live in
+// an ordered map, so a prefix listing is one range scan. What must survive
+// a restart is the enactment engine's case journal (store/), not this map.
 #pragma once
 
-#include <memory>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "agent/agent.hpp"
-#include "store/storage_engine.hpp"
 
 namespace ig::svc {
 
 class PersistentStorageService : public agent::Agent {
  public:
-  /// `engine == nullptr` gives the service a private in-memory store; a
-  /// non-null engine (not owned) makes the documents durable/shared.
-  explicit PersistentStorageService(std::string name = "pss",
-                                    store::StorageEngine* engine = nullptr);
+  explicit PersistentStorageService(std::string name = "pss") : Agent(std::move(name)) {}
 
   void on_start() override;
   void handle_message(const agent::AclMessage& message) override;
 
   // Direct access for tests and harnesses.
   void put(const std::string& key, std::string value);
-  /// A copy of the document, not a pointer into internal state: the old
-  /// `const std::string*` return was invalidated by any interleaved put of
-  /// the same key (and by map rehash/erase under a shared engine).
+  /// A copy of the document (nullopt when the key is absent), so a later
+  /// put of the same key cannot invalidate it.
   std::optional<std::string> get(const std::string& key) const;
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
-  std::size_t size() const noexcept { return store().size(); }
-
-  store::StorageEngine& store() noexcept { return *store_; }
-  const store::StorageEngine& store() const noexcept { return *store_; }
+  std::size_t size() const noexcept { return documents_.size(); }
 
  private:
-  std::unique_ptr<store::StorageEngine> owned_;  ///< null when sharing
-  store::StorageEngine* store_ = nullptr;
+  std::map<std::string, std::string> documents_;
 };
 
 }  // namespace ig::svc

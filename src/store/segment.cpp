@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "store/crc32c.hpp"
+#include "store/codec.hpp"
 #include "util/log.hpp"
 
 namespace ig::store {
@@ -14,26 +14,6 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x3130304745534749ULL;  // "IGSEG01" + version tag
 constexpr std::uint32_t kVersion = 1;
-
-void put_u32(unsigned char* at, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) at[i] = static_cast<unsigned char>((value >> (8 * i)) & 0xFF);
-}
-
-void put_u64(unsigned char* at, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) at[i] = static_cast<unsigned char>((value >> (8 * i)) & 0xFF);
-}
-
-std::uint32_t get_u32(const unsigned char* at) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= static_cast<std::uint32_t>(at[i]) << (8 * i);
-  return value;
-}
-
-std::uint64_t get_u64(const unsigned char* at) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= static_cast<std::uint64_t>(at[i]) << (8 * i);
-  return value;
-}
 
 }  // namespace
 
@@ -64,13 +44,15 @@ std::unique_ptr<Segment> Segment::create(FileOps& fops, const std::string& path,
   segment->capacity_ = capacity;
   segment->sequence_ = sequence;
   segment->first_lsn_ = first_lsn;
-  unsigned char* h = segment->map_;
-  put_u64(h, kMagic);
-  put_u32(h + 8, kVersion);
-  put_u32(h + 12, 0);
-  put_u64(h + 16, sequence);
-  put_u64(h + 24, first_lsn);
-  put_u64(h + 32, capacity);
+  std::string header;
+  Writer writer(header);
+  writer.u64(kMagic);
+  writer.u32(kVersion);
+  writer.u32(0);
+  writer.u64(sequence);
+  writer.u64(first_lsn);
+  writer.u64(capacity);
+  std::memcpy(segment->map_, header.data(), kHeaderSize);
   return segment;
 }
 
@@ -85,13 +67,17 @@ std::unique_ptr<Segment> Segment::open(FileOps& fops, const std::string& path) {
   // Peek at the header to learn the declared capacity, then grow the file
   // back to it if a crash (or a test harness) truncated it — the restored
   // bytes read as zeros, which the scan below treats as a clean end.
-  unsigned char header[kHeaderSize];
-  if (fops.pread(fd, header, kHeaderSize, 0) != static_cast<ssize_t>(kHeaderSize) ||
-      get_u64(header) != kMagic || get_u32(header + 8) != kVersion) {
+  char header_bytes[kHeaderSize];
+  Reader header(std::string_view(header_bytes, kHeaderSize));
+  if (fops.pread(fd, header_bytes, kHeaderSize, 0) != static_cast<ssize_t>(kHeaderSize) ||
+      header.u64() != kMagic || header.u32() != kVersion) {
     fops.close(fd);
     return nullptr;
   }
-  const std::size_t capacity = get_u64(header + 32);
+  header.u32();  // reserved
+  const std::uint64_t sequence = header.u64();
+  const Lsn first_lsn = header.u64();
+  const std::size_t capacity = header.u64();
   if (capacity < kHeaderSize + kFrameOverhead ||
       (static_cast<std::size_t>(file_size) != capacity &&
        fops.ftruncate(fd, static_cast<off_t>(capacity)) != 0)) {
@@ -113,31 +99,19 @@ std::unique_ptr<Segment> Segment::open(FileOps& fops, const std::string& path) {
   segment->path_ = path;
   segment->map_ = static_cast<unsigned char*>(map);
   segment->capacity_ = capacity;
-  segment->sequence_ = get_u64(segment->map_ + 16);
-  segment->first_lsn_ = get_u64(segment->map_ + 24);
+  segment->sequence_ = sequence;
+  segment->first_lsn_ = first_lsn;
 
   // Scan the record run. Stop cleanly at a zero length (never-written
   // space — a file the crash truncated short was re-extended with zeros
   // above, so a frame the truncation cut lands here too, via either a
   // zeroed length or a CRC mismatch over its zeroed tail); stop *torn* at
   // an implausible length or a CRC mismatch.
-  std::size_t offset = kHeaderSize;
-  while (offset + kFrameOverhead <= capacity) {
-    const std::uint32_t length = get_u32(segment->map_ + offset);
-    if (length == 0) break;  // clean end of the run
-    if (length > capacity - offset - kFrameOverhead) {
-      segment->torn_ = true;
-      break;
-    }
-    const std::uint32_t stored_crc = get_u32(segment->map_ + offset + 4);
-    const unsigned char* payload = segment->map_ + offset + kFrameOverhead;
-    if (crc32c(payload, length) != stored_crc) {
-      segment->torn_ = true;
-      break;
-    }
-    segment->records_.emplace_back(reinterpret_cast<const char*>(payload), length);
-    offset += kFrameOverhead + length;
-  }
+  FrameReader frames(std::string_view(reinterpret_cast<const char*>(segment->map_) + kHeaderSize,
+                                      capacity - kHeaderSize));
+  for (std::string_view payload; frames.next(payload);) segment->records_.push_back(payload);
+  segment->torn_ = frames.torn();
+  const std::size_t offset = kHeaderSize + frames.offset();
   segment->tail_ = offset;
   if (segment->torn_ && offset < capacity) {
     // Scrub everything after the last intact record: garbage from the torn
@@ -159,8 +133,7 @@ Segment::~Segment() {
 
 void Segment::append(std::string_view payload) {
   unsigned char* at = map_ + tail_;
-  put_u32(at, static_cast<std::uint32_t>(payload.size()));
-  put_u32(at + 4, crc32c(payload));
+  std::memcpy(at, frame_header(payload).data(), kFrameOverhead);
   std::memcpy(at + kFrameOverhead, payload.data(), payload.size());
   records_.emplace_back(reinterpret_cast<const char*>(at + kFrameOverhead), payload.size());
   tail_ += kFrameOverhead + payload.size();

@@ -24,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "store/codec.hpp"
 #include "store/file_ops.hpp"
 
 namespace ig::store {
@@ -35,7 +36,6 @@ using Lsn = std::uint64_t;
 class Segment {
  public:
   static constexpr std::size_t kHeaderSize = 40;
-  static constexpr std::size_t kFrameOverhead = 8;  ///< u32 len + u32 crc
 
   /// Creates a pre-sized file at `path` and maps it. `capacity` includes
   /// the header. All I/O goes through `fops`, which must outlive the

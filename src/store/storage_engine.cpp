@@ -7,23 +7,20 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "store/codec.hpp"
-#include "store/crc32c.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace ig::store {
 namespace {
 
-// WAL record payload types.
-constexpr std::uint8_t kPutRecord = 1;
-constexpr std::uint8_t kEraseRecord = 2;
+// WAL record payload type. Types 1 and 2 and snapshot frame type 11 held
+// key/value entries in older data directories; they are never reused.
 constexpr std::uint8_t kEventRecord = 3;
 
 // Snapshot frame payload types.
 constexpr std::uint8_t kSnapMeta = 10;
-constexpr std::uint8_t kSnapKv = 11;
 constexpr std::uint8_t kSnapState = 12;
 constexpr std::uint8_t kSnapEnd = 13;
 constexpr std::uint32_t kSnapVersion = 1;
@@ -33,33 +30,6 @@ std::string snapshot_path(const std::string& dir, Lsn lsn) {
   std::snprintf(name, sizeof name, "snap-%016llu.snap",
                 static_cast<unsigned long long>(lsn));
   return dir + "/" + name;
-}
-
-/// Appends one CRC frame (same u32 len + u32 crc layout as segments) to a
-/// byte buffer.
-void append_frame(std::string& out, std::string_view payload) {
-  Writer writer(out);
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
-  writer.u32(crc32c(payload));
-  out.append(payload.data(), payload.size());
-}
-
-/// Splits a buffer back into frame payloads; returns false on any corrupt
-/// or truncated frame (the whole snapshot is then untrusted).
-bool split_frames(std::string_view bytes, std::vector<std::string_view>& frames) {
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    if (bytes.size() - offset < 8) return false;
-    Reader reader(bytes.substr(offset, 8));
-    const std::uint32_t length = reader.u32();
-    const std::uint32_t stored_crc = reader.u32();
-    if (bytes.size() - offset - 8 < length) return false;
-    const std::string_view payload = bytes.substr(offset + 8, length);
-    if (crc32c(payload) != stored_crc) return false;
-    frames.push_back(payload);
-    offset += 8 + length;
-  }
-  return true;
 }
 
 std::vector<std::string> list_with_suffix(const std::string& dir, const std::string& suffix) {
@@ -90,12 +60,12 @@ StorageEngine::StorageEngine(Options options, EventReplayFn event_replay, obs::S
       snapshots_written_(metrics_.counter("store_snapshots_total")),
       segments_compacted_(metrics_.counter("store_segments_compacted_total")),
       replayed_records_(metrics_.counter("store_wal_records_replayed_total")) {
-  if (options_.data_dir.empty()) return;
+  if (options_.data_dir.empty())
+    throw std::invalid_argument("store::Options::data_dir must name a directory");
   const auto started = std::chrono::steady_clock::now();
   WalOptions wal_options;
   wal_options.dir = options_.data_dir;
   wal_options.segment_size = options_.segment_size;
-  wal_options.sync = options_.sync;
   wal_options.group_window_us = options_.group_window_us;
   wal_options.file_ops = options_.file_ops;
   wal_ = std::make_unique<WriteAheadLog>(std::move(wal_options), metrics_);
@@ -104,27 +74,12 @@ StorageEngine::StorageEngine(Options options, EventReplayFn event_replay, obs::S
   wal_->skip_to(snapshot_lsn_);  // no-op unless the log fell behind the snapshot
   wal_->replay(snapshot_lsn_, [&](Lsn, std::string_view payload) {
     Reader reader(payload);
-    switch (reader.u8()) {
-      case kPutRecord: {
-        const std::string_view key = reader.str();
-        const std::string_view value = reader.str();
-        if (reader.ok()) map_[std::string(key)] = std::string(value);
-        break;
-      }
-      case kEraseRecord: {
-        const std::string_view key = reader.str();
-        if (reader.ok()) map_.erase(std::string(key));
-        break;
-      }
-      case kEventRecord: {
-        const std::string_view stream = reader.str();
-        const std::string_view event = reader.str();
-        if (reader.ok() && event_replay) event_replay(stream, event);
-        break;
-      }
-      default:
-        IG_LOG_WARN("store") << "skipping WAL record of unknown type";
-        break;
+    if (reader.u8() == kEventRecord) {
+      const std::string_view stream = reader.str();
+      const std::string_view event = reader.str();
+      if (reader.ok() && event_replay) event_replay(stream, event);
+    } else {
+      IG_LOG_WARN("store") << "skipping WAL record of unknown type";
     }
     replayed_records_.inc();
   });
@@ -135,82 +90,18 @@ StorageEngine::StorageEngine(Options options, EventReplayFn event_replay, obs::S
 
 StorageEngine::~StorageEngine() = default;
 
-void StorageEngine::put(const std::string& key, std::string value) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (wal_ == nullptr) {
-    map_.insert_or_assign(key, std::move(value));
-    ++memory_lsn_;
-    return;
-  }
-  std::string record;
-  Writer writer(record);
-  writer.u8(kPutRecord);
-  writer.str(key);
-  writer.str(value);
-  const Lsn lsn = wal_->append(record);
-  map_.insert_or_assign(key, std::move(value));
-  lock.unlock();
-  wal_->commit(lsn);  // durable before the caller sees the put succeed
-}
-
-bool StorageEngine::erase(const std::string& key) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool existed = map_.erase(key) > 0;
-  if (wal_ == nullptr) {
-    if (existed) ++memory_lsn_;
-    return existed;
-  }
-  if (!existed) return false;
-  std::string record;
-  Writer writer(record);
-  writer.u8(kEraseRecord);
-  writer.str(key);
-  const Lsn lsn = wal_->append(record);
-  lock.unlock();
-  wal_->commit(lsn);
-  return true;
-}
-
-std::optional<std::string> StorageEngine::get(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<std::string> StorageEngine::keys_with_prefix(const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> keys;
-  for (auto it = map_.lower_bound(prefix); it != map_.end(); ++it) {
-    if (!util::starts_with(it->first, prefix)) break;
-    keys.push_back(it->first);
-  }
-  return keys;
-}
-
-std::size_t StorageEngine::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
 Lsn StorageEngine::append_event(std::string_view stream, std::string_view payload) {
   std::string record;
   Writer writer(record);
   writer.u8(kEventRecord);
   writer.str(stream);
   writer.str(payload);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (wal_ == nullptr) return ++memory_lsn_;
   return wal_->append(record);
 }
 
-void StorageEngine::commit() {
-  if (wal_ != nullptr) wal_->commit(wal_->last_lsn());
-}
+void StorageEngine::commit() { wal_->commit(wal_->last_lsn()); }
 
-void StorageEngine::commit(Lsn upto) {
-  if (wal_ != nullptr) wal_->commit(upto);
-}
+void StorageEngine::commit(Lsn upto) { wal_->commit(upto); }
 
 void StorageEngine::set_state_provider(const std::string& stream,
                                        std::function<std::string()> provider) {
@@ -225,9 +116,7 @@ std::string StorageEngine::recovered_state(const std::string& stream) const {
 }
 
 bool StorageEngine::snapshot() {
-  if (wal_ == nullptr) return false;
   Lsn lsn = 0;
-  std::vector<std::pair<std::string, std::string>> kv;
   std::map<std::string, std::function<std::string()>> providers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -235,10 +124,8 @@ bool StorageEngine::snapshot() {
     snapshot_in_progress_ = true;
     // Read the LSN *before* collecting state: anything a provider bakes in
     // past this point is also replayed after recovery, which is safe
-    // because stream replay is idempotent (and KV replay is last-write-wins
-    // in LSN order, converging on the same map).
+    // because stream replay is idempotent.
     lsn = wal_->last_lsn();
-    kv.assign(map_.begin(), map_.end());
     providers = providers_;
   }
   // Providers run outside the store mutex: they lock their own subsystem
@@ -254,7 +141,7 @@ bool StorageEngine::snapshot() {
   bool ok = false;
   try {
     wal_->commit(lsn);
-    ok = write_snapshot_file(lsn, kv, blobs);
+    ok = write_snapshot_file(lsn, blobs);
   } catch (const Error&) {
     ok = false;
   }
@@ -271,7 +158,7 @@ bool StorageEngine::snapshot() {
 }
 
 bool StorageEngine::maybe_snapshot() {
-  if (wal_ == nullptr || options_.snapshot_interval == 0) return false;
+  if (options_.snapshot_interval == 0) return false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (snapshot_in_progress_ ||
@@ -282,7 +169,6 @@ bool StorageEngine::maybe_snapshot() {
 }
 
 std::size_t StorageEngine::compact() {
-  if (wal_ == nullptr) return 0;
   Lsn lsn = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -300,15 +186,10 @@ std::size_t StorageEngine::compact() {
 
 StoreStats StorageEngine::stats() const {
   StoreStats stats;
-  if (wal_ != nullptr) {
-    stats.wal = wal_->stats();
-    stats.segments = wal_->segment_count();
-    stats.last_lsn = wal_->last_lsn();
-  }
+  stats.wal = wal_->stats();
+  stats.segments = wal_->segment_count();
+  stats.last_lsn = wal_->last_lsn();
   std::lock_guard<std::mutex> lock(mutex_);
-  stats.durable = wal_ != nullptr;
-  stats.keys = map_.size();
-  if (wal_ == nullptr) stats.last_lsn = memory_lsn_;
   stats.snapshot_lsn = snapshot_lsn_;
   stats.snapshots_written = snapshots_written_.value();
   stats.segments_compacted = segments_compacted_.value();
@@ -316,7 +197,6 @@ StoreStats StorageEngine::stats() const {
   stats.recovery_ms = recovery_ms_;
   return stats;
 }
-
 
 void StorageEngine::remove_stale_snapshot_tmps() {
   // A crash mid-snapshot leaves `snap-*.snap.tmp` behind: never renamed,
@@ -362,12 +242,15 @@ void StorageEngine::load_snapshot() {
       continue;
     }
 
+    // The frames must cover the whole file: a clean end before it (a
+    // zeroed or short frame header) is as untrustworthy as a torn frame.
     std::vector<std::string_view> frames;
-    std::map<std::string, std::string> map;
+    FrameReader frame_reader(bytes);
+    for (std::string_view frame; frame_reader.next(frame);) frames.push_back(frame);
     std::map<std::string, std::string> recovered;
     Lsn lsn = 0;
     bool complete = false;
-    bool valid = split_frames(bytes, frames) && frames.size() >= 2;
+    bool valid = frame_reader.offset() == bytes.size() && frames.size() >= 2;
     if (valid) {
       Reader meta(frames.front());
       valid = meta.u8() == kSnapMeta && meta.u32() == kSnapVersion;
@@ -378,13 +261,6 @@ void StorageEngine::load_snapshot() {
       for (std::size_t i = 1; valid && i < frames.size(); ++i) {
         Reader reader(frames[i]);
         switch (reader.u8()) {
-          case kSnapKv: {
-            const std::string_view key = reader.str();
-            const std::string_view value = reader.str();
-            valid = reader.ok();
-            if (valid) map[std::string(key)] = std::string(value);
-            break;
-          }
           case kSnapState: {
             const std::string_view stream = reader.str();
             const std::string_view blob = reader.str();
@@ -404,7 +280,6 @@ void StorageEngine::load_snapshot() {
       }
     }
     if (valid && complete) {
-      map_ = std::move(map);
       recovered_ = std::move(recovered);
       snapshot_lsn_ = lsn;
       return;
@@ -416,8 +291,7 @@ void StorageEngine::load_snapshot() {
 }
 
 bool StorageEngine::write_snapshot_file(
-    Lsn lsn, const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::vector<std::pair<std::string, std::string>>& blobs) {
+    Lsn lsn, const std::vector<std::pair<std::string, std::string>>& blobs) {
   std::string buffer;
   {
     std::string payload;
@@ -425,15 +299,7 @@ bool StorageEngine::write_snapshot_file(
     writer.u8(kSnapMeta);
     writer.u32(kSnapVersion);
     writer.u64(lsn);
-    append_frame(buffer, payload);
-  }
-  for (const auto& [key, value] : kv) {
-    std::string payload;
-    Writer writer(payload);
-    writer.u8(kSnapKv);
-    writer.str(key);
-    writer.str(value);
-    append_frame(buffer, payload);
+    write_frame(buffer, payload);
   }
   for (const auto& [stream, blob] : blobs) {
     std::string payload;
@@ -441,14 +307,14 @@ bool StorageEngine::write_snapshot_file(
     writer.u8(kSnapState);
     writer.str(stream);
     writer.str(blob);
-    append_frame(buffer, payload);
+    write_frame(buffer, payload);
   }
   {
     std::string payload;
     Writer writer(payload);
     writer.u8(kSnapEnd);
-    writer.u64(kv.size() + blobs.size());
-    append_frame(buffer, payload);
+    writer.u64(blobs.size());
+    write_frame(buffer, payload);
   }
 
   // tmp + fsync + rename: the snapshot either exists completely under its
@@ -470,7 +336,7 @@ bool StorageEngine::write_snapshot_file(
     }
     written += static_cast<std::size_t>(n);
   }
-  if (options_.sync != SyncMode::kNone && fops_->fsync(fd) != 0) {
+  if (fops_->fsync(fd) != 0) {
     // An unsynced snapshot must never be renamed into authority: a crash
     // could then leave a *newest* snapshot with silently missing pages.
     fops_->close(fd);
@@ -482,12 +348,10 @@ bool StorageEngine::write_snapshot_file(
     fops_->unlink(tmp_path);
     return false;
   }
-  if (options_.sync != SyncMode::kNone) {
-    const int dir_fd = fops_->open(options_.data_dir, O_RDONLY | O_DIRECTORY, 0);
-    if (dir_fd >= 0) {
-      fops_->fsync(dir_fd);
-      fops_->close(dir_fd);
-    }
+  const int dir_fd = fops_->open(options_.data_dir, O_RDONLY | O_DIRECTORY, 0);
+  if (dir_fd >= 0) {
+    fops_->fsync(dir_fd);
+    fops_->close(dir_fd);
   }
   return true;
 }

@@ -1,26 +1,19 @@
-// Durable storage engine: a crash-recoverable key/value store plus a
-// general-purpose event journal, both over one write-ahead log.
+// Durable event journal over one write-ahead log.
 //
-// Two kinds of state share the WAL:
-//   * key/value mutations (put / erase) — the backing store of
-//     `svc::PersistentStorageService`, replayed into the in-memory map at
-//     open;
-//   * journal *events* — opaque payloads tagged with a stream name (the
-//     enactment engine journals case lifecycle events on stream "engine"),
-//     handed back to the owning subsystem at open in LSN order.
+// Subsystems append opaque *events* tagged with a stream name (the
+// enactment engine journals case lifecycle events on stream "engine") and
+// get them back at open, in LSN order. Every instance lives in a data
+// directory; there is no in-memory mode — a component that needs no
+// durability keeps its state in memory itself.
 //
 // Periodic snapshots bound recovery time and enable compaction: a snapshot
-// file captures the whole KV map plus one state blob per registered
-// stream (the stream's own serialization of "everything my events up to
-// this LSN amount to"); WAL segments entirely at or below the snapshot
-// LSN are then deleted. Because the snapshot LSN is read *before* the
-// state is collected, an event may be both inside a blob and replayed
-// after it — stream consumers must keep their replay idempotent (the
-// engine keys everything by case id, so re-applying is harmless).
-//
-// `data_dir` empty selects the in-memory mode: the same API over just the
-// map, no files, no fsyncs — what every deterministic test and bench that
-// predates this subsystem gets, byte for byte.
+// file captures one state blob per registered stream (the stream's own
+// serialization of "everything my events up to this LSN amount to"); WAL
+// segments entirely at or below the snapshot LSN are then deleted. Because
+// the snapshot LSN is read *before* the state is collected, an event may be
+// both inside a blob and replayed after it — stream consumers must keep
+// their replay idempotent (the engine keys everything by case id, so
+// re-applying is harmless).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,9 +31,8 @@
 namespace ig::store {
 
 struct Options {
-  std::string data_dir;                ///< empty = in-memory (no files at all)
+  std::string data_dir;                ///< required: an empty one is refused
   std::size_t segment_size = 1 << 20;  ///< standard WAL segment capacity
-  SyncMode sync = SyncMode::kCommit;
   /// Commit-leader linger window forwarded to WalOptions::group_window_us
   /// (0 = sync immediately). The enactment engine enables a small window
   /// when several durable shards share this store.
@@ -57,8 +48,6 @@ struct Options {
 };
 
 struct StoreStats {
-  bool durable = false;
-  std::uint64_t keys = 0;
   std::uint64_t segments = 0;  ///< live WAL segment files
   Lsn last_lsn = 0;
   Lsn snapshot_lsn = 0;  ///< LSN covered by the newest snapshot (0 = none)
@@ -74,38 +63,30 @@ class StorageEngine {
   /// stream name + event payload, in LSN order.
   using EventReplayFn = std::function<void(std::string_view, std::string_view)>;
 
-  /// Opens (or creates) the store. When recovering, KV records are applied
-  /// internally and every journal event is forwarded to `event_replay`
-  /// before the constructor returns — single-threaded, so the consumer
-  /// needs no locking while it rebuilds. The store and its WAL count as
-  /// `store_*` counters in `metrics` (the engine passes its registry
-  /// labelled {component=engine-journal}; the default is a private one).
-  explicit StorageEngine(Options options = {}, EventReplayFn event_replay = nullptr,
+  /// Opens (or creates) the store under options.data_dir. When recovering,
+  /// every journal event is forwarded to `event_replay` before the
+  /// constructor returns — single-threaded, so the consumer needs no
+  /// locking while it rebuilds. The store and its WAL count as `store_*`
+  /// counters in `metrics` (the engine passes its registry labelled
+  /// {component=engine-journal}; the default is a private one). Throws
+  /// std::invalid_argument for an empty data_dir and store::Error when the
+  /// directory or a segment cannot be opened.
+  explicit StorageEngine(Options options, EventReplayFn event_replay = nullptr,
                          obs::Scope metrics = {});
   ~StorageEngine();
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
-  bool durable() const noexcept { return wal_ != nullptr; }
   const Options& options() const noexcept { return options_; }
-
-  // -- key/value (PersistentStorageService semantics) -------------------------
-  /// Durable on return under SyncMode::kCommit/kAlways. In durable mode
-  /// put/erase/append_event/commit throw store::Error when the disk fails:
-  /// kNoSpace/kIo mean this write did not happen (the store is otherwise
-  /// intact), kPoisoned means a durability barrier failed earlier and the
-  /// WAL is fail-stop (see wal.hpp).
-  void put(const std::string& key, std::string value);
-  bool erase(const std::string& key);
-  std::optional<std::string> get(const std::string& key) const;
-  std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
-  std::size_t size() const;
 
   // -- event journal -----------------------------------------------------------
   /// Appends one event; NOT yet durable — call commit() (or batch several
   /// appends under one commit, the group-commit sweet spot). Returns the
-  /// record's LSN (a plain counter in in-memory mode).
+  /// record's LSN. append_event and commit throw store::Error when the disk
+  /// fails: kNoSpace/kIo mean this write did not happen (the store is
+  /// otherwise intact), kPoisoned means a durability barrier failed earlier
+  /// and the WAL is fail-stop (see wal.hpp).
   Lsn append_event(std::string_view stream, std::string_view payload);
 
   /// Durability barrier over everything appended so far.
@@ -127,8 +108,8 @@ class StorageEngine {
   std::string recovered_state(const std::string& stream) const;
 
   /// Writes a snapshot now (tmp file + fsync + atomic rename), then
-  /// compacts when options.auto_compact. False in in-memory mode or on a
-  /// filesystem error (the previous snapshot survives either way).
+  /// compacts when options.auto_compact. False on a filesystem error (the
+  /// previous snapshot survives).
   bool snapshot();
 
   /// snapshot() iff snapshot_interval records accumulated since the last.
@@ -141,10 +122,9 @@ class StorageEngine {
   StoreStats stats() const;
 
  private:
-  void load_snapshot();  ///< newest intact snapshot -> map_ + recovered_
+  void load_snapshot();  ///< newest intact snapshot -> recovered_
   void remove_stale_snapshot_tmps();  ///< crash-mid-snapshot leftovers
   bool write_snapshot_file(Lsn lsn,
-                           const std::vector<std::pair<std::string, std::string>>& kv,
                            const std::vector<std::pair<std::string, std::string>>& blobs);
 
   Options options_;
@@ -153,13 +133,11 @@ class StorageEngine {
   obs::Counter& snapshots_written_;
   obs::Counter& segments_compacted_;
   obs::Counter& replayed_records_;
-  mutable std::mutex mutex_;  ///< guards map_, recovered_, snapshot bookkeeping
-  std::map<std::string, std::string> map_;
+  mutable std::mutex mutex_;  ///< guards recovered_, providers_, snapshot bookkeeping
   std::map<std::string, std::string> recovered_;  ///< stream -> blob from snapshot
   std::map<std::string, std::function<std::string()>> providers_;
-  std::unique_ptr<WriteAheadLog> wal_;  ///< null in in-memory mode
+  std::unique_ptr<WriteAheadLog> wal_;
 
-  Lsn memory_lsn_ = 0;  ///< monotonic counter standing in for the WAL's LSN
   Lsn snapshot_lsn_ = 0;
   double recovery_ms_ = 0.0;
   bool snapshot_in_progress_ = false;

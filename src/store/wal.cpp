@@ -106,15 +106,16 @@ WriteAheadLog::WriteAheadLog(WalOptions options, obs::Scope metrics)
     ++next_sequence_;
     ++segments_created_;
     segments_.push_back(std::move(segment));
-    if (options_.sync != SyncMode::kNone) sync_dir();
+    sync_dir();
   }
   durable_lsn_ = last_lsn_;  // everything recovered is already on disk
 }
 
 WriteAheadLog::~WriteAheadLog() {
-  // Best-effort flush so a clean shutdown persists even under kNone. A
-  // poisoned log stays hands-off: its last barrier already failed and a
-  // lucky flush now would make the on-disk state lie about what was acked.
+  // Best-effort flush of appends no commit covered, so a clean shutdown
+  // persists them. A poisoned log stays hands-off: its last barrier already
+  // failed and a lucky flush now would make the on-disk state lie about
+  // what was acked.
   std::lock_guard<std::mutex> lock(mutex_);
   if (!segments_.empty() && !poisoned_.load(std::memory_order_acquire))
     segments_.back()->sync();
@@ -145,23 +146,10 @@ Lsn WriteAheadLog::append(std::string_view payload) {
   if (!active_locked().fits(payload.size())) roll_locked(payload.size());
   active_locked().append(payload);
   appends_.inc();
-  const Lsn lsn = ++last_lsn_;
-  if (options_.sync == SyncMode::kAlways) {
-    if (!active_locked().sync()) {
-      const int err = errno;
-      fsync_failures_.inc();
-      poison_locked(std::string("append fsync failed: ") + std::strerror(err));
-      throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
-    }
-    fsyncs_.inc();
-    std::lock_guard<std::mutex> commit_lock(commit_mutex_);
-    if (durable_lsn_ < lsn) durable_lsn_ = lsn;
-  }
-  return lsn;
+  return ++last_lsn_;
 }
 
 void WriteAheadLog::commit(Lsn upto) {
-  if (options_.sync == SyncMode::kNone) return;
   std::unique_lock<std::mutex> lock(commit_mutex_);
   while (durable_lsn_ < upto && sync_in_flight_) commit_cv_.wait(lock);
   if (durable_lsn_ >= upto) {
@@ -240,7 +228,7 @@ void WriteAheadLog::skip_to(Lsn lsn) {
   ++next_sequence_;
   ++segments_created_;
   segments_.push_back(std::move(segment));
-  if (options_.sync != SyncMode::kNone) sync_dir();
+  sync_dir();
 }
 
 std::size_t WriteAheadLog::remove_segments_below(Lsn lsn) {
@@ -253,7 +241,7 @@ std::size_t WriteAheadLog::remove_segments_below(Lsn lsn) {
     ++removed;
   }
   segments_removed_ += removed;
-  if (removed > 0 && options_.sync != SyncMode::kNone) sync_dir();
+  if (removed > 0) sync_dir();
   return removed;
 }
 
@@ -278,7 +266,7 @@ WalStats WriteAheadLog::stats() const {
     const std::size_t records = segment->records().size();
     stats.records += records;
     stats.bytes += segment->tail() - Segment::kHeaderSize -
-                   Segment::kFrameOverhead * records;
+                   kFrameOverhead * records;
   }
   return stats;
 }
@@ -295,17 +283,17 @@ std::size_t WriteAheadLog::active_tail() const {
 
 void WriteAheadLog::roll_locked(std::size_t payload_size) {
   const std::size_t needed =
-      Segment::kHeaderSize + Segment::kFrameOverhead + payload_size;
-  if (options_.sync != SyncMode::kNone) {
-    // Seal-time sync: commit() only ever syncs the active segment, so a
-    // sealed segment must already be durable when it stops being active.
-    if (!active_locked().sync()) {
-      const int err = errno;
-      fsync_failures_.inc();
-      poison_locked(std::string("seal fsync failed: ") + std::strerror(err));
-      throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
-    }
-    fsyncs_.inc();
+      Segment::kHeaderSize + kFrameOverhead + payload_size;
+  // Seal-time sync: commit() only ever syncs the active segment, so a
+  // sealed segment must already be durable when it stops being active.
+  if (!active_locked().sync()) {
+    const int err = errno;
+    fsync_failures_.inc();
+    poison_locked(std::string("seal fsync failed: ") + std::strerror(err));
+    throw Error(ErrorKind::kPoisoned, "append", options_.dir, poison_reason_);
+  }
+  fsyncs_.inc();
+  {
     // Every earlier segment was sealed the same way, so the whole log is
     // now durable: a commit waiting on these records must not sync again
     // (and fail, on a dying disk) for records already on it.
@@ -323,7 +311,7 @@ void WriteAheadLog::roll_locked(std::size_t payload_size) {
   ++next_sequence_;
   ++segments_created_;
   segments_.push_back(std::move(segment));
-  if (options_.sync != SyncMode::kNone) sync_dir();
+  sync_dir();
 }
 
 void WriteAheadLog::sync_dir() {

@@ -10,8 +10,9 @@
 // up to `lsn` is on stable storage. Under concurrency it group-commits —
 // one thread performs the msync while the others wait on the same barrier
 // and are covered by it, so N concurrent committers cost one fsync, not N.
-// `SyncMode::kAlways` folds the barrier into every append (slow, maximal
-// safety); `kNone` never syncs until close (benchmarks, throwaway dirs).
+// Sealing a full segment syncs it, and creating or compacting segments
+// syncs the directory, so a barrier on the active segment covers the whole
+// log.
 //
 // Recovery (`open`): segments are scanned in sequence order; the first
 // torn tail or LSN discontinuity ends the trustworthy prefix, later
@@ -44,22 +45,14 @@
 
 namespace ig::store {
 
-enum class SyncMode {
-  kNone,    ///< never fsync (fast, loses the tail on crash)
-  kCommit,  ///< fsync on commit() barriers, group-committed
-  kAlways,  ///< fsync every append before it returns
-};
-
 struct WalOptions {
   std::string dir;                     ///< created if missing
   std::size_t segment_size = 1 << 20;  ///< standard segment capacity, bytes
-  SyncMode sync = SyncMode::kCommit;
   /// > 0: a commit() leader lingers this long (releasing the commit lock)
   /// before its msync so commits arriving meanwhile — e.g. from other
   /// engine shards finishing cases back to back — are covered by the same
   /// barrier. Trades up to this much commit latency for fewer fsyncs under
-  /// sustained load. 0 (default): sync immediately, the historical
-  /// behavior. kCommit mode only; kAlways syncs in append.
+  /// sustained load. 0 (default): sync immediately.
   std::uint32_t group_window_us = 0;
   /// All file I/O goes through this seam (nullptr = the real POSIX ops).
   /// Must outlive the log; tests point it at a store::FaultFs.
@@ -97,17 +90,17 @@ class WriteAheadLog {
   /// thread-safe against append; callers replay before going concurrent.
   void replay(Lsn after, const std::function<void(Lsn, std::string_view)>& fn) const;
 
-  /// Appends one record and returns its LSN. Thread-safe. Under
-  /// SyncMode::kAlways the record is durable on return. Throws
-  /// store::Error: kPoisoned when the log is fail-stop, kNoSpace/kIo when
-  /// a segment roll fails (the log stays intact — nothing was appended).
+  /// Appends one record and returns its LSN; it is durable once a commit()
+  /// covers it. Thread-safe. Throws store::Error: kPoisoned when the log
+  /// is fail-stop, kNoSpace/kIo when a segment roll fails (the log stays
+  /// intact — nothing was appended).
   Lsn append(std::string_view payload);
 
   /// Durability barrier: returns once every record with lsn <= `upto` is
-  /// synced (no-op under SyncMode::kNone). Thread-safe; concurrent callers
-  /// share one fsync. A failed barrier poisons the log and throws
-  /// store::Error(kPoisoned) — in this and in every waiting committer —
-  /// and durable_lsn() never advances past data a barrier did not cover.
+  /// synced. Thread-safe; concurrent callers share one fsync. A failed
+  /// barrier poisons the log and throws store::Error(kPoisoned) — in this
+  /// and in every waiting committer — and durable_lsn() never advances past
+  /// data a barrier did not cover.
   void commit(Lsn upto);
 
   /// True once an fsync failure made the log fail-stop.
@@ -117,8 +110,8 @@ class WriteAheadLog {
   Lsn durable_lsn() const;
 
   /// Fast-forwards the log past `lsn` when recovery found it behind a
-  /// snapshot (possible when the snapshot survived a crash that the
-  /// unsynced WAL tail did not, e.g. under SyncMode::kNone). Every current
+  /// snapshot (possible when the snapshot survived a crash that the WAL
+  /// tail did not, e.g. segment files lost or cut short). Every current
   /// segment is covered by that snapshot, so they are deleted and a fresh
   /// segment starts at lsn + 1 — without this, new appends would reuse
   /// LSNs the snapshot already claims and be skipped by the next replay.

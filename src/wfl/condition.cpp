@@ -137,10 +137,12 @@ int compare_values(const meta::Value& lhs, const meta::Value& rhs, bool& compara
   return 0;
 }
 
-bool evaluate_compare(const Condition::Node& node, const Bindings& bindings) {
-  auto it = bindings.find(node.variable);
-  if (it == bindings.end() || it->second == nullptr) return false;
-  const meta::Value& actual = it->second->get(node.property);
+/// `item` is the data item the node's variable is bound to (null = unbound).
+/// `inline`: GCC keeps a function that both walks share out of line, which
+/// cost planner-style single-item evaluation about 10% at -O2.
+inline bool evaluate_compare(const Condition::Node& node, const DataSpec* item) {
+  if (item == nullptr) return false;
+  const meta::Value& actual = item->get(node.property);
   if (actual.is_none()) return false;
   bool comparable = false;
   const int cmp = compare_values(actual, node.value, comparable);
@@ -156,56 +158,21 @@ bool evaluate_compare(const Condition::Node& node, const Bindings& bindings) {
   return false;
 }
 
-bool evaluate_node(const Condition::Node* node, const Bindings& bindings) {
-  if (node == nullptr) return true;
-  switch (node->kind) {
-    case Condition::Node::Kind::True: return true;
-    case Condition::Node::Kind::False: return false;
-    case Condition::Node::Kind::Compare: return evaluate_compare(*node, bindings);
-    case Condition::Node::Kind::And:
-      return evaluate_node(node->lhs.get(), bindings) && evaluate_node(node->rhs.get(), bindings);
-    case Condition::Node::Kind::Or:
-      return evaluate_node(node->lhs.get(), bindings) || evaluate_node(node->rhs.get(), bindings);
-    case Condition::Node::Kind::Not: return !evaluate_node(node->lhs.get(), bindings);
-  }
-  return false;
-}
-
-bool evaluate_compare_single(const Condition::Node& node, std::string_view variable,
-                             const DataSpec& item) {
-  if (node.variable != variable) return false;  // unbound
-  const meta::Value& actual = item.get(node.property);
-  if (actual.is_none()) return false;
-  bool comparable = false;
-  const int cmp = compare_values(actual, node.value, comparable);
-  if (!comparable) return node.op == CompareOp::NotEqual;
-  switch (node.op) {
-    case CompareOp::Less: return cmp < 0;
-    case CompareOp::Greater: return cmp > 0;
-    case CompareOp::Equal: return cmp == 0;
-    case CompareOp::NotEqual: return cmp != 0;
-    case CompareOp::LessEqual: return cmp <= 0;
-    case CompareOp::GreaterEqual: return cmp >= 0;
-  }
-  return false;
-}
-
-bool evaluate_node_single(const Condition::Node* node, std::string_view variable,
-                          const DataSpec& item) {
+/// One walk for every binding shape: `lookup(variable)` returns the bound
+/// item or null. A template, so each call site inlines its own lookup.
+template <typename Lookup>
+bool evaluate_node(const Condition::Node* node, const Lookup& lookup) {
   if (node == nullptr) return true;
   switch (node->kind) {
     case Condition::Node::Kind::True: return true;
     case Condition::Node::Kind::False: return false;
     case Condition::Node::Kind::Compare:
-      return evaluate_compare_single(*node, variable, item);
+      return evaluate_compare(*node, lookup(node->variable));
     case Condition::Node::Kind::And:
-      return evaluate_node_single(node->lhs.get(), variable, item) &&
-             evaluate_node_single(node->rhs.get(), variable, item);
+      return evaluate_node(node->lhs.get(), lookup) && evaluate_node(node->rhs.get(), lookup);
     case Condition::Node::Kind::Or:
-      return evaluate_node_single(node->lhs.get(), variable, item) ||
-             evaluate_node_single(node->rhs.get(), variable, item);
-    case Condition::Node::Kind::Not:
-      return !evaluate_node_single(node->lhs.get(), variable, item);
+      return evaluate_node(node->lhs.get(), lookup) || evaluate_node(node->rhs.get(), lookup);
+    case Condition::Node::Kind::Not: return !evaluate_node(node->lhs.get(), lookup);
   }
   return false;
 }
@@ -213,7 +180,10 @@ bool evaluate_node_single(const Condition::Node* node, std::string_view variable
 }  // namespace
 
 bool Condition::evaluate(const Bindings& bindings) const {
-  return evaluate_node(root_.get(), bindings);
+  return evaluate_node(root_.get(), [&bindings](const std::string& name) -> const DataSpec* {
+    const auto it = bindings.find(name);
+    return it == bindings.end() ? nullptr : it->second;
+  });
 }
 
 bool Condition::evaluate_on(const DataSet& data) const {
@@ -222,7 +192,9 @@ bool Condition::evaluate_on(const DataSet& data) const {
 }
 
 bool Condition::evaluate_single(std::string_view variable, const DataSpec& item) const {
-  return evaluate_node_single(root_.get(), variable, item);
+  return evaluate_node(root_.get(), [variable, &item](const std::string& name) {
+    return name == variable ? &item : nullptr;
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Durable storage subsystem: CRC framing, mmap segments, WAL recovery
 // (including a torn tail at *every* byte offset of the last frame),
-// snapshots, compaction, and the StorageEngine KV/journal semantics.
+// snapshots, compaction, the StorageEngine journal semantics, and a pin of
+// the on-disk format.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -11,6 +12,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,7 +156,6 @@ struct LastFrame {
 LastFrame write_wal_with_known_tail(const std::string& dir, std::size_t count) {
   WalOptions options;
   options.dir = dir;
-  options.sync = SyncMode::kCommit;
   WriteAheadLog wal(options);
   LastFrame frame;
   for (std::size_t i = 0; i < count; ++i) {
@@ -291,7 +295,6 @@ TEST(Wal, GroupCommitBatchesFsyncs) {
   TempDir dir("sync");
   WalOptions options;
   options.dir = dir.str();
-  options.sync = SyncMode::kCommit;
   WriteAheadLog wal(options);
   for (int i = 0; i < 100; ++i) wal.append("r" + std::to_string(i));
   wal.commit(wal.last_lsn());
@@ -313,7 +316,6 @@ TEST(Wal, GroupWindowBatchesSequentialCommittersAcrossThreads) {
   TempDir dir("window");
   WalOptions options;
   options.dir = dir.str();
-  options.sync = SyncMode::kCommit;
   options.group_window_us = 20'000;  // generous: robust on a loaded 1-core CI box
   WriteAheadLog wal(options);
 
@@ -339,42 +341,23 @@ TEST(Wal, GroupWindowBatchesSequentialCommittersAcrossThreads) {
 
 // -- storage engine ------------------------------------------------------------
 
-TEST(StorageEngine, InMemoryModeHasNoFilesAndFullKvSemantics) {
-  StorageEngine engine;  // default options: in-memory
-  EXPECT_FALSE(engine.durable());
-  engine.put("process/a", "A");
-  engine.put("process/b", "B");
-  engine.put("case/c", "C");
-  EXPECT_EQ(engine.get("process/a").value_or(""), "A");
-  EXPECT_FALSE(engine.get("missing").has_value());
-  EXPECT_EQ(engine.keys_with_prefix("process/").size(), 2u);
-  EXPECT_TRUE(engine.erase("process/a"));
-  EXPECT_FALSE(engine.erase("process/a"));
-  EXPECT_EQ(engine.size(), 2u);
-  EXPECT_FALSE(engine.snapshot());  // nothing to snapshot to
-  const StoreStats stats = engine.stats();
-  EXPECT_FALSE(stats.durable);
-  EXPECT_EQ(stats.keys, 2u);
+/// Appends one event on stream "engine" and commits through its LSN: the
+/// engine's admit path, durable once this returns.
+void append_committed(StorageEngine& engine, std::string_view payload) {
+  engine.commit(engine.append_event("engine", payload));
 }
 
-TEST(StorageEngine, KvStateSurvivesReopen) {
-  TempDir dir("kv");
-  Options options;
-  options.data_dir = dir.str();
-  {
-    StorageEngine engine(options);
-    EXPECT_TRUE(engine.durable());
-    engine.put("k1", "v1");
-    engine.put("k2", "v2");
-    engine.put("k1", "v1-updated");
-    engine.erase("k2");
-  }
-  StorageEngine reopened(options);
-  EXPECT_EQ(reopened.get("k1").value_or(""), "v1-updated");
-  EXPECT_FALSE(reopened.get("k2").has_value());
-  EXPECT_EQ(reopened.size(), 1u);
-  EXPECT_EQ(reopened.stats().replayed_records, 4u);
-  EXPECT_GE(reopened.stats().recovery_ms, 0.0);
+/// Reopens `options` and returns every replayed event payload, in order.
+std::vector<std::string> replayed_payloads(const Options& options) {
+  std::vector<std::string> payloads;
+  StorageEngine reopened(options, [&](std::string_view, std::string_view payload) {
+    payloads.emplace_back(payload);
+  });
+  return payloads;
+}
+
+TEST(StorageEngine, EmptyDataDirIsRefused) {
+  EXPECT_THROW(StorageEngine engine(Options{}), std::invalid_argument);
 }
 
 TEST(StorageEngine, EventsReplayInLsnOrderAcrossStreams) {
@@ -385,7 +368,6 @@ TEST(StorageEngine, EventsReplayInLsnOrderAcrossStreams) {
     StorageEngine engine(options);
     engine.append_event("alpha", "a1");
     engine.append_event("beta", "b1");
-    engine.put("key", "value");  // KV records interleave with events
     engine.append_event("alpha", "a2");
     engine.commit();
   }
@@ -394,7 +376,8 @@ TEST(StorageEngine, EventsReplayInLsnOrderAcrossStreams) {
     seen.push_back(std::string(stream) + ":" + std::string(payload));
   });
   EXPECT_EQ(seen, (std::vector<std::string>{"alpha:a1", "beta:b1", "alpha:a2"}));
-  EXPECT_EQ(reopened.get("key").value_or(""), "value");
+  EXPECT_EQ(reopened.stats().replayed_records, 3u);
+  EXPECT_GE(reopened.stats().recovery_ms, 0.0);
 }
 
 TEST(StorageEngine, SnapshotCompactsTheWalAndBoundsReplay) {
@@ -405,8 +388,10 @@ TEST(StorageEngine, SnapshotCompactsTheWalAndBoundsReplay) {
   options.snapshot_interval = 0;  // manual snapshots only
   {
     StorageEngine engine(options);
-    for (int i = 0; i < 50; ++i)
-      engine.put("key-" + std::to_string(i), std::string(24, 'v'));
+    int applied = 0;
+    engine.set_state_provider("engine", [&applied] { return std::to_string(applied); });
+    for (; applied < 50; ++applied)
+      append_committed(engine, "event-" + std::to_string(applied) + std::string(24, 'v'));
     ASSERT_GT(engine.stats().segments, 1u);
     EXPECT_TRUE(engine.snapshot());
     const StoreStats stats = engine.stats();
@@ -414,12 +399,11 @@ TEST(StorageEngine, SnapshotCompactsTheWalAndBoundsReplay) {
     EXPECT_GT(stats.segments_compacted, 0u);
     EXPECT_EQ(stats.snapshot_lsn, 50u);
     // Post-snapshot writes land in the surviving WAL tail.
-    engine.put("after-snapshot", "tail");
+    append_committed(engine, "after-snapshot");
   }
+  EXPECT_EQ(replayed_payloads(options), std::vector<std::string>{"after-snapshot"});
   StorageEngine reopened(options);
-  EXPECT_EQ(reopened.size(), 51u);
-  EXPECT_EQ(reopened.get("key-49").value_or(""), std::string(24, 'v'));
-  EXPECT_EQ(reopened.get("after-snapshot").value_or(""), "tail");
+  EXPECT_EQ(reopened.recovered_state("engine"), "50");
   // Only the tail replays; the bulk comes from the snapshot.
   EXPECT_LE(reopened.stats().replayed_records, 2u);
 }
@@ -454,20 +438,25 @@ TEST(StorageEngine, CorruptSnapshotFallsBackToTheWal) {
   options.auto_compact = false;  // keep the WAL so the fallback has data
   {
     StorageEngine engine(options);
-    engine.put("k", "v");
+    engine.set_state_provider("engine", [] { return std::string("STATE-BLOB-1"); });
+    append_committed(engine, "e1");
     EXPECT_TRUE(engine.snapshot());
-    engine.put("k2", "v2");
+    append_committed(engine, "e2");
   }
-  // Flip a byte in the snapshot body; its CRC framing must reject it.
+  // Flip a byte inside the snapshot's state blob; its CRC framing must
+  // reject it.
   for (const auto& entry : fs::directory_iterator(dir.path())) {
     if (entry.path().extension() != ".snap") continue;
     std::fstream file(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
     file.seekp(48);
     file.write("\xFF", 1);
   }
-  StorageEngine reopened(options);
-  EXPECT_EQ(reopened.get("k").value_or(""), "v");
-  EXPECT_EQ(reopened.get("k2").value_or(""), "v2");
+  std::vector<std::string> replayed;
+  StorageEngine reopened(options, [&](std::string_view, std::string_view payload) {
+    replayed.emplace_back(payload);
+  });
+  EXPECT_EQ(reopened.recovered_state("engine"), "");
+  EXPECT_EQ(replayed, (std::vector<std::string>{"e1", "e2"}));
 }
 
 TEST(StorageEngine, AutoSnapshotTriggersOnInterval) {
@@ -477,14 +466,14 @@ TEST(StorageEngine, AutoSnapshotTriggersOnInterval) {
   options.snapshot_interval = 10;
   StorageEngine engine(options);
   for (int i = 0; i < 25; ++i) {
-    engine.put("key-" + std::to_string(i), "v");
+    append_committed(engine, "event-" + std::to_string(i));
     engine.maybe_snapshot();
   }
   EXPECT_GE(engine.stats().snapshots_written, 2u);
 }
 
-// TSan coverage: concurrent writers on both the KV and journal paths, with
-// group commits racing appends, then a clean reopen.
+// TSan coverage: concurrent writers on the committed and batched journal
+// paths, with group commits racing appends, then a clean reopen.
 TEST(StorageEngine, ConcurrentWritersRecoverCompletely) {
   TempDir dir("threads");
   Options options;
@@ -492,34 +481,138 @@ TEST(StorageEngine, ConcurrentWritersRecoverCompletely) {
   options.segment_size = 4096;  // force rolls under contention
   const int kThreads = 4;
   const int kOps = 50;
+  const auto expected_stream = [](int t) {
+    std::vector<std::string> events;
+    for (int i = 0; i < kOps; ++i) {
+      const std::string suffix = std::to_string(t) + "-" + std::to_string(i);
+      events.push_back("committed-" + suffix);
+      events.push_back("batched-" + suffix);
+    }
+    return events;
+  };
   {
     StorageEngine engine(options);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&engine, t] {
+        const std::string stream = "stream-" + std::to_string(t);
         for (int i = 0; i < kOps; ++i) {
           const std::string suffix = std::to_string(t) + "-" + std::to_string(i);
-          engine.put("key-" + suffix, "value-" + suffix);
-          engine.append_event("stream-" + std::to_string(t), "event-" + suffix);
+          engine.commit(engine.append_event(stream, "committed-" + suffix));
+          engine.append_event(stream, "batched-" + suffix);
           if (i % 8 == 0) engine.commit();
-          (void)engine.get("key-" + suffix);
         }
       });
     }
     for (auto& thread : threads) thread.join();
     engine.commit();
-    EXPECT_EQ(engine.size(), static_cast<std::size_t>(kThreads * kOps));
+    EXPECT_EQ(engine.stats().last_lsn, static_cast<Lsn>(2 * kThreads * kOps));
   }
-  std::atomic<int> events{0};
-  StorageEngine reopened(options,
-                         [&](std::string_view, std::string_view) { ++events; });
-  EXPECT_EQ(reopened.size(), static_cast<std::size_t>(kThreads * kOps));
-  EXPECT_EQ(events.load(), kThreads * kOps);
+  std::map<std::string, std::vector<std::string>> streams;
+  StorageEngine reopened(options, [&](std::string_view stream, std::string_view payload) {
+    streams[std::string(stream)].emplace_back(payload);
+  });
+  ASSERT_EQ(streams.size(), static_cast<std::size_t>(kThreads));
   for (int t = 0; t < kThreads; ++t)
-    for (int i = 0; i < kOps; ++i) {
-      const std::string suffix = std::to_string(t) + "-" + std::to_string(i);
-      EXPECT_EQ(reopened.get("key-" + suffix).value_or(""), "value-" + suffix);
-    }
+    EXPECT_EQ(streams["stream-" + std::to_string(t)], expected_stream(t)) << "thread " << t;
+}
+
+// -- on-disk format ------------------------------------------------------------
+
+// The used prefix of a WAL segment (capacity 4096) and a snapshot file, as
+// written by the sequence in `write_pinned_store`: two "engine" events, a
+// snapshot at LSN 2 whose one state blob reads "engine-state-v1", then two
+// more events.
+constexpr unsigned char kPinnedSegment[] = {
+    0x49, 0x47, 0x53, 0x45, 0x47, 0x30, 0x30, 0x31, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x24, 0x79, 0xe9, 0x79,
+    0x03, 0x06, 0x00, 0x00, 0x00, 0x65, 0x6e, 0x67, 0x69, 0x6e, 0x65, 0x07,
+    0x00, 0x00, 0x00, 0x61, 0x64, 0x6d, 0x69, 0x74, 0x20, 0x31, 0x16, 0x00,
+    0x00, 0x00, 0xd0, 0x8a, 0xb9, 0x6a, 0x03, 0x06, 0x00, 0x00, 0x00, 0x65,
+    0x6e, 0x67, 0x69, 0x6e, 0x65, 0x07, 0x00, 0x00, 0x00, 0x61, 0x64, 0x6d,
+    0x69, 0x74, 0x20, 0x32, 0x19, 0x00, 0x00, 0x00, 0xc3, 0xa0, 0x32, 0xf7,
+    0x03, 0x06, 0x00, 0x00, 0x00, 0x65, 0x6e, 0x67, 0x69, 0x6e, 0x65, 0x0a,
+    0x00, 0x00, 0x00, 0x74, 0x65, 0x72, 0x6d, 0x69, 0x6e, 0x61, 0x6c, 0x20,
+    0x31, 0x19, 0x00, 0x00, 0x00, 0x37, 0x53, 0x62, 0xe4, 0x03, 0x06, 0x00,
+    0x00, 0x00, 0x65, 0x6e, 0x67, 0x69, 0x6e, 0x65, 0x0a, 0x00, 0x00, 0x00,
+    0x74, 0x65, 0x72, 0x6d, 0x69, 0x6e, 0x61, 0x6c, 0x20, 0x32,
+};
+constexpr unsigned char kPinnedSnapshot[] = {
+    0x0d, 0x00, 0x00, 0x00, 0x89, 0x4e, 0x8b, 0xfd, 0x0a, 0x01, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00,
+    0x00, 0x4c, 0x8e, 0x39, 0x5e, 0x0c, 0x06, 0x00, 0x00, 0x00, 0x65, 0x6e,
+    0x67, 0x69, 0x6e, 0x65, 0x0f, 0x00, 0x00, 0x00, 0x65, 0x6e, 0x67, 0x69,
+    0x6e, 0x65, 0x2d, 0x73, 0x74, 0x61, 0x74, 0x65, 0x2d, 0x76, 0x31, 0x09,
+    0x00, 0x00, 0x00, 0x68, 0xf3, 0x5b, 0x60, 0x0d, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+};
+constexpr const char* kPinnedSegmentName = "wal-00000001.seg";
+constexpr const char* kPinnedSnapshotName = "snap-0000000000000002.snap";
+
+Options pinned_options(const std::string& dir) {
+  Options options;
+  options.data_dir = dir;
+  options.segment_size = 4096;
+  options.snapshot_interval = 0;
+  options.auto_compact = false;
+  return options;
+}
+
+void write_pinned_store(const std::string& dir) {
+  StorageEngine engine(pinned_options(dir));
+  engine.set_state_provider("engine", [] { return std::string("engine-state-v1"); });
+  engine.append_event("engine", "admit 1");
+  engine.append_event("engine", "admit 2");
+  engine.commit();
+  ASSERT_TRUE(engine.snapshot());
+  engine.append_event("engine", "terminal 1");
+  engine.append_event("engine", "terminal 2");
+  engine.commit();
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+template <std::size_t N>
+std::string as_string(const unsigned char (&bytes)[N]) {
+  return std::string(reinterpret_cast<const char*>(bytes), N);
+}
+
+TEST(StoreFormat, PinnedBytesReopenToTheSameBlobAndEvents) {
+  TempDir dir("pinned");
+  {
+    // Only the used prefix: opening re-extends the segment to its capacity.
+    std::ofstream(dir.path() / kPinnedSegmentName, std::ios::binary)
+        << as_string(kPinnedSegment);
+    std::ofstream(dir.path() / kPinnedSnapshotName, std::ios::binary)
+        << as_string(kPinnedSnapshot);
+  }
+  std::vector<std::string> replayed;
+  StorageEngine reopened(pinned_options(dir.str()),
+                         [&](std::string_view stream, std::string_view payload) {
+                           replayed.push_back(std::string(stream) + ":" + std::string(payload));
+                         });
+  EXPECT_EQ(reopened.recovered_state("engine"), "engine-state-v1");
+  EXPECT_EQ(replayed, (std::vector<std::string>{"engine:terminal 1", "engine:terminal 2"}));
+  const StoreStats stats = reopened.stats();
+  EXPECT_EQ(stats.snapshot_lsn, 2u);
+  EXPECT_EQ(stats.last_lsn, 4u);
+  EXPECT_FALSE(stats.wal.torn_tail_repaired);
+  EXPECT_EQ(fs::file_size(dir.path() / kPinnedSegmentName), 4096u);
+}
+
+TEST(StoreFormat, TheSameWritesProduceThePinnedBytes) {
+  TempDir dir("pin-write");
+  write_pinned_store(dir.str());
+  const std::string segment = read_bytes(dir.path() / kPinnedSegmentName);
+  ASSERT_EQ(segment.size(), 4096u);
+  EXPECT_EQ(segment.substr(0, sizeof kPinnedSegment), as_string(kPinnedSegment));
+  EXPECT_EQ(segment.find_first_not_of('\0', sizeof kPinnedSegment), std::string::npos);
+  EXPECT_EQ(read_bytes(dir.path() / kPinnedSnapshotName), as_string(kPinnedSnapshot));
 }
 
 // -- deterministic disk-fault injection ----------------------------------------
@@ -554,11 +647,13 @@ TEST(FaultFs, SameSeedInjectsTheSameFaultsTwice) {
   EXPECT_GT(runs[0].total_injected(), 0u);
 }
 
-/// The canonical three-segment workload: 30 committed puts through a tiny
-/// segment size.
+/// Record i of the canonical three-segment workload.
+std::string workload_event(int i) { return "key-" + std::to_string(i) + std::string(24, 'v'); }
+
+/// The canonical three-segment workload: 30 committed events through a
+/// tiny segment size.
 void three_segment_workload(StorageEngine& engine) {
-  for (int i = 0; i < 30; ++i)
-    engine.put("key-" + std::to_string(i), std::string(24, 'v'));
+  for (int i = 0; i < 30; ++i) append_committed(engine, workload_event(i));
 }
 
 Options three_segment_options(const std::string& dir, FileOps* fops) {
@@ -573,7 +668,7 @@ Options three_segment_options(const std::string& dir, FileOps* fops) {
 // The ISSUE acceptance sweep: ENOSPC injected at every single I/O operation
 // of the three-segment workload. Whatever happens — a clean kNoSpace the
 // caller can retry, or a poisoned WAL if the fault landed on a durability
-// barrier — an acked put must survive reopen, and a poisoned store must
+// barrier — an acked event must survive reopen, and a poisoned store must
 // stay fail-stop for the rest of the run.
 TEST(FaultFs, EnospcAtEveryOpOfAThreeSegmentWorkload) {
   std::uint64_t total_ops = 0;
@@ -608,11 +703,10 @@ TEST(FaultFs, EnospcAtEveryOpOfAThreeSegmentWorkload) {
       }
       if (engine) {
         for (int i = 0; i < 30; ++i) {
-          const std::string key = "key-" + std::to_string(i);
           try {
-            engine->put(key, std::string(24, 'v'));
-            ASSERT_FALSE(poisoned) << "op " << k << ": a poisoned store acked a put";
-            acked.push_back(key);
+            append_committed(*engine, workload_event(i));
+            ASSERT_FALSE(poisoned) << "op " << k << ": a poisoned store acked an event";
+            acked.push_back(workload_event(i));
           } catch (const Error& e) {
             if (e.kind() == ErrorKind::kPoisoned) poisoned = true;
             else
@@ -624,11 +718,12 @@ TEST(FaultFs, EnospcAtEveryOpOfAThreeSegmentWorkload) {
         if (poisoned) saw_poisoned = true;
       }
     }
-    // Reopen with the real filesystem: every acked put must be there.
-    StorageEngine reopened(three_segment_options(dir.str(), nullptr));
-    for (const std::string& key : acked)
-      EXPECT_EQ(reopened.get(key).value_or(""), std::string(24, 'v'))
-          << "op " << k << ": acked key lost";
+    // Reopen with the real filesystem: every acked event must be there.
+    const std::vector<std::string> replayed =
+        replayed_payloads(three_segment_options(dir.str(), nullptr));
+    const std::set<std::string> retained(replayed.begin(), replayed.end());
+    for (const std::string& event : acked)
+      EXPECT_EQ(retained.count(event), 1u) << "op " << k << ": acked event lost";
   }
   // The sweep must have exercised both rungs of the degradation ladder.
   EXPECT_TRUE(saw_clean_nospace) << "no op produced a clean retryable ENOSPC";
@@ -647,7 +742,6 @@ TEST(FaultFs, FsyncFailureOnCommitIsFailStop) {
   FaultFs faults(fault_options);
   WalOptions options;
   options.dir = dir.str();
-  options.sync = SyncMode::kCommit;
   options.file_ops = &faults;
   WriteAheadLog wal(options);
   const Lsn lsn = wal.append("doomed");
@@ -692,7 +786,6 @@ TEST(FaultFs, ShortWriteTailRecoversACleanPrefixOnReopen) {
       FaultFs faults(fault_options);
       WalOptions options;
       options.dir = dir.str();
-      options.sync = SyncMode::kCommit;
       options.file_ops = &faults;
       WriteAheadLog wal(options);
       for (std::size_t i = 0; i < kRecords; ++i) wal.append("payload-" + std::to_string(i));
@@ -726,20 +819,20 @@ TEST(FaultFs, PowerCutFreezesTheDiskForever) {
   try {
     StorageEngine engine(options);
     for (int i = 0; i < 50; ++i) {
-      engine.put("key-" + std::to_string(i), "v");
-      acked.push_back("key-" + std::to_string(i));
+      append_committed(engine, "event-" + std::to_string(i));
+      acked.push_back("event-" + std::to_string(i));
     }
     FAIL() << "the power cut never fired";
   } catch (const Error&) {
-    // Expected: either the open or some put hit the cut.
+    // Expected: either the open or some commit hit the cut.
   }
   EXPECT_GT(faults.stats().power_cut_failures, 0u);
-  // Everything acked before the cut survives a posix reopen.
+  // Everything acked before the cut survives a posix reopen, in order.
   Options reopen_options;
   reopen_options.data_dir = dir.str();
-  StorageEngine reopened(reopen_options);
-  for (const std::string& key : acked)
-    EXPECT_EQ(reopened.get(key).value_or(""), "v") << key;
+  const std::vector<std::string> replayed = replayed_payloads(reopen_options);
+  ASSERT_GE(replayed.size(), acked.size());
+  for (std::size_t i = 0; i < acked.size(); ++i) EXPECT_EQ(replayed[i], acked[i]);
 }
 
 // A record a segment seal made durable stays acked: committing through its
@@ -801,7 +894,8 @@ TEST(StorageEngine, SnapshotRenameFailureKeepsThePreviousSnapshotAuthoritative) 
   posix_options.auto_compact = false;
   {
     StorageEngine engine(posix_options);
-    engine.put("k", "v1");
+    engine.set_state_provider("engine", [] { return std::string("v1"); });
+    append_committed(engine, "e1");
     ASSERT_TRUE(engine.snapshot());
   }
   {
@@ -813,16 +907,21 @@ TEST(StorageEngine, SnapshotRenameFailureKeepsThePreviousSnapshotAuthoritative) 
     Options faulty_options = posix_options;
     faulty_options.file_ops = &faults;
     StorageEngine engine(faulty_options);
-    engine.put("k", "v2");
+    engine.set_state_provider("engine", [] { return std::string("v2"); });
+    append_committed(engine, "e2");
     EXPECT_FALSE(engine.snapshot()) << "snapshot survived a failed rename";
     EXPECT_EQ(engine.stats().snapshots_written, 0u);
   }
-  // No .tmp remains, the old snapshot still loads, the WAL carries v2.
+  // No .tmp remains, the old snapshot still loads, the WAL carries e2.
   for (const auto& entry : fs::directory_iterator(dir.path()))
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
-  StorageEngine reopened(posix_options);
-  EXPECT_EQ(reopened.get("k").value_or(""), "v2");
-  EXPECT_GT(reopened.stats().snapshot_lsn, 0u) << "previous snapshot was lost";
+  std::vector<std::string> replayed;
+  StorageEngine reopened(posix_options, [&](std::string_view, std::string_view payload) {
+    replayed.emplace_back(payload);
+  });
+  EXPECT_EQ(reopened.recovered_state("engine"), "v1") << "previous snapshot was lost";
+  EXPECT_EQ(reopened.stats().snapshot_lsn, 1u);
+  EXPECT_EQ(replayed, std::vector<std::string>{"e2"});
 }
 
 }  // namespace
